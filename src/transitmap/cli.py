@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core_reduce import prune, split_components
 from .errors import (
     BudgetExceeded,
     DanglingReference,
@@ -44,42 +43,30 @@ from .errors import (
     PreconditionViolated,
     ProjectionFailure,
     SchemaViolation,
-    SelfIntersectionUnresolved,
     ShapeMismatch,
     SolverFailure,
     TransitMapError,
 )
 from .gtfs import build_raw_network, load_feed
-from .ilp_model import (
-    Ordering,
-    WeightPolicy,
-    build_baseline,
-    build_improved,
-    build_separation,
-    model_dims,
-)
+from .ilp_model import Ordering, WeightPolicy
 from .line_graph import (
     LineGraph,
     construct_line_graph,
     load_line_graph,
     save_line_graph,
 )
-from .optimize import evaluate, optimize_pipeline
+from .optimize import VARIANTS, PipelineResult, optimize_pipeline
 from .render_svg import RenderStyle, render_map
 
 __all__ = ["PipelineConfig", "main"]
 
 SOLVER_ENV = "TRANSITMAP_SOLVER"
 
-_MODEL_BUILDERS = {"B": build_baseline, "I": build_improved,
-                   "S": build_separation}
-
 _EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
     (MissingFile, 3),
     ((SchemaViolation, MalformedRow, MalformedOrdering, DanglingReference,
       ShapeMismatch), 4),
-    ((PreconditionViolated, DegenerateSegment, ProjectionFailure,
-      SelfIntersectionUnresolved), 5),
+    ((PreconditionViolated, DegenerateSegment, ProjectionFailure), 5),
     ((SolverFailure, Infeasible, InfeasibleAssignment, NonTermination,
       BudgetExceeded, ObjectiveMismatch, IncompleteSolution), 6),
 )
@@ -118,7 +105,7 @@ class PipelineConfig:
                 raise PreconditionViolated(f"{name} must be positive")
         if self.k < 1:
             raise PreconditionViolated("k must be at least 1")
-        if self.variant not in _MODEL_BUILDERS:
+        if self.variant not in VARIANTS:
             raise SchemaViolation(
                 f"unknown variant {self.variant!r}; expected B, I, or S")
         if self.solver != "builtin" and not self.solver.startswith("ext:"):
@@ -210,41 +197,33 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _optimize_graph(g: LineGraph, cfg: PipelineConfig) -> tuple[Ordering, str]:
-    w = cfg.weight_policy(g)
-    core, _ = prune(g, w, collapse_bundles=cfg.variant != "S")
-    components = split_components(core)
-    rows = cols = 0
-    for comp in components:
-        r, c = model_dims(_MODEL_BUILDERS[cfg.variant](comp, w))
-        rows += r
-        cols += c
-    ordering = optimize_pipeline(g, cfg.variant, w, backend=cfg.backend())
-    breakdown = evaluate(g, ordering, w)
-    summary = (
-        f"core: {len(core.nodes)} nodes, {len(core.edges)} edges, "
-        f"{len(components)} components\n"
-        f"model: {rows} rows x {cols} cols (variant {cfg.variant})\n"
-        f"crossings: {breakdown.crossing_count}, "
-        f"separations: {breakdown.separation_count}")
-    return ordering, summary
+def _optimize_graph(g: LineGraph, cfg: PipelineConfig) -> PipelineResult:
+    return optimize_pipeline(g, cfg.variant, cfg.weight_policy(g),
+                             backend=cfg.backend())
 
 
-def _write_ordering(g: LineGraph, ordering: Ordering,
-                    cfg: PipelineConfig, path) -> None:
-    breakdown = evaluate(g, ordering, cfg.weight_policy(g))
-    payload = {"orderings": ordering.to_dict(),
-               "objective": breakdown.to_dict()}
+def _summary(result: PipelineResult, cfg: PipelineConfig) -> str:
+    return (
+        f"core: {result.core_nodes} nodes, {result.core_edges} edges, "
+        f"{result.components} components\n"
+        f"model: {result.model_rows} rows x {result.model_cols} cols "
+        f"(variant {cfg.variant})\n"
+        f"crossings: {result.breakdown.crossing_count}, "
+        f"separations: {result.breakdown.separation_count}")
+
+
+def _write_ordering(result: PipelineResult, path) -> None:
+    payload = {"orderings": result.ordering.to_dict(),
+               "objective": result.breakdown.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_optimize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    g = load_line_graph(args.graph)
-    ordering, summary = _optimize_graph(g, cfg)
-    _write_ordering(g, ordering, cfg, args.out)
-    print(summary)
+    result = _optimize_graph(load_line_graph(args.graph), cfg)
+    _write_ordering(result, args.out)
+    print(_summary(result, cfg))
     return 0
 
 
@@ -275,11 +254,11 @@ def cmd_full(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     g = _extract_graph(args.gtfs_dir, cfg)
     t1 = time.perf_counter()
     print(f"extract: {t1 - t0:.2f} s ({_dims_line(g)})")
-    ordering, summary = _optimize_graph(g, cfg)
+    result = _optimize_graph(g, cfg)
     t2 = time.perf_counter()
     print(f"optimize: {t2 - t1:.2f} s")
-    print(summary)
-    render_map(g, ordering, cfg.render_style(), out=args.out)
+    print(_summary(result, cfg))
+    render_map(g, result.ordering, cfg.render_style(), out=args.out)
     t3 = time.perf_counter()
     print(f"render: {t3 - t2:.2f} s")
     print(f"total: {t3 - t0:.2f} s")
@@ -312,7 +291,7 @@ def _shared_flags() -> argparse.ArgumentParser:
     shared.add_argument("--route-types", dest="route_types",
                         type=_route_types_arg,
                         help="comma-separated GTFS route types to keep")
-    shared.add_argument("--variant", choices=sorted(_MODEL_BUILDERS),
+    shared.add_argument("--variant", choices=VARIANTS,
                         help="ordering model: B baseline, I improved, "
                         "S improved with separation penalties")
     shared.add_argument("--solver",

@@ -39,10 +39,6 @@ class DegenerateSegment(TransitMapError):
     """A polyline collapsed below representable length."""
 
 
-class SelfIntersectionUnresolved(TransitMapError):
-    """Offsetting produced loops that the local cleanup could not remove."""
-
-
 # ── graph construction / serialization ──────────────────────────────
 
 class SchemaViolation(TransitMapError):

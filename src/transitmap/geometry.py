@@ -1,5 +1,5 @@
-"""Planar polyline geometry: arc-length parametrization, nearest-point
-queries over a packed R-tree, shared-segment detection between polylines,
+"""Planar polyline geometry: arc-length parametrization, vectorized
+nearest-point queries, shared-segment detection between polylines,
 parallel offsetting with miter/bevel joins, and path averaging.
 
 Coordinates are projected meters throughout.  Polyline parameters t are
@@ -8,13 +8,12 @@ arc-length fractions in [0, 1].
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment, SelfIntersectionUnresolved
+from .errors import DegenerateSegment
 
 _EPS = 1e-9
 
@@ -28,7 +27,7 @@ class Polyline:
     two distinct points raise DegenerateSegment.
     """
 
-    __slots__ = ("pts", "_cum", "_rtree")
+    __slots__ = ("pts", "_cum")
 
     def __init__(self, points) -> None:
         pts = np.asarray(points, dtype=float)
@@ -46,7 +45,6 @@ class Polyline:
         self.pts.setflags(write=False)
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self._rtree: _SegmentRTree | None = None
 
     # basic measures -------------------------------------------------
 
@@ -97,19 +95,15 @@ class Polyline:
 
     def nearest_point_param(self, q) -> tuple[float, float]:
         """Arc-length parameter and distance of the point on this polyline
-        nearest to q.  Uses a lazily built R-tree over the segments."""
-        if self._rtree is None:
-            self._rtree = _SegmentRTree(self.pts[:-1], self.pts[1:])
-        seg_idx, local_t, dist = self._rtree.nearest(np.asarray(q, dtype=float))
-        seg_len = self._cum[seg_idx + 1] - self._cum[seg_idx]
-        t = (self._cum[seg_idx] + local_t * seg_len) / max(self.length, _EPS)
-        return float(t), float(dist)
+        nearest to q."""
+        ts, dists = self.nearest_many(np.asarray(q, dtype=float)[None, :])
+        return float(ts[0]), float(dists[0])
 
     def nearest_many(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense nearest-point query for many points at once.
 
         Returns (params, distances).  O(len(qs) * segments) but fully
-        vectorized; preferred over per-point tree queries inside sweeps.
+        vectorized; ties go to the lowest segment index.
         """
         p0 = self.pts[:-1]
         d = self.pts[1:] - p0
@@ -147,82 +141,6 @@ class Polyline:
 
     def __repr__(self) -> str:
         return f"Polyline({len(self.pts)} pts, {self.length:.1f} m)"
-
-
-# ── packed R-tree over segments ─────────────────────────────────────
-
-class _SegmentRTree:
-    """Static STR-packed R-tree over line segments for nearest queries."""
-
-    FANOUT = 8
-
-    def __init__(self, p0: np.ndarray, p1: np.ndarray) -> None:
-        self.p0 = p0
-        self.p1 = p1
-        m = len(p0)
-        boxes = np.empty((m, 4))
-        boxes[:, 0] = np.minimum(p0[:, 0], p1[:, 0])
-        boxes[:, 1] = np.minimum(p0[:, 1], p1[:, 1])
-        boxes[:, 2] = np.maximum(p0[:, 0], p1[:, 0])
-        boxes[:, 3] = np.maximum(p0[:, 1], p1[:, 1])
-        # STR packing: sort by x center, slice, sort slices by y center.
-        cx = (boxes[:, 0] + boxes[:, 2]) / 2
-        cy = (boxes[:, 1] + boxes[:, 3]) / 2
-        n_leaves = max(1, math.ceil(m / self.FANOUT))
-        n_slices = max(1, math.ceil(math.sqrt(n_leaves)))
-        per_slice = math.ceil(m / n_slices)
-        by_x = np.argsort(cx, kind="stable")
-        order = np.empty(m, dtype=int)
-        for i in range(n_slices):
-            chunk = by_x[i * per_slice:(i + 1) * per_slice]
-            order[i * per_slice:i * per_slice + len(chunk)] = chunk[np.argsort(cy[chunk], kind="stable")]
-        self.order = order
-        self.levels: list[np.ndarray] = [boxes[order]]
-        while len(self.levels[-1]) > 1:
-            below = self.levels[-1]
-            k = math.ceil(len(below) / self.FANOUT)
-            up = np.empty((k, 4))
-            for j in range(k):
-                grp = below[j * self.FANOUT:(j + 1) * self.FANOUT]
-                up[j, 0:2] = grp[:, 0:2].min(axis=0)
-                up[j, 2:4] = grp[:, 2:4].max(axis=0)
-            self.levels.append(up)
-
-    @staticmethod
-    def _box_dist2(q: np.ndarray, box: np.ndarray) -> float:
-        dx = max(box[0] - q[0], 0.0, q[0] - box[2])
-        dy = max(box[1] - q[1], 0.0, q[1] - box[3])
-        return dx * dx + dy * dy
-
-    def _seg_dist(self, q: np.ndarray, seg: int) -> tuple[float, float]:
-        a, b = self.p0[seg], self.p1[seg]
-        d = b - a
-        len2 = float(d @ d)
-        t = 0.0 if len2 < _EPS**2 else float(np.clip((q - a) @ d / len2, 0.0, 1.0))
-        p = a + t * d
-        return float(np.linalg.norm(q - p)), t
-
-    def nearest(self, q: np.ndarray) -> tuple[int, float, float]:
-        """(segment index, local t on segment, distance) of nearest point."""
-        top = len(self.levels) - 1
-        heap: list[tuple[float, int, int]] = [(self._box_dist2(q, self.levels[top][0]), top, 0)]
-        best = (math.inf, -1, 0.0)  # dist, seg, t
-        while heap:
-            d2, level, idx = heapq.heappop(heap)
-            if d2 >= best[0] ** 2:
-                break
-            if level == 0:
-                dist, t = self._seg_dist(q, int(self.order[idx]))
-                if dist < best[0]:
-                    best = (dist, int(self.order[idx]), t)
-                continue
-            lo = idx * self.FANOUT
-            hi = min(lo + self.FANOUT, len(self.levels[level - 1]))
-            for child in range(lo, hi):
-                cd2 = self._box_dist2(q, self.levels[level - 1][child])
-                if cd2 < best[0] ** 2:
-                    heapq.heappush(heap, (cd2, level - 1, child))
-        return best[1], best[2], best[0]
 
 
 # ── shared segment detection ────────────────────────────────────────
@@ -349,32 +267,21 @@ def _proper_intersection(a0, a1, b0, b1) -> np.ndarray | None:
 
 def _remove_local_loops(pts: np.ndarray) -> np.ndarray:
     """Cut small self-intersection loops that offsetting creates at sharp
-    inner corners.  Checks segment pairs within a sliding window; raises
-    if a loop survives the cleanup pass."""
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 100:
-            raise SelfIntersectionUnresolved("offset loop cleanup did not converge")
+    inner corners.  One forward scan checks segment i against segments
+    i + 2 through i + _LOOP_WINDOW; a cut at segment i removes at least one
+    point and resumes the scan at i - _LOOP_WINDOW, the first segment whose
+    window reaches the cut, so no window of the result holds a crossing."""
+    i = 0
+    while i < len(pts) - 1:
         n = len(pts) - 1
-        for i in range(n):
-            hi = min(n, i + 1 + _LOOP_WINDOW)
-            for j in range(i + 2, hi):
-                x = _proper_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
-                if x is not None:
-                    pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
-                    changed = True
-                    break
-            if changed:
-                break
-    # verification pass over the same window
-    n = len(pts) - 1
-    for i in range(n):
         for j in range(i + 2, min(n, i + 1 + _LOOP_WINDOW)):
-            if _proper_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1]) is not None:
-                raise SelfIntersectionUnresolved("offset polyline still self-intersects")
+            x = _proper_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
+            if x is not None:
+                pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
+                i = max(0, i - _LOOP_WINDOW)
+                break
+        else:
+            i += 1
     return pts
 
 

@@ -357,16 +357,20 @@ def model_dims(m: IlpModel) -> tuple[int, int]:
 
 
 # ── builders ────────────────────────────────────────────────────────
+# Each builder compiles the event sites of (g, weights) unless the caller
+# passes the ones it has already compiled.
 
 def _sorted_edges(g: LineGraph) -> list[LGEdge]:
     return [g.edges[eid] for eid in sorted(g.edges)]
 
 
-def build_baseline(g: LineGraph, weights: WeightPolicy) -> IlpModel:
+def build_baseline(g: LineGraph, weights: WeightPolicy,
+                   sites: EventSites | None = None) -> IlpModel:
     """Direct position-assignment formulation; events are priced by
     enumerating every position combination that realizes them."""
     m = IlpModel("B")
-    sites = compile_event_sites(g, weights)
+    if sites is None:
+        sites = compile_event_sites(g, weights)
     for e in _sorted_edges(g):
         n = len(e.lines)
         m.edge_lines[e.id] = e.lines
@@ -488,22 +492,27 @@ def _build_cumulative_core(m: IlpModel, g: LineGraph, sites: EventSites) -> None
         m.add_constraint([(1.0, bad), (-1.0, xs)], "<=", 0.0)
 
 
-def build_improved(g: LineGraph, weights: WeightPolicy) -> IlpModel:
+def build_improved(g: LineGraph, weights: WeightPolicy,
+                   sites: EventSites | None = None) -> IlpModel:
     """Cumulative-variable formulation: order comparisons become single
     variables, shrinking the model to a constant number of rows per line
     pair per edge."""
     m = IlpModel("I")
-    _build_cumulative_core(m, g, compile_event_sites(g, weights))
+    if sites is None:
+        sites = compile_event_sites(g, weights)
+    _build_cumulative_core(m, g, sites)
     return m
 
 
-def build_separation(g: LineGraph, weights: WeightPolicy) -> IlpModel:
+def build_separation(g: LineGraph, weights: WeightPolicy,
+                     sites: EventSites | None = None) -> IlpModel:
     """Improved formulation plus adjacency tracking: per-edge variables
     flag pairs that are not side by side, a per-edge cardinality cap
     pins them exactly, and separation events price adjacency changes
     across nodes."""
     m = IlpModel("S")
-    sites = compile_event_sites(g, weights)
+    if sites is None:
+        sites = compile_event_sites(g, weights)
     _build_cumulative_core(m, g, sites)
     for e in _sorted_edges(g):
         n = len(e.lines)

@@ -40,6 +40,7 @@ from .ilp_model import (
     build_separation,
     compile_event_sites,
     extract_ordering,
+    model_dims,
     write_lp,
 )
 from .line_graph import LineGraph
@@ -387,7 +388,7 @@ def solve(g: LineGraph, variant: str, w: WeightPolicy,
     if backend == "builtin":
         ordering, claimed = _branch_and_bound(g, sites, include_separation)
     else:
-        model = _BUILDERS[variant](g, w)
+        model = _BUILDERS[variant](g, w, sites)
         assignment = _run_external(model, backend, timeout)
         ordering = extract_ordering(model, assignment)
         claimed = _model_objective(model, assignment)
@@ -403,11 +404,27 @@ def solve(g: LineGraph, variant: str, w: WeightPolicy,
 
 # ── full pipeline ───────────────────────────────────────────────────
 
+@dataclass(frozen=True)
+class PipelineResult:
+    """An optimized ordering of the whole graph with the evaluator's
+    breakdown of it, the size of the reduced core, and the variant's
+    model size summed over the core's components."""
+
+    ordering: Ordering
+    breakdown: ObjectiveBreakdown
+    core_nodes: int
+    core_edges: int
+    components: int
+    model_rows: int
+    model_cols: int
+
+
 def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
                       backend: str = "builtin",
-                      timeout: float | None = None) -> Ordering:
+                      timeout: float | None = None) -> PipelineResult:
     """Reduce g to its core, solve each split component concurrently,
-    and unfold the results into an ordering of g.
+    and unfold the results into an ordering of g, returned with its
+    breakdown and the core and model sizes.
 
     Bundle collapse stays off for the separation-aware variant: a
     collapsed block hides which member line faces an outside neighbor,
@@ -419,6 +436,10 @@ def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
     include_separation = variant == "S"
     core, reduction = prune(g, w, collapse_bundles=not include_separation)
     components = split_components(core, reduction)
+    rows = cols = 0
+    for comp in components:
+        r, c = model_dims(_BUILDERS[variant](comp, w))
+        rows, cols = rows + r, cols + c
     results: list[tuple[Ordering, ObjectiveBreakdown]] = []
     if components:
         with ThreadPoolExecutor(max_workers=min(8, len(components))) as pool:
@@ -429,10 +450,13 @@ def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
     ordering = unfold([o for o, _ in results], reduction, g)
     claimed = sum(b.objective(include_separation=include_separation)
                   for _, b in results)
-    achieved = evaluate(g, ordering, w).objective(
-        include_separation=include_separation)
+    breakdown = evaluate(g, ordering, w)
+    achieved = breakdown.objective(include_separation=include_separation)
     if abs(claimed - achieved) > 1e-6:
         raise ObjectiveMismatch(
             f"unfolded objective {achieved} disagrees with the summed "
             f"component objectives {claimed}; the reduction lost events")
-    return ordering
+    return PipelineResult(
+        ordering=ordering, breakdown=breakdown,
+        core_nodes=len(core.nodes), core_edges=len(core.edges),
+        components=len(components), model_rows=rows, model_cols=cols)

@@ -139,7 +139,7 @@ def test_03_reduction_pipeline_preserves_the_optimum():
         g = random_line_graph(np.random.default_rng(seed))
         w = WeightPolicy.from_graph(g)
         _, expected = brute_force(g, w, include_separation=False)
-        ordering = optimize_pipeline(g, "I", w, backend="builtin")
+        ordering = optimize_pipeline(g, "I", w, backend="builtin").ordering
         assert evaluate(g, ordering, w).objective(False) == \
             expected.objective(False)
 
@@ -155,7 +155,7 @@ def test_03_reduction_pipeline_preserves_the_optimum():
     assert "la+lb" in core_lines
     assert "la" not in core_lines and "lb" not in core_lines
     _, expected = brute_force(g, w, include_separation=False)
-    ordering = optimize_pipeline(g, "I", w, backend="builtin")
+    ordering = optimize_pipeline(g, "I", w, backend="builtin").ordering
     assert evaluate(g, ordering, w).objective(False) == \
         expected.objective(False)
 

@@ -70,6 +70,33 @@ def test_optimize_writes_ordering_and_summary(tmp_path, capsys):
     assert "crossings: 0" in text
 
 
+@pytest.mark.parametrize("make_graph, variant, summary", [
+    (seven_line_reduction_graph, "I",
+     ["core: 9 nodes, 7 edges, 6 components",
+      "model: 30 rows x 27 cols (variant I)",
+      "crossings: 0, separations: 0"]),
+    (seven_line_reduction_graph, "S",
+     ["core: 9 nodes, 7 edges, 5 components",
+      "model: 86 rows x 62 cols (variant S)",
+      "crossings: 0, separations: 0"]),
+    (separation_chain_graph, "I",
+     ["core: 6 nodes, 5 edges, 5 components",
+      "model: 17 rows x 16 cols (variant I)",
+      "crossings: 2, separations: 0"]),
+    (separation_chain_graph, "S",
+     ["core: 6 nodes, 5 edges, 3 components",
+      "model: 61 rows x 44 cols (variant S)",
+      "crossings: 2, separations: 0"]),
+])
+def test_optimize_summary_lines_are_pinned(make_graph, variant, summary,
+                                           tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    save_line_graph(make_graph(), graph)
+    assert run(["optimize", "--variant", variant, "--solver", "builtin",
+                graph, tmp_path / "ordering.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == summary
+
+
 def test_optimize_variant_s_hits_brute_force_separation_count(tmp_path,
                                                               capsys):
     g = separation_chain_graph()

@@ -15,6 +15,7 @@ import pytest
 
 from transitmap.errors import DegenerateSegment
 from transitmap.geometry import (
+    _LOOP_WINDOW,
     Polyline,
     average_path,
     count_proper_intersections,
@@ -99,14 +100,14 @@ def test_nearest_point_param_matches_linear_scan():
             del t_exp
 
 
-def test_nearest_many_agrees_with_single_queries():
+def test_nearest_many_matches_linear_scan():
     rng = np.random.default_rng(13)
     p = smooth_polyline(rng, n_pts=30)
     qs = rng.uniform(-200, 600, size=(25, 2))
     ts, ds = p.nearest_many(qs)
     for q, t, d in zip(qs, ts, ds):
-        _, d1 = p.nearest_point_param(q)
-        assert d == pytest.approx(d1, abs=1e-9)
+        _, d_exp = _nearest_linear_scan(p, q)
+        assert d == pytest.approx(d_exp, abs=1e-9)
         assert np.linalg.norm(p.param_point(t) - q) == pytest.approx(d, abs=1e-6)
 
 
@@ -283,6 +284,19 @@ def test_offset_spacing_on_smooth_curves():
         _, d = q.nearest_many(p.param_points(ts))
         assert abs(float(d.min()) - 4.0) < 0.05
         assert abs(float(d.max()) - 4.0) < 0.3
+
+
+@pytest.mark.parametrize("delta", [8.0, -8.0])
+def test_offset_long_zigzag_cleans_every_local_loop(delta):
+    # 240 points, x in 10 m steps, y alternating 0 and 30 m: each sharp
+    # inner corner leaves a loop, far more than a bounded number of
+    # cleanup passes would cut one at a time.
+    zigzag = Polyline([(10.0 * i, 30.0 * (i % 2)) for i in range(240)])
+    pts = offset_polyline(zigzag, delta).pts
+    n = len(pts) - 1
+    for i in range(n):
+        for j in range(i + 2, min(n, i + 1 + _LOOP_WINDOW)):
+            assert count_proper_intersections(pts[i:i + 2], pts[j:j + 2]) == 0
 
 
 # ── averaging ───────────────────────────────────────────────────────

@@ -306,7 +306,7 @@ def test_pipeline_equals_direct_solve_on_core_graph():
     w = WeightPolicy.from_graph(g)
     for variant in ("I", "S"):
         direct, _ = solve(g, variant, w)
-        assert optimize_pipeline(g, variant, w) == direct
+        assert optimize_pipeline(g, variant, w).ordering == direct
 
 
 def test_pipeline_matches_brute_force_on_random_instances():
@@ -316,7 +316,7 @@ def test_pipeline_matches_brute_force_on_random_instances():
         w = WeightPolicy.from_graph(g)
         for variant in ("I", "S"):
             include = variant == "S"
-            out = optimize_pipeline(g, variant, w)
+            out = optimize_pipeline(g, variant, w).ordering
             out.validate_for(g)
             achieved = evaluate(g, out, w).objective(
                 include_separation=include)
@@ -328,7 +328,7 @@ def test_pipeline_matches_brute_force_on_random_instances():
 def test_pipeline_reduces_seven_line_fixture_to_zero_crossings():
     g = seven_line_reduction_graph()
     w = WeightPolicy.from_graph(g)
-    out = optimize_pipeline(g, "I", w)
+    out = optimize_pipeline(g, "I", w).ordering
     out.validate_for(g)
     breakdown = evaluate(g, out, w)
     assert breakdown.crossing_weight == 0.0
@@ -339,7 +339,7 @@ def test_pipeline_reduces_seven_line_fixture_to_zero_crossings():
 def test_pipeline_agrees_across_backends():
     g = reduction_stable_star()
     w = WeightPolicy.from_graph(g)
-    builtin = optimize_pipeline(g, "I", w)
-    external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
+    builtin = optimize_pipeline(g, "I", w).ordering
+    external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER).ordering
     assert evaluate(g, builtin, w).crossing_weight == pytest.approx(
         evaluate(g, external, w).crossing_weight)
