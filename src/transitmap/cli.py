@@ -238,6 +238,11 @@ def _read_ordering(path) -> Ordering:
     if not isinstance(table, dict):
         raise SchemaViolation(f"ordering file {path}: 'orderings' must map "
                               "edge ids to line sequences")
+    for eid, lines in table.items():
+        if not (isinstance(lines, list)
+                and all(isinstance(line, str) for line in lines)):
+            raise SchemaViolation(f"ordering file {path}: edge {eid!r} must "
+                                  "map to a list of line ids")
     return Ordering({eid: tuple(lines) for eid, lines in table.items()})
 
 

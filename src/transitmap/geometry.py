@@ -249,39 +249,49 @@ def offset_polyline(p: Polyline, delta: float, miter_limit: float = 2.0) -> Poly
 _LOOP_WINDOW = 8
 
 
-def _proper_intersection(a0, a1, b0, b1) -> np.ndarray | None:
-    """Intersection point of segments (a0,a1) and (b0,b1) if they cross
-    properly, else None."""
-    r = a1 - a0
-    s = b1 - b0
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < _EPS:
+def _first_local_crossing(pts: np.ndarray,
+                          start: int) -> tuple[int, int, np.ndarray] | None:
+    """First pair (i, j), in (i, j) order, of segments i >= start and
+    j = i + 2 ... i + _LOOP_WINDOW that cross properly, with their
+    crossing point; None when there is none.  One vectorised test per
+    window offset j - i."""
+    a0 = pts[start:-1]
+    r = np.diff(pts[start:], axis=0)
+    best: tuple[int, int, float] | None = None
+    for off in range(2, _LOOP_WINDOW + 1):
+        m = len(r) - off
+        if m <= 0:
+            break
+        ra, s = r[:m], r[off:]
+        q = a0[off:] - a0[:m]
+        denom = ra[:, 0] * s[:, 1] - ra[:, 1] * s[:, 0]
+        ok = np.abs(denom) >= _EPS
+        denom = np.where(ok, denom, 1.0)
+        t = (q[:, 0] * s[:, 1] - q[:, 1] * s[:, 0]) / denom
+        u = (q[:, 0] * ra[:, 1] - q[:, 1] * ra[:, 0]) / denom
+        hit = ok & (_EPS < t) & (t < 1 - _EPS) & (_EPS < u) & (u < 1 - _EPS)
+        if hit.any():
+            k = int(np.argmax(hit))
+            if best is None or k < best[0]:
+                best = (k, off, t[k])
+    if best is None:
         return None
-    q = b0 - a0
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
-    if _EPS < t < 1 - _EPS and _EPS < u < 1 - _EPS:
-        return a0 + t * r
-    return None
+    k, off, t = best
+    return start + k, start + k + off, a0[k] + t * r[k]
 
 
 def _remove_local_loops(pts: np.ndarray) -> np.ndarray:
     """Cut small self-intersection loops that offsetting creates at sharp
-    inner corners.  One forward scan checks segment i against segments
-    i + 2 through i + _LOOP_WINDOW; a cut at segment i removes at least one
-    point and resumes the scan at i - _LOOP_WINDOW, the first segment whose
-    window reaches the cut, so no window of the result holds a crossing."""
+    inner corners.  The first crossing of segment i with one of segments
+    i + 2 through i + _LOOP_WINDOW, in (i, j) order, is cut at its crossing
+    point, which removes at least one point; the search then resumes at
+    i - _LOOP_WINDOW, the first segment whose window reaches the cut, so
+    no window of the result holds a crossing."""
     i = 0
-    while i < len(pts) - 1:
-        n = len(pts) - 1
-        for j in range(i + 2, min(n, i + 1 + _LOOP_WINDOW)):
-            x = _proper_intersection(pts[i], pts[i + 1], pts[j], pts[j + 1])
-            if x is not None:
-                pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
-                i = max(0, i - _LOOP_WINDOW)
-                break
-        else:
-            i += 1
+    while (hit := _first_local_crossing(pts, i)) is not None:
+        i, j, x = hit
+        pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
+        i = max(0, i - _LOOP_WINDOW)
     return pts
 
 

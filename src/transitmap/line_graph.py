@@ -299,9 +299,18 @@ class _BEdge:
     b: str
     lines: frozenset
     path: Polyline
+    bbox: tuple[float, float, float, float]
 
 
 class _Builder:
+    """Merge loop over the live edges.
+
+    `pairs` holds, in the order they were found, only the pairs of live
+    edges that share a segment: each merge adds the pairs of its fresh
+    edges and drops those of the two edges it kills, so picking the next
+    merge looks at a few hundred pairs, not at every pair ever checked.
+    """
+
     def __init__(self, raw: RawNetwork, d_hat: float, sweep_step: float,
                  k: int, min_seg_len: float, shuffle_rng,
                  merge_budget: int | None) -> None:
@@ -312,7 +321,7 @@ class _Builder:
         self.shuffle_rng = shuffle_rng
         self.nodes: dict[str, dict] = {}
         self.edges: dict[str, _BEdge] = {}
-        self.pair_cache: dict[tuple[str, str], tuple[SharedSegment, str] | None] = {}
+        self.pairs: dict[tuple[str, str], tuple[SharedSegment, str]] = {}
         self._next_edge = 0
         self._next_aux = 0
         self.lines_table = dict(raw.lines)
@@ -337,7 +346,8 @@ class _Builder:
     def _add_edge(self, a: str, b: str, lines: frozenset, path: Polyline) -> str:
         eid = f"e{self._next_edge}"
         self._next_edge += 1
-        self.edges[eid] = _BEdge(id=eid, a=a, b=b, lines=lines, path=path)
+        self.edges[eid] = _BEdge(id=eid, a=a, b=b, lines=lines, path=path,
+                                 bbox=path.bbox())
         return eid
 
     def _new_aux(self, x: float, y: float) -> str:
@@ -354,11 +364,6 @@ class _Builder:
         """Best shared segment between edges i and j, swept along the
         longer path.  Returns (segment, subject_edge_id) or None."""
         ei, ej = self.edges[i], self.edges[j]
-        bi, bj = ei.path.bbox(), ej.path.bbox()
-        pad = self.d_hat
-        if (bi[2] + pad < bj[0] or bj[2] + pad < bi[0]
-                or bi[3] + pad < bj[1] or bj[3] + pad < bi[1]):
-            return None
         if ei.path.length > ej.path.length or (
                 ei.path.length == ej.path.length and i < j):
             subject, target = ei, ej
@@ -379,27 +384,41 @@ class _Builder:
         return (best, subject.id)
 
     def _candidates(self, fresh: list[str]) -> None:
+        """Store the shared segments of every fresh edge with every live
+        edge.  Only pairs whose boxes, padded by d_hat, overlap can share
+        a segment, so one numpy comparison per fresh edge against all live
+        boxes selects the pairs to sweep; they are swept in `self.edges`
+        order, and a pair of two fresh edges once."""
+        ids = list(self.edges)
+        boxes = np.array([self.edges[j].bbox for j in ids])
+        pad = self.d_hat
+        done: set[str] = set()
         for i in fresh:
-            for j in self.edges:
-                if j == i:
+            bi = self.edges[i].bbox
+            apart = ((bi[2] + pad < boxes[:, 0]) | (boxes[:, 2] + pad < bi[0])
+                     | (bi[3] + pad < boxes[:, 1]) | (boxes[:, 3] + pad < bi[1]))
+            done.add(i)
+            for n in np.flatnonzero(~apart):
+                j = ids[n]
+                if j in done:
                     continue
                 key = self._pair_key(i, j)
-                if key not in self.pair_cache:
-                    self.pair_cache[key] = self._compute_pair(*key)
+                found = self._compute_pair(*key)
+                if found is not None:
+                    self.pairs[key] = found
 
     def _pick(self) -> tuple[str, str] | None:
-        live = [
-            (key, val) for key, val in self.pair_cache.items()
-            if val is not None and key[0] in self.edges and key[1] in self.edges
-        ]
-        if not live:
+        """Longest shared extent first, ties to the larger key; a
+        shuffle_rng draws uniformly from the stored pairs instead."""
+        if not self.pairs:
             return None
         if self.shuffle_rng is not None:
-            return live[int(self.shuffle_rng.integers(len(live)))][0]
-        return max(live, key=lambda kv: (kv[1][0].extent, kv[0]))[0]
+            keys = list(self.pairs)
+            return keys[int(self.shuffle_rng.integers(len(keys)))]
+        return max(self.pairs.items(), key=lambda kv: (kv[1][0].extent, kv[0]))[0]
 
     def _merge(self, key: tuple[str, str]) -> list[str]:
-        seg, subject_id = self.pair_cache[key]
+        seg, subject_id = self.pairs[key]
         ea = self.edges[subject_id]
         eb = self.edges[key[0] if key[1] == subject_id else key[1]]
         sa0, sa1 = seg.range_a
@@ -448,10 +467,12 @@ class _Builder:
             or any(s[5] < 1e-6 for s in kept)
         )
         if degenerate:
-            self.pair_cache[key] = None  # merging would self-loop or leave
-            return []                    # a zero-length remnant: leave as is
+            del self.pairs[key]  # merging would self-loop or leave a
+            return []            # zero-length remnant: leave as is
 
         del self.edges[ea.id], self.edges[eb.id]
+        self.pairs = {k: v for k, v in self.pairs.items()
+                      if ea.id not in k and eb.id not in k}
         node_u = res["U"] or self._new_aux(*merged.start)
         node_v = res["V"] or self._new_aux(*merged.end)
 

@@ -133,6 +133,18 @@ def test_render_unknown_edge_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines", [5, "l1", ["l1", 2]])
+def test_render_ordering_entries_must_be_lists_of_line_ids(tmp_path, capsys,
+                                                          lines):
+    g = separation_chain_graph()
+    graph = tmp_path / "g.json"
+    ordering = tmp_path / "o.json"
+    save_line_graph(g, graph)
+    ordering.write_text(json.dumps({"orderings": {min(g.edges): lines}}))
+    assert run(["render", graph, ordering, tmp_path / "map.svg"]) == 4
+    assert "must map to a list of line ids" in capsys.readouterr().err
+
+
 def test_render_curve_flag_switches_connections(tmp_path):
     g = separation_chain_graph()
     graph = tmp_path / "g.json"

@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from transitmap import geometry
 from transitmap.errors import DegenerateSegment
 from transitmap.geometry import (
+    _EPS,
     _LOOP_WINDOW,
     Polyline,
     average_path,
@@ -82,6 +84,21 @@ def _nearest_linear_scan(p: Polyline, q):
             best_s = cum + t * math.sqrt(L2)
         cum += math.sqrt(L2)
     return best_s / p.length, best_d
+
+
+def _distance_linear_scan(p: Polyline, qs: np.ndarray) -> np.ndarray:
+    """Independent oracle: distance from each of qs to p, by a plain loop
+    over segments, each segment tested against all queries at once."""
+    best = np.full(len(qs), math.inf)
+    for a, b in zip(p.pts[:-1], p.pts[1:]):
+        d = b - a
+        L2 = float(d @ d)
+        rx, ry = qs[:, 0] - a[0], qs[:, 1] - a[1]
+        t = (np.zeros(len(qs)) if L2 == 0
+             else np.clip((rx * d[0] + ry * d[1]) / L2, 0.0, 1.0))
+        ex, ey = rx - t * d[0], ry - t * d[1]
+        best = np.minimum(best, np.sqrt(ex * ex + ey * ey))
+    return best
 
 
 def test_nearest_point_param_matches_linear_scan():
@@ -180,12 +197,11 @@ def _fine_sweep_oracle(a: Polyline, b: Polyline, d_hat: float, dt: float, k: int
     fine = dt / 10
     n = int(math.ceil(1.0 / fine))
     ts = np.linspace(0.0, 1.0, n + 1)
+    dists = _distance_linear_scan(b, a.param_points(ts))
     runs = []
     open_first = last_in = -1
     misses = 0
-    for i, t in enumerate(ts):
-        q = a.param_point(t)
-        _, d = _nearest_linear_scan(b, q)
+    for i, d in enumerate(dists):
         if d <= d_hat:
             if open_first < 0:
                 open_first = i
@@ -297,6 +313,73 @@ def test_offset_long_zigzag_cleans_every_local_loop(delta):
     for i in range(n):
         for j in range(i + 2, min(n, i + 1 + _LOOP_WINDOW)):
             assert count_proper_intersections(pts[i:i + 2], pts[j:j + 2]) == 0
+
+
+def _proper_intersection_oracle(a0, a1, b0, b1):
+    """Scalar reference: crossing point of segments (a0,a1) and (b0,b1)
+    when they cross properly, else None."""
+    r = a1 - a0
+    s = b1 - b0
+    denom = r[0] * s[1] - r[1] * s[0]
+    if abs(denom) < _EPS:
+        return None
+    q = b0 - a0
+    t = (q[0] * s[1] - q[1] * s[0]) / denom
+    u = (q[0] * r[1] - q[1] * r[0]) / denom
+    if _EPS < t < 1 - _EPS and _EPS < u < 1 - _EPS:
+        return a0 + t * r
+    return None
+
+
+def _remove_local_loops_oracle(pts):
+    """Scalar reference for the loop cleanup: segment i against segments
+    i + 2 through i + _LOOP_WINDOW, one pair at a time; after a cut at i
+    the scan resumes at i - _LOOP_WINDOW."""
+    i = 0
+    while i < len(pts) - 1:
+        n = len(pts) - 1
+        for j in range(i + 2, min(n, i + 1 + _LOOP_WINDOW)):
+            x = _proper_intersection_oracle(pts[i], pts[i + 1], pts[j], pts[j + 1])
+            if x is not None:
+                pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
+                i = max(0, i - _LOOP_WINDOW)
+                break
+        else:
+            i += 1
+    return pts
+
+
+def test_loop_cleanup_matches_scalar_oracle_on_noisy_polylines(monkeypatch):
+    # Sharp random walks and jittered zigzags leave many loops at these
+    # offsets; the cleanup must cut exactly where the pairwise scan does.
+    seen = []
+    real = geometry._remove_local_loops
+
+    def spy(pts):
+        seen.append((pts, real(pts)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(geometry, "_remove_local_loops", spy)
+    rng = np.random.default_rng(404)
+    shapes = [smooth_polyline(rng, n_pts=int(rng.integers(5, 80)),
+                              step=float(rng.uniform(3, 30)), max_turn=2.5)
+              for _ in range(30)]
+    for _ in range(30):
+        n = int(rng.integers(4, 90))
+        x = np.cumsum(rng.uniform(2, 15, size=n))
+        y = np.where(np.arange(n) % 2 == 1, 20.0, 0.0) + rng.normal(0, 4, size=n)
+        shapes.append(Polyline(np.stack([x, y], axis=1)))
+    cuts = 0
+    for p in shapes:
+        for delta in (2.0, -2.0, 8.0, -8.0):
+            seen.clear()
+            got = offset_polyline(p, delta).pts
+            ((raw, cleaned),) = seen
+            exp = _remove_local_loops_oracle(raw)
+            assert np.array_equal(cleaned, exp)
+            assert np.array_equal(got, Polyline(exp).pts)
+            cuts += len(raw) > len(exp)
+    assert cuts > 100  # the family must actually exercise the cleanup
 
 
 # ── averaging ───────────────────────────────────────────────────────

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from transitmap import line_graph
 from transitmap.errors import NonTermination, SchemaViolation
 from transitmap.geometry import Polyline, shared_segments
 from transitmap.gtfs import RawEdge, RawNetwork, Station, TransitLine
@@ -337,6 +339,25 @@ def test_line_conservation_on_random_networks():
                     assert d <= D_HAT, f"line {line} strayed {d:.1f} m"
 
 
+def _three_line_corridor():
+    """Two lines share only the middle of their paths with each other and
+    all of it with a third: partial and full overlaps in one feed."""
+    sts = [
+        Station(id="A1", name="A1", xy=(0.0, 100.0)),
+        Station(id="B1", name="B1", xy=(1000.0, 100.0)),
+        Station(id="A2", name="A2", xy=(0.0, -100.0)),
+        Station(id="B2", name="B2", xy=(1000.0, -100.0)),
+    ]
+    return _raw(sts, [
+        RawEdge(station_a="A1", station_b="B1", line="l1",
+                path=Polyline([(0, 100), (300, 10), (700, 10), (1000, 100)])),
+        RawEdge(station_a="A2", station_b="B2", line="l2",
+                path=Polyline([(0, -100), (300, -10), (700, -10), (1000, -100)])),
+        RawEdge(station_a="A1", station_b="B1", line="l3",
+                path=Polyline([(0, 100), (300, 14), (700, 14), (1000, 100)])),
+    ])
+
+
 def test_merge_order_does_not_change_dimensions():
     # Networks whose overlaps sit near the extent threshold can flip a
     # sub-threshold sliver between orders; these seeds stay clear of it.
@@ -348,20 +369,7 @@ def test_merge_order_does_not_change_dimensions():
         random_raw_network(np.random.default_rng(s), n_stations=7, n_lines=4)
         for s in (47, 50, 56)
     ]
-    sts = [
-        Station(id="A1", name="A1", xy=(0.0, 100.0)),
-        Station(id="B1", name="B1", xy=(1000.0, 100.0)),
-        Station(id="A2", name="A2", xy=(0.0, -100.0)),
-        Station(id="B2", name="B2", xy=(1000.0, -100.0)),
-    ]
-    candidates.append(_raw(sts, [
-        RawEdge(station_a="A1", station_b="B1", line="l1",
-                path=Polyline([(0, 100), (300, 10), (700, 10), (1000, 100)])),
-        RawEdge(station_a="A2", station_b="B2", line="l2",
-                path=Polyline([(0, -100), (300, -10), (700, -10), (1000, -100)])),
-        RawEdge(station_a="A1", station_b="B1", line="l3",
-                path=Polyline([(0, 100), (300, 14), (700, 14), (1000, 100)])),
-    ]))
+    candidates.append(_three_line_corridor())
     for raw in candidates:
         base = dims(construct_line_graph(raw))
         for seed in range(4):
@@ -382,3 +390,62 @@ def test_merge_budget_guard_raises():
     ])
     with pytest.raises(NonTermination):
         construct_line_graph(raw, merge_budget=0)
+
+
+# Work and bytes of construct_line_graph, frozen from the all-pairs
+# builder: any change to which pairs are swept, which merges run, or in
+# which order shows here.  Per feed, keyed by shuffle seed (None for
+# longest-extent-first): (shared_segments calls, average_path calls,
+# sha256 of the saved graph).
+_PIN_FEEDS = {
+    "corridor": _three_line_corridor,
+    "random47": lambda: random_raw_network(
+        np.random.default_rng(47), n_stations=7, n_lines=4),
+    "random300": lambda: random_raw_network(np.random.default_rng(300)),
+}
+_PINNED_CONSTRUCTION = {
+    "corridor": {
+        None: (10, 2, "b56d785e256fe7cce956c57b4b3d9e51"
+                      "9da37cfaaf261bbfdfad6ad03b3bbe88"),
+        0: (32, 4, "15c0eece3b5c3703c28b487271f146e1"
+                   "cfac71d71f14a4fffe0d4d225dc36385"),
+        1: (32, 4, "5db5203b7788b7a6a95e698a614f4e2b"
+                   "a739e6580a45093059bb1bff746ea012"),
+    },
+    "random47": {
+        None: (160, 9, "888c583ee58c2b6f4a1a8d056dfc3f1d"
+                       "4a97602150327c6abdaa5d7b8b76bd2e"),
+        0: (212, 12, "3fe84f639991aee82a9841ba963c1d5a"
+                     "cc6a5194f1dee8c1e344d65fca36c6ac"),
+        1: (207, 12, "9fb077518cbd5c5b6f3001c2212c23a0"
+                     "fad9579ac0a25ced7dd2a8872a65214a"),
+    },
+    "random300": {
+        None: (405, 17, "aba45554671c38fa0359927821719462"
+                        "124028f5cdcc1f47f517a25fd2504344"),
+        0: (657, 27, "2a53de2cfa67b02f70e173ffd94ad62c"
+                     "52174b0d5a0677b16f2e5f19940e3fc7"),
+        1: (632, 25, "b06cf1c39ed03ab77688ce32343966bb"
+                     "d46b2efb42ed9f7e85c41e65f5607504"),
+    },
+}
+
+
+@pytest.mark.parametrize("feed", sorted(_PINNED_CONSTRUCTION))
+def test_construction_work_and_bytes_are_pinned(feed, monkeypatch, tmp_path):
+    calls = {"shared_segments": 0, "average_path": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(line_graph, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(line_graph, name, counted)
+    raw = _PIN_FEEDS[feed]()
+    got = {}
+    for seed in _PINNED_CONSTRUCTION[feed]:
+        calls.update(shared_segments=0, average_path=0)
+        rng = None if seed is None else np.random.default_rng(seed)
+        out = tmp_path / f"graph_{seed}.json"
+        save_line_graph(construct_line_graph(raw, shuffle_rng=rng), out)
+        got[seed] = (calls["shared_segments"], calls["average_path"],
+                     hashlib.sha256(out.read_bytes()).hexdigest())
+    assert got == _PINNED_CONSTRUCTION[feed]
