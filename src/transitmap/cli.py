@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import (
@@ -72,6 +74,14 @@ _EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
 )
 
 
+def _check_positive(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise SchemaViolation(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionViolated(
+            f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline settings shared by all subcommands.  Every field is
@@ -98,23 +108,38 @@ class PipelineConfig:
     max_expansion: float | None = None
 
     def __post_init__(self) -> None:
+        # A value of the wrong type is a schema violation (exit 4); a
+        # number of the right type out of range, NaN and infinities
+        # included, violates a precondition (exit 5).
         for name in ("snap_tol", "d_hat", "sweep_step", "min_seg_len",
                      "cross_same", "cross_split", "separation",
-                     "hub_cross_same", "hub_cross_split", "hub_separation"):
-            if getattr(self, name) <= 0:
-                raise PreconditionViolated(f"{name} must be positive")
+                     "hub_cross_same", "hub_cross_split", "hub_separation",
+                     "line_width"):
+            _check_positive(name, getattr(self, name))
+        for name in ("buffer_radius", "max_expansion"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise SchemaViolation(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise PreconditionViolated("k must be at least 1")
+        if not (isinstance(self.route_types, tuple) and all(
+                isinstance(v, Integral) and not isinstance(v, bool)
+                for v in self.route_types)):
+            raise SchemaViolation(
+                f"route_types must be a list of integers, got "
+                f"{self.route_types!r}")
         if self.variant not in VARIANTS:
             raise SchemaViolation(
                 f"unknown variant {self.variant!r}; expected B, I, or S")
-        if self.solver != "builtin" and not self.solver.startswith("ext:"):
+        if not isinstance(self.solver, str) or (
+                self.solver != "builtin" and not self.solver.startswith("ext:")):
             raise SchemaViolation(
                 f"unknown solver {self.solver!r}; expected 'builtin' or "
                 "'ext:<command>'")
         if self.solver.startswith("ext:") and not self.solver[4:].strip():
             raise SchemaViolation("empty external solver command")
-        self.render_style()  # validates width, buffer, and curve kind
+        self.render_style()  # validates the curve kind
 
     def backend(self) -> str:
         if self.solver == "builtin":
@@ -148,8 +173,8 @@ def _load_config_file(path: Path) -> dict:
     if unknown:
         raise SchemaViolation(
             f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "route_types" in raw:
-        raw["route_types"] = tuple(int(v) for v in raw["route_types"])
+    if isinstance(raw.get("route_types"), list):
+        raw["route_types"] = tuple(raw["route_types"])
     return raw
 
 

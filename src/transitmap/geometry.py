@@ -1,6 +1,12 @@
-"""Planar polyline geometry: arc-length parametrization, vectorized
-nearest-point queries, shared-segment detection between polylines,
-parallel offsetting with miter/bevel joins, and path averaging.
+"""Planar polyline geometry: arc-length parametrization, nearest-point
+queries, shared-segment detection between polylines, parallel offsetting
+with miter/bevel joins, and path averaging.
+
+A shared-segment sweep asks, for every sweep point, for the nearest point
+of the other polyline within d_hat.  That query costs one boolean box
+test per (point, segment) pair; it projects a point only onto the segments
+whose boxes, padded by d_hat, contain it, so the projections, distances
+and reductions follow the number of nearby pairs, not points * segments.
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -16,6 +22,10 @@ import numpy as np
 from .errors import DegenerateSegment
 
 _EPS = 1e-9
+# Extra padding, in metres, of the boxes in Polyline.nearest_many: far
+# above the rounding of any coordinate below 10^7 m, so a query whose
+# computed distance is within the radius always lies in the padded box.
+_BOX_SLACK = 1e-6
 
 
 # ── polyline ────────────────────────────────────────────────────────
@@ -99,24 +109,54 @@ class Polyline:
         ts, dists = self.nearest_many(np.asarray(q, dtype=float)[None, :])
         return float(ts[0]), float(dists[0])
 
-    def nearest_many(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense nearest-point query for many points at once.
+    def nearest_many(self, qs: np.ndarray, radius: float | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Parameters and distances of the points on this polyline nearest
+        to each of qs; ties go to the lowest segment index.
 
-        Returns (params, distances).  O(len(qs) * segments) but fully
-        vectorized; ties go to the lowest segment index.
+        Only the (query, segment) pairs whose query lies in the segment's
+        box padded by radius are projected, so past one boolean box test
+        per pair the work grows with the number of nearby pairs, not with
+        len(qs) * segments.  Every segment within radius of a query passes
+        that test, so a query within radius gets the parameter and distance
+        of the unbounded call (radius None, every pair projected); a query
+        farther than radius gets parameter nan and distance inf.
         """
-        p0 = self.pts[:-1]
-        d = self.pts[1:] - p0
+        p0, p1 = self.pts[:-1], self.pts[1:]
+        d = p1 - p0
+        if radius is None:
+            near = np.ones((len(qs), len(d)), dtype=bool)
+        else:
+            lo = np.minimum(p0, p1) - (radius + _BOX_SLACK)
+            hi = np.maximum(p0, p1) + (radius + _BOX_SLACK)
+            x, y = qs[:, None, 0], qs[:, None, 1]
+            near = ((lo[:, 0] <= x) & (x <= hi[:, 0])
+                    & (lo[:, 1] <= y) & (y <= hi[:, 1]))
+        qi, si = np.nonzero(near)  # by query, then by segment index
         len2 = np.maximum(np.einsum("ij,ij->i", d, d), _EPS**2)
-        rel = qs[:, None, :] - p0[None, :, :]
-        tloc = np.clip(np.einsum("nmj,mj->nm", rel, d) / len2[None, :], 0.0, 1.0)
-        proj = p0[None, :, :] + tloc[..., None] * d[None, :, :]
-        dist2 = np.einsum("nmj,nmj->nm", qs[:, None, :] - proj, qs[:, None, :] - proj)
-        best = np.argmin(dist2, axis=1)
-        rows = np.arange(len(qs))
+        q, a, dk = qs[qi], p0[si], d[si]
+        rel = q - a
+        tloc = np.clip((rel[:, 0] * dk[:, 0] + rel[:, 1] * dk[:, 1]) / len2[si],
+                       0.0, 1.0)
+        e = q - (a + tloc[:, None] * dk)
+        dist2 = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+        best2 = np.full(len(qs), np.inf)
+        np.minimum.at(best2, qi, dist2)
+        k = np.flatnonzero(dist2 == best2[qi])  # every nearest pair
+        rows = qi[k]
+        first = np.ones(len(k), dtype=bool)  # the lowest segment of each query
+        first[1:] = rows[1:] != rows[:-1]
+        k, rows = k[first], rows[first]
+        s = si[k]
         seg_len = self._cum[1:] - self._cum[:-1]
-        s = self._cum[best] + tloc[rows, best] * seg_len[best]
-        return s / max(self.length, _EPS), np.sqrt(dist2[rows, best])
+        params = np.full(len(qs), np.nan)
+        params[rows] = (self._cum[s] + tloc[k] * seg_len[s]) / max(self.length, _EPS)
+        dists = np.full(len(qs), np.inf)
+        dists[rows] = np.sqrt(dist2[k])
+        if radius is not None:
+            far = dists > radius
+            params[far], dists[far] = np.nan, np.inf
+        return params, dists
 
     # slicing ----------------------------------------------------------
 
@@ -159,6 +199,15 @@ class SharedSegment:
     extent: float
 
 
+def sweep_points(a: Polyline, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters 0 to 1 in ceil(1 / dt) equal steps, and a's points at
+    them: the sweep of a in shared_segments."""
+    if dt <= 0 or dt > 0.5:
+        raise ValueError(f"dt must be in (0, 0.5], got {dt}")
+    ts = np.linspace(0.0, 1.0, int(math.ceil(1.0 / dt)) + 1)
+    return ts, a.param_points(ts)
+
+
 def shared_segments(
     a: Polyline,
     b: Polyline,
@@ -166,18 +215,17 @@ def shared_segments(
     dt: float,
     k: int = 2,
     min_len: float = 0.0,
+    sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SharedSegment]:
     """Sweep a at parameter steps dt and record maximal runs whose distance
     to b stays within d_hat; a run survives up to k consecutive outlier
     steps before it is closed at the last in-threshold step.  Runs shorter
-    than min_len meters are dropped.
+    than min_len meters are dropped.  sweep, when given, must be
+    sweep_points(a, dt); a caller sweeping a against many polylines
+    computes it once.
     """
-    if dt <= 0 or dt > 0.5:
-        raise ValueError(f"dt must be in (0, 0.5], got {dt}")
-    n_steps = int(math.ceil(1.0 / dt))
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    pts = a.param_points(ts)
-    tb, dist = b.nearest_many(pts)
+    ts, pts = sweep_points(a, dt) if sweep is None else sweep
+    tb, dist = b.nearest_many(pts, radius=d_hat)
     inside = dist <= d_hat
 
     out: list[SharedSegment] = []

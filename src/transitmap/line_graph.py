@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonTermination, SchemaViolation
-from .geometry import Polyline, SharedSegment, average_path, shared_segments
+from .geometry import (
+    Polyline,
+    SharedSegment,
+    average_path,
+    shared_segments,
+    sweep_points,
+)
 from .gtfs import RawNetwork, TransitLine
 
 NODE_KINDS = ("station", "aux")
@@ -300,6 +306,8 @@ class _BEdge:
     lines: frozenset
     path: Polyline
     bbox: tuple[float, float, float, float]
+    dt: float
+    sweep: tuple[np.ndarray, np.ndarray]
 
 
 class _Builder:
@@ -346,8 +354,12 @@ class _Builder:
     def _add_edge(self, a: str, b: str, lines: frozenset, path: Polyline) -> str:
         eid = f"e{self._next_edge}"
         self._next_edge += 1
+        # dt, and so the sweep, depends only on the path: compute it once
+        # for all pairs this edge is swept in
+        dt = min(0.5, self.sweep_step / path.length)
         self.edges[eid] = _BEdge(id=eid, a=a, b=b, lines=lines, path=path,
-                                 bbox=path.bbox())
+                                 bbox=path.bbox(), dt=dt,
+                                 sweep=sweep_points(path, dt))
         return eid
 
     def _new_aux(self, x: float, y: float) -> str:
@@ -371,9 +383,9 @@ class _Builder:
             subject, target = ej, ei
         if subject.path.length < self.min_seg_len:
             return None
-        dt = min(0.5, self.sweep_step / subject.path.length)
-        segs = shared_segments(subject.path, target.path, self.d_hat, dt,
-                               k=self.k, min_len=self.min_seg_len)
+        segs = shared_segments(subject.path, target.path, self.d_hat,
+                               subject.dt, k=self.k, min_len=self.min_seg_len,
+                               sweep=subject.sweep)
         other_len = target.path.length
         segs = [s for s in segs
                 if abs(s.range_b[1] - s.range_b[0]) * other_len

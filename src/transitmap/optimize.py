@@ -29,6 +29,7 @@ from .errors import (
 )
 from .ilp_model import (
     EventSites,
+    IlpModel,
     Ordering,
     SameContinuationSite,
     SeparationSite,
@@ -367,15 +368,21 @@ def _model_objective(model, assignment: dict[str, float]) -> float:
 
 def solve(g: LineGraph, variant: str, w: WeightPolicy,
           backend: str = "builtin", timeout: float | None = None,
+          sites: EventSites | None = None, model: IlpModel | None = None,
           ) -> tuple[Ordering, ObjectiveBreakdown]:
     """Find an ordering minimizing the variant's objective (crossings
     for B and I, crossings plus separations for S) and return it with
     the evaluator's breakdown.  The solver's claimed objective is always
-    cross-checked against the evaluator."""
+    cross-checked against the evaluator.
+
+    sites and model, when given, must be compile_event_sites(g, w) and
+    the variant's model built on them; they are compiled and built here
+    otherwise, the model only for an external backend."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of "
                          f"{', '.join(VARIANTS)}")
-    sites = compile_event_sites(g, w)
+    if sites is None:
+        sites = compile_event_sites(g, w)
     include_separation = variant == "S"
     priced_sites = (sites.same_cont or sites.split
                     or (include_separation and sites.separation))
@@ -388,7 +395,8 @@ def solve(g: LineGraph, variant: str, w: WeightPolicy,
     if backend == "builtin":
         ordering, claimed = _branch_and_bound(g, sites, include_separation)
     else:
-        model = _BUILDERS[variant](g, w, sites)
+        if model is None:
+            model = _BUILDERS[variant](g, w, sites)
         assignment = _run_external(model, backend, timeout)
         ordering = extract_ordering(model, assignment)
         claimed = _model_objective(model, assignment)
@@ -436,17 +444,20 @@ def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
     include_separation = variant == "S"
     core, reduction = prune(g, w, collapse_bundles=not include_separation)
     components = split_components(core, reduction)
-    rows = cols = 0
-    for comp in components:
-        r, c = model_dims(_BUILDERS[variant](comp, w))
-        rows, cols = rows + r, cols + c
+    # Each component's sites and model are made once: the models give
+    # the model size, and solve reuses both.
+    sites = [compile_event_sites(comp, w) for comp in components]
+    models = [_BUILDERS[variant](comp, w, s)
+              for comp, s in zip(components, sites)]
+    rows = sum(model_dims(m)[0] for m in models)
+    cols = sum(model_dims(m)[1] for m in models)
     results: list[tuple[Ordering, ObjectiveBreakdown]] = []
     if components:
         with ThreadPoolExecutor(max_workers=min(8, len(components))) as pool:
             results = list(pool.map(
-                lambda comp: solve(comp, variant, w,
-                                   backend=backend, timeout=timeout),
-                components))
+                lambda comp, s, m: solve(comp, variant, w, backend=backend,
+                                         timeout=timeout, sites=s, model=m),
+                components, sites, models))
     ordering = unfold([o for o, _ in results], reduction, g)
     claimed = sum(b.objective(include_separation=include_separation)
                   for _, b in results)

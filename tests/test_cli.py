@@ -274,3 +274,39 @@ def test_unknown_config_key_exits_4(tmp_path, capsys):
     assert run(["optimize", "--config", config, graph,
                 tmp_path / "o.json"]) == 4
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, code", [
+    ({"d_hat": "5"}, 4),
+    ({"d_hat": None}, 4),
+    ({"k": 1.5}, 4),
+    ({"k": True}, 4),
+    ({"route_types": "x"}, 4),
+    ({"route_types": [1, 2.5]}, 4),
+    ({"line_width": "4"}, 4),
+    ({"solver": 5}, 4),
+    ({"d_hat": float("nan")}, 5),
+    ({"sweep_step": float("nan")}, 5),
+    ({"snap_tol": float("inf")}, 5),
+    ({"buffer_radius": -1.0}, 5),
+    ({"k": 0}, 5),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+def test_malformed_config_values_exit_with_typed_codes(values, code, tmp_path,
+                                                        capsys):
+    g = separation_chain_graph()
+    graph = tmp_path / "g.json"
+    save_line_graph(g, graph)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))  # NaN and Infinity as Python writes them
+    assert run(["optimize", "--config", config, graph,
+                tmp_path / "o.json"]) == code
+    name = next(iter(values))
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_non_finite_flag_value_exits_5(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    save_line_graph(separation_chain_graph(), graph)
+    assert run(["optimize", "--d-hat", "nan", graph, tmp_path / "o.json"]) == 5
+    assert "d_hat" in capsys.readouterr().err

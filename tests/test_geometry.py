@@ -128,6 +128,57 @@ def test_nearest_many_matches_linear_scan():
         assert np.linalg.norm(p.param_point(t) - q) == pytest.approx(d, abs=1e-6)
 
 
+def test_nearest_many_radius_matches_unbounded_call_and_oracle():
+    # Within the radius the bounded call must return exactly what the
+    # unbounded call returns; beyond it, parameter nan and distance inf.
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        p = smooth_polyline(rng, n_pts=int(rng.integers(2, 120)),
+                            step=float(rng.uniform(2.0, 40.0)))
+        lo, hi = p.pts.min(axis=0) - 60, p.pts.max(axis=0) + 60
+        qs = rng.uniform(lo, hi, size=(300, 2))
+        radius = float(rng.uniform(2.0, 40.0))
+        ts, ds = p.nearest_many(qs)
+        ts_r, ds_r = p.nearest_many(qs, radius=radius)
+        exp = _distance_linear_scan(p, qs)
+        np.testing.assert_allclose(ds, exp, rtol=0, atol=1e-9)
+        inside = ds <= radius
+        assert np.array_equal(inside, exp <= radius)
+        assert np.array_equal(ts_r[inside], ts[inside])
+        assert np.array_equal(ds_r[inside], ds[inside])
+        assert np.isnan(ts_r[~inside]).all() and np.isinf(ds_r[~inside]).all()
+
+
+def test_nearest_many_radius_boundary_ties_and_far_points():
+    # U shape: segment 0 along y=0, segment 1 up x=100, segment 2 back
+    # along y=40; 240 m long.
+    p = Polyline([(0, 0), (100, 0), (100, 40), (0, 40)])
+    qs = np.array([
+        (50.0, -25.0),   # exactly at the radius below segment 0: inside
+        (-15.0, -20.0),  # exactly at the radius from the first vertex
+        (125.0, 20.0),   # exactly at the radius right of segment 1
+        (50.0, 20.0),    # 20 m from segments 0 and 2: segment 0 wins
+        (80.0, 20.0),    # 20 m from segments 0, 1 and 2: segment 0 wins
+        (-20.0, -20.0),  # in segment 0's padded box, 28.3 m away: outside
+        (50.0, -25.5),   # just beyond the radius
+        (500.0, 500.0),  # in no segment's box
+    ])
+    ts, ds = p.nearest_many(qs, radius=25.0)
+    assert ds[:3].tolist() == [25.0, 25.0, 25.0]
+    assert ts[:3] == pytest.approx([50 / 240, 0.0, 120 / 240])
+    assert ds[3:5].tolist() == [20.0, 20.0]
+    assert ts[3:5] == pytest.approx([50 / 240, 80 / 240])
+    for q, t in zip(qs[:5], ts[:5]):
+        assert t == pytest.approx(_nearest_linear_scan(p, q)[0])
+    assert np.isnan(ts[5:]).all() and np.isinf(ds[5:]).all()
+    ts_all, ds_all = p.nearest_many(qs)
+    assert np.array_equal(ts[:5], ts_all[:5])
+    assert np.array_equal(ds[:5], ds_all[:5])
+    assert (ds_all[5:] > 25.0).all()
+    empty_ts, empty_ds = p.nearest_many(np.empty((0, 2)), radius=25.0)
+    assert empty_ts.shape == empty_ds.shape == (0,)
+
+
 # ── shared segments ─────────────────────────────────────────────────
 
 DT = 0.005  # 5 m steps on a 1000 m line

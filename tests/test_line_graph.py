@@ -20,7 +20,13 @@ from transitmap.line_graph import (
     load_line_graph,
     save_line_graph,
 )
-from synth import big_line_graph, make_graph, random_raw_network
+from synth import (
+    big_line_graph,
+    make_graph,
+    random_raw_network,
+    smooth_polyline,
+    wiggle_offset,
+)
 
 
 # ── model and topology ──────────────────────────────────────────────
@@ -392,6 +398,34 @@ def test_merge_budget_guard_raises():
         construct_line_graph(raw, merge_budget=0)
 
 
+def _dense_shapes_corridor():
+    """Four lines along one gently curving 1.5 km corridor with a point
+    every 5 m, so each path has 150 or 300 segments, running 3 to 6 m
+    apart: two stop at the middle station M, one runs express past it and
+    one ends there.  About 3% of the (sweep point, target segment) pairs
+    of its sweeps lie within the segment's box padded by d_hat."""
+    rng = np.random.default_rng(2024)
+    base = smooth_polyline(rng, n_pts=301, step=5.0, max_turn=0.04)
+    sts = [Station(id=sid, name=sid, xy=tuple(map(float, base.param_point(t))))
+           for sid, t in (("A", 0.0), ("M", 0.5), ("C", 1.0))]
+    at = {s.id: s for s in sts}
+
+    def edge(a, b, t0, t1, line, lateral, noise):
+        pts = wiggle_offset(rng, base.sub(t0, t1), lateral, noise).pts.copy()
+        pts[0], pts[-1] = at[a].xy, at[b].xy
+        return RawEdge(station_a=a, station_b=b, line=line,
+                       path=Polyline(pts))
+
+    return _raw(sts, [
+        edge("A", "M", 0.0, 0.5, "l0", 3.0, 0.3),
+        edge("M", "C", 0.5, 1.0, "l0", 3.0, 0.3),
+        edge("A", "M", 0.0, 0.5, "l1", -3.0, 0.5),
+        edge("M", "C", 0.5, 1.0, "l1", -3.0, 0.5),
+        edge("A", "C", 0.0, 1.0, "l2", 6.0, 0.5),
+        edge("A", "M", 0.0, 0.5, "l3", -6.0, 0.3),
+    ])
+
+
 # Work and bytes of construct_line_graph, frozen from the all-pairs
 # builder: any change to which pairs are swept, which merges run, or in
 # which order shows here.  Per feed, keyed by shuffle seed (None for
@@ -402,6 +436,7 @@ _PIN_FEEDS = {
     "random47": lambda: random_raw_network(
         np.random.default_rng(47), n_stations=7, n_lines=4),
     "random300": lambda: random_raw_network(np.random.default_rng(300)),
+    "dense_shapes": _dense_shapes_corridor,
 }
 _PINNED_CONSTRUCTION = {
     "corridor": {
@@ -427,6 +462,16 @@ _PINNED_CONSTRUCTION = {
                      "52174b0d5a0677b16f2e5f19940e3fc7"),
         1: (632, 25, "b06cf1c39ed03ab77688ce32343966bb"
                      "d46b2efb42ed9f7e85c41e65f5607504"),
+    },
+    # frozen from the sweep that projected every sweep point onto every
+    # segment of the target
+    "dense_shapes": {
+        None: (34, 5, "2492936c866c0e524bcb645c7024275b"
+                      "367442ca3fae0a4ae1cff47cc3edb2e5"),
+        0: (28, 5, "78c04da1d2ca8ef8c8e75e44569961e9"
+                   "a630b8435730302428af33fd9db1b50f"),
+        1: (34, 5, "68cf3e03101ae3e7061e44d8bee633ac"
+                   "a8cdd341b72a1f62412d576ceb17fb00"),
     },
 }
 
