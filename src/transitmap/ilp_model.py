@@ -586,7 +586,7 @@ def write_lp(m: IlpModel, path) -> None:
 
 
 _SECTION = {
-    "minimize": "objective", "maximize": "objective",
+    "minimize": "objective",
     "subject": "constraints", "st": "constraints", "s.t.": "constraints",
     "bounds": "bounds", "binary": "binary", "bin": "binary",
     "general": "general", "gen": "general", "end": "end",
@@ -663,6 +663,10 @@ def read_lp(path) -> IlpModel:
         if not line or line.startswith("\\"):
             continue
         head = line.split()[0].lower().rstrip(":")
+        if head == "maximize":
+            # write_lp only minimizes, and the solvers read every
+            # objective as one to minimize.
+            raise SchemaViolation("maximize objectives are not supported")
         if head in _SECTION and (head != "st" or len(line.split()) <= 2):
             if section == "constraints":
                 flush_constraint()
@@ -671,6 +675,8 @@ def read_lp(path) -> IlpModel:
                 objective_text = []
             section = _SECTION[head]
             continue
+        if section is None:
+            raise SchemaViolation(f"line outside any section: {line!r}")
         if section == "objective":
             objective_text.append(line)
         elif section == "constraints":

@@ -201,7 +201,7 @@ def save_line_graph(g: LineGraph, path) -> None:
     ]
     doc = {"nodes": nodes, "edges": edges, "lines": lines}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -4,7 +4,8 @@ interface, and writes one `name value` pair per line.
 Usage: python3 -m transitmap.lp_solve <model.lp> <solution.out>
 
 Exit codes follow the external-solver contract: 0 solved, 2 infeasible,
-anything else is a failure.
+anything else is a failure; an unreadable model or a failed solve exits
+with 3.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from .errors import SchemaViolation
 from .ilp_model import read_lp
 
 
@@ -82,7 +84,11 @@ def main(argv=None) -> int:
     parser.add_argument("model", help="input model in LP format")
     parser.add_argument("solution", help="output file of name value pairs")
     args = parser.parse_args(argv)
-    return solve_lp_file(args.model, args.solution)
+    try:
+        return solve_lp_file(args.model, args.solution)
+    except SchemaViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

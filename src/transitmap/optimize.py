@@ -110,25 +110,30 @@ class ObjectiveBreakdown:
         }
 
 
-def _fires_same(g: LineGraph, s: SameContinuationSite, pos) -> bool:
-    e1, e2 = g.edges[s.edge_a], g.edges[s.edge_b]
-    p1, p2 = pos[s.edge_a], pos[s.edge_b]
-    return (arrives_left(e1, s.node, p1[s.line_a], p1[s.line_b])
-            == arrives_left(e2, s.node, p2[s.line_a], p2[s.line_b]))
+# Per-edge indicators of a site: p maps each line to its position on
+# edge eid, or to an array of positions for an array of answers.
+def _arrival(g: LineGraph, s, eid: str, p):
+    return arrives_left(g.edges[eid], s.node, p[s.line_a], p[s.line_b])
 
 
-def _fires_split(g: LineGraph, s: SplitSite, pos) -> bool:
-    e = g.edges[s.edge]
-    p = pos[s.edge]
-    left = arrives_left(e, s.node, p[s.line_a], p[s.line_b])
-    return left != s.a_clockwise_first
+def _adjacent(g: LineGraph, s, eid: str, p):
+    return abs(p[s.line_a] - p[s.line_b]) == 1
 
 
-def _fires_separation(s: SeparationSite, pos) -> bool:
-    p1, p2 = pos[s.edge_a], pos[s.edge_b]
-    adj1 = abs(p1[s.line_a] - p1[s.line_b]) == 1
-    adj2 = abs(p2[s.line_a] - p2[s.line_b]) == 1
-    return adj1 != adj2
+# A pair site compares its indicator across its two edges: a
+# continuation crossing fires where the arrival sides are equal, a
+# separation where adjacency holds on one edge only.
+_CONTINUATION = (_arrival, True)
+_SEPARATION = (_adjacent, False)
+
+
+def _fires_pair(g: LineGraph, s, pos, indicator, fires_on_equal: bool):
+    return ((indicator(g, s, s.edge_a, pos[s.edge_a])
+             == indicator(g, s, s.edge_b, pos[s.edge_b])) == fires_on_equal)
+
+
+def _fires_split(g: LineGraph, s: SplitSite, pos):
+    return _arrival(g, s, s.edge, pos[s.edge]) != s.a_clockwise_first
 
 
 def _positions(o: Ordering, edge_ids) -> dict[str, dict[str, int]]:
@@ -144,10 +149,11 @@ def evaluate(g: LineGraph, o: Ordering, w: WeightPolicy,
         sites = compile_event_sites(g, w)
     pos = _positions(o, g.edges)
     return ObjectiveBreakdown(
-        same_cont=tuple(s for s in sites.same_cont if _fires_same(g, s, pos)),
+        same_cont=tuple(s for s in sites.same_cont
+                        if _fires_pair(g, s, pos, *_CONTINUATION)),
         split=tuple(s for s in sites.split if _fires_split(g, s, pos)),
         separation=tuple(s for s in sites.separation
-                         if _fires_separation(s, pos)),
+                         if _fires_pair(g, s, pos, *_SEPARATION)),
     )
 
 
@@ -243,73 +249,66 @@ def brute_force(g: LineGraph, w: WeightPolicy, budget: int = 10_000_000,
 def _branch_and_bound(g: LineGraph, sites: EventSites,
                       include_separation: bool) -> tuple[Ordering, float]:
     """Depth-first search over per-edge permutations, edges in id order
-    and permutations in lexicographic order; a node's bound is the
-    weight of events already fully decided, so the first optimum found
-    is the lexicographically smallest, matching brute_force exactly."""
+    and permutations in lexicographic order.  Each priced site becomes,
+    once, vectors over its edges' permutations, charged at its later
+    edge's level: a split site a cost vector, a pair site its two edges'
+    indicator vectors, firing where they compare as its rule says.  A
+    level prices all its permutations in one vector expression; a branch
+    is cut once its cost plus every later level's least split cost
+    reaches the best found.  That bound is admissible, so the first
+    optimum found is the lexicographically smallest, as in brute_force."""
     order = [eid for eid in sorted(g.edges) if len(g.edges[eid].lines) > 1]
     level_of = {eid: i for i, eid in enumerate(order)}
-    perms = {eid: sorted(itertools.permutations(g.edges[eid].lines))
-             for eid in order}
-    pos_tab = {
-        eid: [{line: i + 1 for i, line in enumerate(perm)}
-              for perm in perms[eid]]
-        for eid in order
-    }
-
-    priced: list[tuple[str, object]] = (
-        [("same", s) for s in sites.same_cont]
-        + [("split", s) for s in sites.split]
-        + ([("sep", s) for s in sites.separation] if include_separation else [])
-    )
-    decided_at: dict[int, list[tuple[str, object]]] = {}
-    for kind, s in priced:
-        if kind == "split":
-            level = level_of[s.edge]
-        else:
-            level = max(level_of[s.edge_a], level_of[s.edge_b])
-        decided_at.setdefault(level, []).append((kind, s))
-
-    chosen: dict[str, dict[str, int]] = {}
-    best_cost = [float("inf")]
-    best_pick: list[dict[str, int] | None] = [None]
-
-    def site_cost(level: int) -> float:
-        added = 0.0
-        for kind, s in decided_at.get(level, ()):
-            if kind == "same":
-                if _fires_same(g, s, chosen):
-                    added += s.weight
-            elif kind == "split":
-                if _fires_split(g, s, chosen):
-                    added += s.weight
-            elif _fires_separation(s, chosen):
-                added += s.weight
-        return added
-
-    picks: dict[str, int] = {}
+    cols, split_cost = {}, []
+    for eid in order:
+        lines = sorted(g.edges[eid].lines)
+        # Lexicographic rows of line indices; argsort gives line positions.
+        pos = np.argsort(list(itertools.permutations(range(len(lines)))),
+                         axis=1) + 1
+        cols[eid] = {line: pos[:, k] for k, line in enumerate(lines)}
+        split_cost.append(np.zeros(len(pos)))
+    for s in sites.split:
+        split_cost[level_of[s.edge]] += s.weight * _fires_split(g, s, cols)
+    rules = [(s, *_CONTINUATION) for s in sites.same_cont]
+    if include_separation:
+        rules += [(s, *_SEPARATION) for s in sites.separation]
+    # Per level: weights, the later edge's indicator rows, and per row
+    # the earlier edge's level and indicator, negated if the rule fires on
+    # equal sides, so a row fires where it differs from that at the pick.
+    charged = [([], [], []) for _ in order]
+    for s, indicator, fires_on_equal in rules:
+        first, last = sorted((s.edge_a, s.edge_b), key=level_of.get)
+        weights, rows, earlier = charged[level_of[last]]
+        weights.append(s.weight)
+        rows.append(indicator(g, s, last, cols[last]))
+        earlier.append((level_of[first],
+                        indicator(g, s, first, cols[first]) != fires_on_equal))
+    charged = [(np.array(w), np.array(r), e) for w, r, e in charged]
+    least = [cost.min() for cost in split_cost]
+    rest = np.cumsum([0.0] + least[::-1])[::-1].tolist()
+    picks = [0] * len(order)
+    best = [np.inf, None]
 
     def dfs(level: int, cur: float) -> None:
         if level == len(order):
-            if cur < best_cost[0]:
-                best_cost[0] = cur
-                best_pick[0] = dict(picks)
+            best[:] = cur, picks[:]
             return
-        eid = order[level]
-        for i in range(len(perms[eid])):
-            chosen[eid] = pos_tab[eid][i]
-            picks[eid] = i
-            nxt = cur + site_cost(level)
-            if nxt < best_cost[0]:
-                dfs(level + 1, nxt)
-        del chosen[eid]
-        picks.pop(eid, None)
+        weights, rows, earlier = charged[level]
+        cost = split_cost[level]
+        if earlier:
+            target = np.array([vec[picks[lv]] for lv, vec in earlier])
+            cost = cost + weights @ (rows != target[:, None])
+        for i, c in enumerate(cost.tolist()):
+            if cur + c + rest[level + 1] < best[0]:
+                picks[level] = i
+                dfs(level + 1, cur + c)
 
     dfs(0, 0.0)
-    assert best_pick[0] is not None
-    final = {eid: perms[eid][best_pick[0][eid]] for eid in order}
-    for eid, e in g.edges.items():
-        final.setdefault(eid, e.lines)
-    return Ordering(final), best_cost[0]
+    final = {eid: e.lines for eid, e in g.edges.items()}
+    for eid, pick in zip(order, best[1]):
+        final[eid] = tuple(sorted(cols[eid],
+                                  key=lambda line: cols[eid][line][pick]))
+    return Ordering(final), float(best[0])
 
 
 # ── external bridge ─────────────────────────────────────────────────

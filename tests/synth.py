@@ -98,7 +98,9 @@ def wiggle_offset(rng: np.random.Generator, base: Polyline, lateral: float,
     seg = np.gradient(pts, axis=0)
     norm = np.stack([-seg[:, 1], seg[:, 0]], axis=1)
     norm /= np.linalg.norm(norm, axis=1)[:, None]
-    off = lateral + (rng.uniform(-noise, noise, size=n) if noise > 0 else 0.0)
+    off = np.full(n, lateral)
+    if noise > 0:
+        off += rng.uniform(-noise, noise, size=n)
     return Polyline(pts + off[:, None] * norm)
 
 
@@ -329,6 +331,45 @@ def random_line_graph(rng: np.random.Generator, n_nodes: int = 6,
     return make_graph(
         nodes={nid: nodes[nid] for nid in ids if nid in used},
         edges=edges, aux=aux)
+
+
+def lattice_line_graph(rng: np.random.Generator, size: int = 3,
+                       n_lines: int = 6, max_lines_per_edge: int = 3,
+                       hops: tuple[int, int] = (4, 8)):
+    """Lines walking a square lattice of stations 100 m apart, each a
+    random simple path of hops[0] to hops[1] - 1 links.  Every fork
+    turns by a right angle either way, so under uniform weights many
+    orderings tie."""
+    cells = [(r, c) for r in range(size) for c in range(size)]
+    links = [((r, c), (r + dr, c + dc)) for r, c in cells
+             for dr, dc in ((0, 1), (1, 0))
+             if r + dr < size and c + dc < size]
+    carried = {link: set() for link in links}
+    for k in range(n_lines):
+        current = cells[int(rng.integers(len(cells)))]
+        visited = {current}
+        for _ in range(int(rng.integers(*hops))):
+            options = [
+                (link, other) for link in links if current in link
+                for other in link if other not in visited
+                and len(carried[link]) < max_lines_per_edge
+            ]
+            if not options:
+                break
+            link, current = options[int(rng.integers(len(options)))]
+            carried[link].add(f"l{k}")
+            visited.add(current)
+    edges = []
+    for i, link in enumerate(links):
+        if carried[link]:
+            a, b = link if rng.random() < 0.5 else link[::-1]
+            edges.append((f"e{i}", f"n{a[0]}{a[1]}", f"n{b[0]}{b[1]}",
+                          tuple(sorted(carried[link]))))
+    used = {nid for _, a, b, _lines in edges for nid in (a, b)}
+    return make_graph(
+        nodes={f"n{r}{c}": (100.0 * c, 100.0 * r) for r, c in cells
+               if f"n{r}{c}" in used},
+        edges=edges)
 
 
 def seven_line_reduction_graph():

@@ -277,10 +277,15 @@ def test_shared_segments_match_fine_sweep_oracle_on_random_pairs():
     rng = np.random.default_rng(2026)
     dt = 0.01
     checked = 0
-    for _ in range(100):
+    for noise in [8.0] * 100 + [0.0] * 20:
         base = smooth_polyline(rng, n_pts=30, step=40.0)
         lateral = rng.uniform(5, 60)
-        b = wiggle_offset(rng, base, lateral, noise=8.0)
+        b = wiggle_offset(rng, base, lateral, noise=noise)
+        if noise == 0.0:
+            # Without noise each vertex lies `lateral` from its base point.
+            ts = np.linspace(0, 1, len(b.pts))
+            assert np.allclose(
+                np.linalg.norm(b.pts - base.param_points(ts), axis=1), lateral)
         got = [s.range_a for s in shared_segments(base, b, d_hat=25.0, dt=dt, k=2)]
         exp = _fine_sweep_oracle(base, b, d_hat=25.0, dt=dt, k=2)
         starts = [r[0] for r in exp]

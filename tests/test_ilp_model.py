@@ -6,7 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
-from transitmap.errors import InfeasibleAssignment, PreconditionViolated
+from transitmap import lp_solve
+from transitmap.errors import (
+    InfeasibleAssignment,
+    PreconditionViolated,
+    SchemaViolation,
+)
 from transitmap.ilp_model import (
     IlpModel,
     NodeWeights,
@@ -512,6 +517,23 @@ def test_lp_round_trip_without_objective(tmp_path):
     parsed = read_lp(path)
     assert model_dims(parsed) == model_dims(m)
     assert all(v.objective == 0.0 for v in parsed.variables.values())
+
+
+@pytest.mark.parametrize("text", [
+    "Maximize\n obj: x + y\nSubject To\n c1: x + y <= 1\n"
+    "Binary\n x y\nEnd\n",
+    "max: x + y\nSubject To\n c1: x + y <= 1\nBinary\n x y\nEnd\n",
+    "Minimize\n obj: x\nSubject To\n c1: x + y\nBinary\n x y\nEnd\n",
+], ids=["maximize", "objective_outside_a_section", "no_relation"])
+def test_unsupported_lp_is_a_schema_violation(tmp_path, capsys, text):
+    path, out = tmp_path / "model.lp", tmp_path / "solution.out"
+    path.write_text(text)
+    with pytest.raises(SchemaViolation):
+        read_lp(path)
+    assert lp_solve.main([str(path), str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_builders_are_deterministic(tmp_path):

@@ -1,7 +1,9 @@
 """Evaluator and solver tests: frozen hand-derived objectives, oracle
 equivalence between backends, and the external-solver bridge contract."""
 
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from transitmap.errors import (
     ObjectiveMismatch,
     SolverFailure,
 )
-from transitmap.ilp_model import Ordering, WeightPolicy
+from transitmap.ilp_model import NodeWeights, Ordering, WeightPolicy
 from transitmap.optimize import (
     brute_force,
     evaluate,
@@ -23,6 +25,7 @@ from transitmap.optimize import (
 )
 from synth import (
     double_y_graph,
+    lattice_line_graph,
     make_graph,
     random_line_graph,
     separation_chain_graph,
@@ -135,10 +138,22 @@ def test_brute_force_budget_guard():
 # ── solve: builtin backend against the exhaustive oracle ────────────
 
 def test_builtin_solver_matches_brute_force_on_random_instances():
+    instances = []
     for seed in range(25):
-        rng = np.random.default_rng(7000 + seed)
-        g = random_line_graph(rng)
-        w = WeightPolicy.from_graph(g)
+        g = random_line_graph(np.random.default_rng(7000 + seed))
+        instances.append((seed, g, WeightPolicy.from_graph(g)))
+    # Tie-heavy: uniform weights on a lattice whose forks are symmetric,
+    # and up to 2.2 million orderings, enough that the search's bound
+    # cuts branches on several instances.
+    for seed in range(16):
+        g = lattice_line_graph(np.random.default_rng(seed))
+        if math.prod(math.factorial(len(e.lines))
+                     for e in g.edges.values()) > 3_000_000:
+            continue  # keeps brute_force's cost tensor small
+        instances.append((f"lattice {seed}", g, WeightPolicy(
+            {nid: NodeWeights(1.0, 1.0, 1.0) for nid in g.nodes})))
+    assert len(instances) >= 25 + 10
+    for seed, g, w in instances:
         for variant, include_sep in (("I", False), ("S", True)):
             expect_o, expect_b = brute_force(
                 g, w, include_separation=include_sep)
@@ -146,6 +161,22 @@ def test_builtin_solver_matches_brute_force_on_random_instances():
             assert got_b.objective(include_sep) == pytest.approx(
                 expect_b.objective(include_sep)), f"seed {seed} variant {variant}"
             assert got_o == expect_o, f"seed {seed} variant {variant}"
+
+
+def test_builtin_search_builds_no_table_across_two_edges():
+    # Two 7-line edges have 5,040 permutations each; a table over both
+    # would take 194 MiB.
+    g = corridor(tuple(f"l{i}" for i in range(1, 8)))
+    w = WeightPolicy.from_graph(g)
+    tracemalloc.start()
+    try:
+        ordering, breakdown = solve(g, "S", w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert breakdown.weighted_objective == 0.0
+    assert ordering == identity_ordering(g)
+    assert peak < 50 * 2**20
 
 
 def test_external_backend_agrees_with_builtin():
