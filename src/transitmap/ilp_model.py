@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -268,10 +268,8 @@ def compile_event_sites(g: LineGraph, weights: WeightPolicy) -> EventSites:
 
 @dataclass
 class Variable:
+    """A binary model variable; every formulation here is a 0-1 program."""
     name: str
-    lb: float = 0.0
-    ub: float = 1.0
-    integral: bool = True
     objective: float = 0.0
 
 
@@ -568,14 +566,7 @@ def write_lp(m: IlpModel, path) -> None:
     lines.append("Subject To")
     for c in m.constraints:
         lines.append(f" {c.name}: {_expr(c.terms)} {c.relation} {_fmt(c.rhs)}")
-    bounds = [v for v in m.variables.values()
-              if not v.integral and not (v.lb == 0.0 and math.isinf(v.ub))]
-    if bounds:
-        lines.append("Bounds")
-        for v in bounds:
-            lines.append(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}")
-    binaries = [v.name for v in m.variables.values()
-                if v.integral and v.lb == 0.0 and v.ub == 1.0]
+    binaries = list(m.variables)
     if binaries:
         lines.append("Binary")
         for i in range(0, len(binaries), 8):
@@ -585,128 +576,79 @@ def write_lp(m: IlpModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_SECTION = {
-    "minimize": "objective",
-    "subject": "constraints", "st": "constraints", "s.t.": "constraints",
-    "bounds": "bounds", "binary": "binary", "bin": "binary",
-    "general": "general", "gen": "general", "end": "end",
-}
+_HEADERS = (["Minimize"], ["Subject", "To"], ["Binary"], ["End"])
+_LAYOUTS = (["Minimize", "Subject", "End"],
+            ["Minimize", "Subject", "Binary", "End"])
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
-def _parse_terms(tokens: list[str], m: IlpModel) -> list[tuple[float, str]]:
-    terms: list[tuple[float, str]] = []
-    sign = 1.0
-    coef: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign, coef = 1.0, None
-            continue
-        if tok == "-":
-            sign, coef = -1.0, None
-            continue
-        try:
-            value = float(tok)
-        except ValueError:
-            name = tok
-            if name not in m.variables:
-                m.variables[name] = Variable(name=name, lb=0.0, ub=math.inf,
-                                             integral=False)
-            terms.append((sign * (1.0 if coef is None else coef), name))
-            sign, coef = 1.0, None
-        else:
-            coef = value if coef is None else coef * value
-    if coef is not None:
-        raise SchemaViolation("dangling coefficient in LP expression")
+def _number(token: str) -> float:
+    """A finite number as _fmt writes it."""
+    if not _NUMBER.fullmatch(token) or not math.isfinite(float(token)):
+        raise SchemaViolation(f"LP number expected, got {token!r}")
+    return float(token)
+
+
+def _terms(tokens: list[str]) -> list[tuple[float, str]]:
+    """Parse `[- c v | c v] (+ c v | - c v)*`, or nothing, into
+    (coefficient, name) pairs."""
+    if tokens[:1] not in ([], ["-"]):
+        tokens = ["+"] + tokens
+    if len(tokens) % 3:
+        raise SchemaViolation(f"malformed LP expression {' '.join(tokens)!r}")
+    terms = []
+    for sign, coef, name in zip(tokens[::3], tokens[1::3], tokens[2::3]):
+        if (sign not in ("+", "-") or coef.startswith("-")
+                or not re.fullmatch(_NAME, name)):
+            raise SchemaViolation(
+                f"malformed LP term {' '.join((sign, coef, name))!r}")
+        terms.append((-_number(coef) if sign == "-" else _number(coef), name))
     return terms
 
 
 def read_lp(path) -> IlpModel:
-    """Parse the CPLEX-LP subset emitted by write_lp (plus simple bounds
-    lines); used for round-trip checks and the bundled solver."""
-    m = IlpModel("?")
-    section = None
-    pending: list[str] = []
+    """Read an LP file in exactly the dialect write_lp writes: `Minimize`,
+    one `obj:` line, `Subject To`, one `name: expression relation rhs`
+    line per constraint, `Binary` lines declaring every variable once, and
+    `End` as the last line.  Anything else raises SchemaViolation.
 
-    def flush_constraint() -> None:
-        nonlocal pending
-        if not pending:
-            return
-        text = " ".join(pending)
-        pending = []
-        if ":" in text:
-            name, text = text.split(":", 1)
-            name = name.strip()
-        else:
-            name = f"c{len(m.constraints)}"
-        rel_match = re.search(r"(<=|>=|=)", text)
-        if not rel_match:
-            raise SchemaViolation(f"constraint {name!r} has no relation")
-        rel = rel_match.group(1)
-        lhs, rhs = text.split(rel, 1)
-        tokens = re.findall(r"[+-]|[A-Za-z_][A-Za-z0-9_.]*|[0-9.eE+-]+", lhs)
-        terms = _parse_terms(tokens, m)
-        m.constraints.append(Constraint(name=name, terms=tuple(terms),
-                                        relation=rel, rhs=float(rhs)))
-
-    def set_objective(text: str) -> None:
-        if ":" in text:
-            text = text.split(":", 1)[1]
-        tokens = re.findall(r"[+-]|[A-Za-z_][A-Za-z0-9_.]*|[0-9.eE+-]+", text)
-        for coef, name in _parse_terms(tokens, m):
-            m.variables[name].objective += coef
-
+    Columns are ordered by first use (objective, then constraints, then
+    the Binary lines); that order decides which of several tied optima a
+    solver returns."""
     with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
-    objective_text: list[str] = []
-    for raw in content.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        head = line.split()[0].lower().rstrip(":")
-        if head == "maximize":
-            # write_lp only minimizes, and the solvers read every
-            # objective as one to minimize.
-            raise SchemaViolation("maximize objectives are not supported")
-        if head in _SECTION and (head != "st" or len(line.split()) <= 2):
-            if section == "constraints":
-                flush_constraint()
-            elif section == "objective" and objective_text:
-                set_objective(" ".join(objective_text))
-                objective_text = []
-            section = _SECTION[head]
-            continue
-        if section is None:
-            raise SchemaViolation(f"line outside any section: {line!r}")
-        if section == "objective":
-            objective_text.append(line)
-        elif section == "constraints":
-            if ":" in line and pending:
-                flush_constraint()
-            pending.append(line)
-            if re.search(r"(<=|>=|=)\s*[-+0-9.eE]+\s*$", line):
-                flush_constraint()
-        elif section == "bounds":
-            two = re.match(
-                r"^([-+0-9.eE]+|-?inf)\s*<=\s*([A-Za-z_][A-Za-z0-9_.]*)\s*<=\s*([-+0-9.eE]+|\+?inf)$",
-                line)
-            if not two:
-                raise SchemaViolation(f"unsupported bounds line: {line!r}")
-            lo, name, hi = two.groups()
-            var = m.variables.setdefault(
-                name, Variable(name=name, lb=0.0, ub=math.inf, integral=False))
-            var.lb = -math.inf if lo == "-inf" else float(lo)
-            var.ub = math.inf if hi in ("inf", "+inf") else float(hi)
-        elif section in ("binary", "general"):
-            for name in line.split():
-                var = m.variables.setdefault(
-                    name, Variable(name=name, lb=0.0, ub=math.inf))
-                var.integral = True
-                if section == "binary":
-                    var.lb, var.ub = 0.0, 1.0
-    if section == "constraints":
-        flush_constraint()
-    elif section == "objective" and objective_text:
-        set_objective(" ".join(objective_text))
+        rows = [line.split() for line in fh.read().splitlines()]
+    heads = [i for i, row in enumerate(rows) if row in _HEADERS]
+    if ([rows[i][0] for i in heads] not in _LAYOUTS or heads[:2] != [0, 2]
+            or heads[-1] != len(rows) - 1 or rows[1][:1] != ["obj:"]):
+        raise SchemaViolation(
+            "an LP file must read Minimize, obj:, Subject To, its "
+            "constraints, Binary, its variables and End, in this order")
+    declared = [name for row in rows[heads[2] + 1:-1] for name in row]
+    if (len(set(declared)) != len(declared)
+            or not all(re.fullmatch(_NAME, name) for name in declared)):
+        raise SchemaViolation("Binary lines must declare each variable once")
+    binary = set(declared)
+    m = IlpModel("?")
+
+    def use(name: str) -> Variable:
+        if name not in binary:
+            raise SchemaViolation(f"variable {name!r} is not declared Binary")
+        return m.variables.setdefault(name, Variable(name=name))
+
+    for coef, name in _terms(rows[1][1:]):
+        use(name).objective += coef
+    for row in rows[3:heads[2]]:
+        if (len(row) < 4 or not re.fullmatch(_NAME + ":", row[0])
+                or row[-2] not in ("<=", ">=", "=")):
+            raise SchemaViolation(f"malformed constraint {' '.join(row)!r}")
+        terms = _terms(row[1:-2])
+        for _, name in terms:
+            use(name)
+        m.constraints.append(Constraint(name=row[0][:-1], terms=tuple(terms),
+                                        relation=row[-2], rhs=_number(row[-1])))
+    for name in declared:
+        use(name)
     return m
 
 

@@ -11,6 +11,7 @@ wrong results.
 from __future__ import annotations
 
 import itertools
+import math
 import shlex
 import subprocess
 import tempfile
@@ -350,11 +351,13 @@ def _run_external(model, command: str, timeout: float | None) -> dict[str, float
                 raise SolverFailure(
                     f"solution line {lineno} is not a name-value pair: {raw!r}")
             try:
-                assignment[parts[0]] = float(parts[1])
-            except ValueError as exc:
+                value = float(parts[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise SolverFailure(
-                    f"solution line {lineno} has a non-numeric value: {raw!r}"
-                ) from exc
+                    f"solution line {lineno} has no finite value: {raw!r}")
+            assignment[parts[0]] = value
     return assignment
 
 

@@ -201,15 +201,13 @@ def expand_node_fronts(
     w = style.line_width
     buffer = style.resolved_buffer()
     max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
-    trims: dict[tuple[str, str], float] = {}
+    fronts_out: dict[tuple[str, str], NodeFront] = {}
+    polygons: dict[str, np.ndarray] = {}
     for nid in sorted(g.nodes):
         inc = g.incident(nid)
-        for eid in inc:
-            trims[(nid, eid)] = min(buffer, g.edges[eid].path.length)
-        if len(inc) < 2:
-            continue
+        trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
         while True:
-            fronts = {eid: _make_front(g, nid, eid, trims[(nid, eid)], style)
+            fronts = {eid: _make_front(g, nid, eid, trims[eid], style)
                       for eid in inc}
             crowded: set[str] = set()
             for e1, e2 in combinations(sorted(inc), 2):
@@ -223,21 +221,16 @@ def expand_node_fronts(
             moved = False
             for eid in sorted(crowded):
                 cap = min(max_exp, g.edges[eid].path.length)
-                if trims[(nid, eid)] + 1e-9 < cap:
-                    trims[(nid, eid)] = min(trims[(nid, eid)] + w / 2.0, cap)
+                if trims[eid] + 1e-9 < cap:
+                    trims[eid] = min(trims[eid] + w / 2.0, cap)
                     moved = True
             if not moved:
                 break
-
-    fronts_out: dict[tuple[str, str], NodeFront] = {}
-    polygons: dict[str, np.ndarray] = {}
-    for nid in sorted(g.nodes):
+        # The last check built the fronts at the final trims.
         pts = [g.nodes[nid].xy]
-        for eid in g.incident(nid):
-            front = _make_front(g, nid, eid, trims[(nid, eid)], style)
-            fronts_out[(nid, eid)] = front
-            pts.append(np.asarray(front.baseline[0]))
-            pts.append(np.asarray(front.baseline[1]))
+        for eid in inc:
+            fronts_out[(nid, eid)] = fronts[eid]
+            pts.extend(np.asarray(p) for p in fronts[eid].baseline)
         polygons[nid] = _convex_hull(np.array(pts))
     return fronts_out, polygons
 

@@ -494,11 +494,12 @@ def test_lp_round_trip_preserves_structure(tmp_path):
     write_lp(m, path)
     parsed = read_lp(path)
     assert model_dims(parsed) == model_dims(m)
-    assert sorted(parsed.variables) == sorted(m.variables)
+    # Columns come in order of first use: objective, constraints, Binary.
+    assert list(parsed.variables) == list(dict.fromkeys(
+        [n for n, v in m.variables.items() if v.objective]
+        + [n for c in m.constraints for _, n in c.terms] + list(m.variables)))
     for name, var in m.variables.items():
-        pvar = parsed.variables[name]
-        assert pvar.integral and (pvar.lb, pvar.ub) == (0.0, 1.0)
-        assert pvar.objective == pytest.approx(var.objective)
+        assert parsed.variables[name].objective == pytest.approx(var.objective)
 
     def canon(model):
         return sorted(
@@ -524,13 +525,37 @@ def test_lp_round_trip_without_objective(tmp_path):
     "Binary\n x y\nEnd\n",
     "max: x + y\nSubject To\n c1: x + y <= 1\nBinary\n x y\nEnd\n",
     "Minimize\n obj: x\nSubject To\n c1: x + y\nBinary\n x y\nEnd\n",
-], ids=["maximize", "objective_outside_a_section", "no_relation"])
+    "Minimize\n obj: 1 x\nSubject To\n c0: 1 x + 1 y <= 1\nBinary\n x y\n"
+    "End\n c1: 1 x + 1 y >= 2\n",
+    "Minimize\n obj: 1 x\nSubject To\n c0: 1 x + 1 y >= 1\nBinary\n x\n"
+    "End\n",
+    "Minimize\n obj: 1 x\nSubject To\n c0: 1 x + 1 y >= 1\nBinary\n x y\n",
+    "Minimize\n obj: 1 x\nSubject To\n c0: 1 x =< 1\nBinary\n x\nEnd\n",
+    "Minimize\n obj: 1 x\nSubject To\n c0: 1 x <= one\nBinary\n x\nEnd\n",
+], ids=["maximize", "objective_outside_a_section", "no_relation",
+        "constraint_after_end", "undeclared_variable", "no_end",
+        "reversed_relation", "non_numeric_rhs"])
 def test_unsupported_lp_is_a_schema_violation(tmp_path, capsys, text):
     path, out = tmp_path / "model.lp", tmp_path / "solution.out"
     path.write_text(text)
     with pytest.raises(SchemaViolation):
         read_lp(path)
     assert lp_solve.main([str(path), str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing_model", "unwritable_solution"])
+def test_lp_solve_file_errors_exit_3(tmp_path, capsys, case):
+    model, out = tmp_path / "model.lp", tmp_path / "solution.out"
+    if case == "missing_model":
+        model = tmp_path / "absent.lp"
+    else:
+        g = _single_edge(("l1", "l2"))
+        write_lp(build_improved(g, WeightPolicy.from_graph(g)), model)
+        out = tmp_path / "no_such_dir" / "solution.out"
+    assert lp_solve.main([str(model), str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()

@@ -268,28 +268,49 @@ def test_infeasible_exit_code_maps_to_infeasible(tmp_path):
         solve(g, "I", w, backend=f"{sys.executable} {script}")
 
 
-def test_objective_mismatch_is_detected(tmp_path):
-    # A cheating solver returns a consistent ordering but claims the
-    # crossing variable is zero; the evaluator cross-check must refuse.
-    lines = [
-        "x_ee1_ll1_le1 1", "x_ee1_ll1_le2 1",
-        "x_ee1_ll2_le1 0", "x_ee1_ll2_le2 1",
-        "x_ee1_ll1_b_ll2 1", "x_ee1_ll2_b_ll1 0",
-        "x_ee2_ll1_le1 0", "x_ee2_ll1_le2 1",
-        "x_ee2_ll2_le1 1", "x_ee2_ll2_le2 1",
-        "x_ee2_ll1_b_ll2 0", "x_ee2_ll2_b_ll1 1",
-        "xc_nv_ee1_ee2_ll1_ll2 0",
-    ]
+# A consistent assignment for corridor(("l1", "l2")) whose two edges
+# order the lines differently, so the pair crosses at v.
+CROSSING_ASSIGNMENT = [
+    "x_ee1_ll1_le1 1", "x_ee1_ll1_le2 1",
+    "x_ee1_ll2_le1 0", "x_ee1_ll2_le2 1",
+    "x_ee1_ll1_b_ll2 1", "x_ee1_ll2_b_ll1 0",
+    "x_ee2_ll1_le1 0", "x_ee2_ll1_le2 1",
+    "x_ee2_ll2_le1 1", "x_ee2_ll2_le2 1",
+    "x_ee2_ll1_b_ll2 0", "x_ee2_ll2_b_ll1 1",
+]
+
+
+def _canned_solver(tmp_path, lines) -> str:
+    """An external-solver command that copies lines to the solution."""
     canned = tmp_path / "canned.sol"
     canned.write_text("\n".join(lines) + "\n")
     script = tmp_path / "cheat.py"
     script.write_text(
         "import shutil, sys\n"
         f"shutil.copy({str(canned)!r}, sys.argv[2])\n")
+    return f"{sys.executable} {script}"
+
+
+def test_objective_mismatch_is_detected(tmp_path):
+    # A cheating solver returns a consistent ordering but claims the
+    # crossing variable is zero; the evaluator cross-check must refuse.
+    backend = _canned_solver(
+        tmp_path, CROSSING_ASSIGNMENT + ["xc_nv_ee1_ee2_ll1_ll2 0"])
     g = corridor(("l1", "l2"))
     w = WeightPolicy.from_graph(g)
     with pytest.raises(ObjectiveMismatch):
-        solve(g, "I", w, backend=f"{sys.executable} {script}")
+        solve(g, "I", w, backend=backend)
+
+
+def test_non_finite_solution_value_is_a_solver_failure(tmp_path):
+    # NaN compares false against every tolerance, so a NaN event
+    # variable would slip past the objective cross-check.
+    backend = _canned_solver(
+        tmp_path, CROSSING_ASSIGNMENT + ["xc_nv_ee1_ee2_ll1_ll2 nan"])
+    g = corridor(("l1", "l2"))
+    w = WeightPolicy.from_graph(g)
+    with pytest.raises(SolverFailure, match="finite"):
+        solve(g, "I", w, backend=backend)
 
 
 # ── structural properties ───────────────────────────────────────────
