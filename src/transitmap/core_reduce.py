@@ -425,16 +425,77 @@ def prune(
 # ── splitting ────────────────────────────────────────────────────────
 
 
+def _subgraph(g: LineGraph, edge_ids) -> LineGraph:
+    """g restricted to edge_ids, their endpoints and their lines, with
+    every table sorted."""
+    eids = sorted(edge_ids)
+    nids = sorted({nid for eid in eids for nid in (g.edges[eid].a, g.edges[eid].b)})
+    lids = sorted({lid for eid in eids for lid in g.edges[eid].lines})
+    return LineGraph(
+        {nid: g.nodes[nid] for nid in nids},
+        {eid: g.edges[eid] for eid in eids},
+        {lid: g.lines[lid] for lid in lids},
+        {lid: g.line_weight[lid] for lid in lids if lid in g.line_weight},
+    )
+
+
+def _pieces(g: LineGraph) -> list[LineGraph]:
+    """The connected pieces of g that have edges."""
+    pieces: list[LineGraph] = []
+    seen: set[str] = set()
+    for start in sorted(g.nodes):
+        if start in seen or g.degree(start) == 0:
+            continue
+        seen.add(start)
+        piece_edges: set[str] = set()
+        stack = [start]
+        while stack:
+            nid = stack.pop()
+            for eid in g.incident(nid):
+                piece_edges.add(eid)
+                other = g.edges[eid].other(nid)
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        pieces.append(_subgraph(g, piece_edges))
+    return pieces
+
+
+def _events(g: LineGraph) -> str:
+    """How g's lines meet: "coupled" when at some node two lines continue
+    along the same edge pair, where continuation and separation sites
+    arise; else "parting" when at some node two lines continue along
+    different edge pairs that share an edge, where split sites arise;
+    else "none"."""
+    kind = "none"
+    for v in g.nodes:
+        pairs = list(g.continuations_at(v).values())
+        if len(set(pairs)) < len(pairs):
+            return "coupled"
+        ends = [eid for pair in pairs for eid in pair]
+        if len(set(ends)) < len(ends):
+            kind = "parting"
+    return kind
+
+
 def split_components(
     core: LineGraph, reduction: ReductionMap | None = None
 ) -> list[LineGraph]:
-    """Split a pruned graph into ordering-relevant connected components.
+    """Split a pruned graph into independently solvable components.
 
     Single-line edges are cut into two dangling halves at their
     midpoint, and edges whose lines all terminate at a node of degree
     above one are re-pointed to a fresh dangling node there.  Cut and
     detach actions are appended to reduction when given; unfold() needs
-    them to reassemble a full ordering.  Components come back sorted by
+    them to reassemble a full ordering.
+
+    Each connected piece is one component, except that every piece
+    whose lines only part (split sites but no continuation sites, see
+    _events) goes into one shared, possibly disconnected component.
+    Such a piece prices each edge's order on its own, so solving the
+    pieces together gives each edge the same lexicographically first
+    optimum as solving them apart, and a model that is the disjoint
+    union of theirs, in one solver call.  Components come back sorted by
     their smallest edge id, with node and line tables restricted to what
     each component touches."""
     nodes = dict(core.nodes)
@@ -487,35 +548,12 @@ def split_components(
 
     fin = LineGraph(nodes, edges, core.lines, core.line_weight)
     comps: list[LineGraph] = []
-    seen: set[str] = set()
-    for start in sorted(nodes):
-        if start in seen or fin.degree(start) == 0:
-            continue
-        comp_nodes = {start}
-        comp_edges: set[str] = set()
-        stack = [start]
-        while stack:
-            nid = stack.pop()
-            for eid in fin.incident(nid):
-                comp_edges.add(eid)
-                other = edges[eid].other(nid)
-                if other not in comp_nodes:
-                    comp_nodes.add(other)
-                    stack.append(other)
-        seen |= comp_nodes
-        comp_lines = sorted({lid for eid in comp_edges for lid in edges[eid].lines})
-        comps.append(
-            LineGraph(
-                {nid: nodes[nid] for nid in sorted(comp_nodes)},
-                {eid: edges[eid] for eid in sorted(comp_edges)},
-                {lid: core.lines[lid] for lid in comp_lines},
-                {
-                    lid: core.line_weight[lid]
-                    for lid in comp_lines
-                    if lid in core.line_weight
-                },
-            )
-        )
+    parting: list[LineGraph] = []
+    for piece in _pieces(fin):
+        (parting if _events(piece) == "parting" else comps).append(piece)
+    if len(parting) > 1:
+        parting = [_subgraph(fin, [eid for p in parting for eid in p.edges])]
+    comps += parting
     comps.sort(key=lambda c: min(c.edges))
     if reduction is not None:
         for action in actions:

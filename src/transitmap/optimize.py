@@ -316,8 +316,9 @@ def _branch_and_bound(g: LineGraph, sites: EventSites,
 
 def _run_external(model, command: str, timeout: float | None) -> dict[str, float]:
     """Invoke `<command> <model.lp> <solution.out>`; the solution file is
-    one `name value` pair per line.  Exit code 2 means the model is
-    infeasible; any other nonzero exit is a solver failure."""
+    one `name value` pair per line, in UTF-8.  Exit code 2 means the model
+    is infeasible; any other nonzero exit, a command that cannot be
+    started and an unreadable solution are solver failures."""
     with tempfile.TemporaryDirectory(prefix="transitmap-") as tmp:
         lp_path = Path(tmp) / "model.lp"
         out_path = Path(tmp) / "solution.out"
@@ -325,9 +326,11 @@ def _run_external(model, command: str, timeout: float | None) -> dict[str, float
         argv = shlex.split(command) + [str(lp_path), str(out_path)]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=timeout)
+                                  errors="replace", timeout=timeout)
         except FileNotFoundError as exc:
             raise SolverFailure(f"solver command not found: {exc}") from exc
+        except PermissionError as exc:
+            raise SolverFailure(f"solver command not executable: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
             raise SolverFailure(
                 f"solver timed out after {timeout} seconds") from exc
@@ -341,8 +344,12 @@ def _run_external(model, command: str, timeout: float | None) -> dict[str, float
                 f"solver exited with code {proc.returncode}: {tail}")
         if not out_path.exists():
             raise SolverFailure("solver produced no solution file")
+        try:
+            text = out_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SolverFailure(f"solution file is not UTF-8: {exc}") from exc
         assignment: dict[str, float] = {}
-        for lineno, raw in enumerate(out_path.read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -444,6 +444,22 @@ def crossing_separation_trade_graph():
     )
 
 
+def parting_pieces_graph():
+    """crossing_separation_trade_graph, whose lines continue in pairs,
+    beside two hubs where three two-line edges meet and every line pair
+    only parts: one coupled core piece and two parting ones."""
+    trade = crossing_separation_trade_graph()
+    nodes = {n.id: (n.x, n.y) for n in trade.nodes.values()}
+    edges = [(e.id, e.a, e.b, e.lines) for e in trade.edges.values()]
+    for k, y in ((1, 1000.0), (2, -1000.0)):
+        nodes.update({f"a{k}": (-300.0, y), f"v{k}": (0.0, y),
+                      f"b{k}": (250.0, y + 200.0), f"c{k}": (250.0, y - 200.0)})
+        edges += [(f"s{k}a", f"a{k}", f"v{k}", (f"m{k}1", f"m{k}2")),
+                  (f"s{k}b", f"v{k}", f"b{k}", (f"m{k}1", f"m{k}3")),
+                  (f"s{k}c", f"v{k}", f"c{k}", (f"m{k}2", f"m{k}3"))]
+    return make_graph(nodes=nodes, edges=edges, aux=("vw", "ve"))
+
+
 # ── scaled synthetic networks ───────────────────────────────────────
 
 def grid_route_network(rng: np.random.Generator, *, cols: int, rows: int,

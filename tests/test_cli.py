@@ -218,6 +218,25 @@ def test_solver_precedence_env_config_flag(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("body, mode, message", [
+    ("printf 'x_ee1 \\377\\n' > \"$2\"\n", 0o755, "not UTF-8"),
+    ("printf 'bad \\377\\376\\n' >&2\nexit 1\n", 0o755, "code 1: bad"),
+    ("exit 0\n", 0o644, "not executable"),
+], ids=["non_utf8_solution", "non_utf8_stderr", "not_executable"])
+def test_misbehaving_external_solver_exits_6(body, mode, message, tmp_path,
+                                             capsys):
+    script = tmp_path / "solver.sh"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(mode)
+    graph = tmp_path / "g.json"
+    save_line_graph(separation_chain_graph(), graph)
+    assert run(["optimize", "--solver", f"ext:{script}", graph,
+                tmp_path / "o.json"]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_external_solver_through_cli_matches_builtin(tmp_path):
     g = separation_chain_graph()
     graph = tmp_path / "g.json"

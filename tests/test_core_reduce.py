@@ -3,6 +3,7 @@ orientation fixups through unfold, and random-instance optimum
 preservation against the exhaustive solver."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from transitmap.core_reduce import (
     ChainContraction,
     ReductionMap,
     TerminusEdgeRemoval,
+    _events,
+    _pieces,
     prune,
     split_components,
     unfold,
 )
 from transitmap.errors import IncompleteSolution, MalformedOrdering
-from transitmap.ilp_model import Ordering, WeightPolicy
+from transitmap.ilp_model import Ordering, WeightPolicy, compile_event_sites
 from transitmap.optimize import brute_force, evaluate, solve
 from synth import make_graph, random_line_graph, seven_line_reduction_graph
 
@@ -281,6 +284,43 @@ def test_seven_line_fixture_solves_and_unfolds():
     for eid in ("e0", "e1", "e2", "e3"):
         assert abs(out.position(eid, "la") - out.position(eid, "lb")) == 1
     assert out.lines_at("e6") == ("lf",)
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "keep"])
+def test_piece_classes_match_compiled_sites(collapse):
+    # The classifier reads only continuations, the site compiler prices
+    # them; both must agree on every piece, and the one joined component
+    # must carry exactly its parting pieces' sites.
+    rng = np.random.default_rng(4242)
+    seen, joins = Counter(), 0
+    for _ in range(100):
+        g = random_line_graph(rng, n_nodes=int(rng.integers(8, 15)),
+                              n_lines=int(rng.integers(4, 9)))
+        w = WeightPolicy.from_graph(g)
+        core, _ = prune(g, w, collapse_bundles=collapse)
+        holders = 0
+        for comp in split_components(core):
+            pieces = _pieces(comp)
+            piece_sites = [compile_event_sites(p, w) for p in pieces]
+            for piece, sites in zip(pieces, piece_sites):
+                kind = _events(piece)
+                seen[kind] += 1
+                assert (kind == "coupled") == bool(sites.same_cont)
+                assert (kind == "parting") == (
+                    not sites.same_cont and bool(sites.split))
+                assert sites.separation or kind != "coupled"
+            if any(_events(p) == "parting" for p in pieces):
+                holders += 1
+            if len(pieces) > 1:
+                joins += 1
+                assert {_events(p) for p in pieces} == {"parting"}
+                joined = compile_event_sites(comp, w)
+                for kind in ("same_cont", "split", "separation"):
+                    assert Counter(getattr(joined, kind)) == Counter(
+                        s for ps in piece_sites for s in getattr(ps, kind))
+        assert holders <= 1
+    assert min(seen[k] for k in ("coupled", "parting", "none")) >= 10
+    assert joins >= 3
 
 
 # ── unfold mechanics ────────────────────────────────────────────────

@@ -1,13 +1,16 @@
 """Evaluator and solver tests: frozen hand-derived objectives, oracle
 equivalence between backends, and the external-solver bridge contract."""
 
+import json
 import math
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from transitmap.core_reduce import _pieces, prune, split_components, unfold
 from transitmap.errors import (
     BudgetExceeded,
     Infeasible,
@@ -15,7 +18,12 @@ from transitmap.errors import (
     ObjectiveMismatch,
     SolverFailure,
 )
-from transitmap.ilp_model import NodeWeights, Ordering, WeightPolicy
+from transitmap.ilp_model import (
+    NodeWeights,
+    Ordering,
+    WeightPolicy,
+    compile_event_sites,
+)
 from transitmap.optimize import (
     brute_force,
     evaluate,
@@ -27,6 +35,7 @@ from synth import (
     double_y_graph,
     lattice_line_graph,
     make_graph,
+    parting_pieces_graph,
     random_line_graph,
     separation_chain_graph,
     seven_line_reduction_graph,
@@ -395,3 +404,34 @@ def test_pipeline_agrees_across_backends():
     external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER).ordering
     assert evaluate(g, builtin, w).crossing_weight == pytest.approx(
         evaluate(g, external, w).crossing_weight)
+
+
+def test_parting_pieces_share_one_solver_process(monkeypatch):
+    g = parting_pieces_graph()
+    w = WeightPolicy.from_graph(g)
+    core, rmap = prune(g, w)
+    comps = split_components(core, rmap)
+    sites = [compile_event_sites(c, w) for c in comps]
+    priced = [s for s in sites if s.same_cont or s.split]
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
+    assert len(calls) == len(priced) == 2
+    builtin = optimize_pipeline(g, "I", w)
+    _, best = brute_force(g, w, include_separation=False)
+    assert external.breakdown.crossing_weight == pytest.approx(
+        best.crossing_weight)
+    assert builtin.breakdown.crossing_weight == pytest.approx(
+        best.crossing_weight)
+    # The joined parting pieces give each edge the order a solve of its
+    # own piece gives it.
+    alone = [solve(p, "I", w)[0] for c in comps for p in _pieces(c)]
+    assert len(alone) == len(comps) + 1
+    assert (json.dumps(unfold(alone, rmap, g).to_dict())
+            == json.dumps(builtin.ordering.to_dict()))
