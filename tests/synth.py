@@ -460,6 +460,31 @@ def parting_pieces_graph():
     return make_graph(nodes=nodes, edges=edges, aux=("vw", "ve"))
 
 
+def curved_line_graph():
+    """Four lines on curved geometry: a smooth trunk a-b, a smooth branch
+    b-c, a sharp zigzag b-d whose joins pass the miter limit and leave
+    loops at its inner corners, and an edge a-e that doubles back on
+    itself (an exact hairpin).  b is auxiliary."""
+    rng = np.random.default_rng(1010)
+    trunk = smooth_polyline(rng, n_pts=60, step=25.0, max_turn=0.3,
+                            start=(0.0, 0.0), heading=0.0)
+    b = trunk.end
+    branch = smooth_polyline(rng, n_pts=40, step=20.0, max_turn=0.5,
+                             start=b, heading=1.3)
+    ang = -1.0
+    rot = np.array([[math.cos(ang), -math.sin(ang)],
+                    [math.sin(ang), math.cos(ang)]])
+    zigzag = np.array([(4.0 * i, 12.0 * (i % 2)) for i in range(30)]) @ rot.T + b
+    hairpin = [(0.0, 0.0), (-300.0, 0.0), (-100.0, 0.0), (-100.0, -150.0)]
+    return make_graph(
+        nodes={"a": (0.0, 0.0), "b": tuple(b), "c": tuple(branch.end),
+               "d": tuple(zigzag[-1]), "e": (-100.0, -150.0)},
+        edges=[("t", "a", "b", ("l1", "l2", "l3", "l4"), trunk.pts),
+               ("s", "b", "c", ("l1", "l2"), branch.pts),
+               ("z", "b", "d", ("l3", "l4"), zigzag),
+               ("h", "a", "e", ("l1", "l3"), hairpin)],
+        aux=("b",))
+
 # ── scaled synthetic networks ───────────────────────────────────────
 
 def grid_route_network(rng: np.random.Generator, *, cols: int, rows: int,

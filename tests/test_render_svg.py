@@ -2,6 +2,7 @@
 the assembled SVG document."""
 
 import xml.etree.ElementTree as ET
+import hashlib
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from synth import (
+    curved_line_graph,
     double_y_graph,
     make_graph,
     separation_chain_graph,
@@ -329,3 +331,21 @@ def test_golden_svg_bytes_are_stable():
     doc = render_map(g, identity_ordering(g), RenderStyle())
     want = (DATA / "golden_map.svg").read_bytes()
     assert doc.encode("utf-8") == want
+
+
+@pytest.mark.parametrize("curve, sha256", [
+    ("cubic-curve",
+     "e1adbae2347a47a6c6b31b39cc4daa3499c0d424da27d9c463117ddb7afe4ce9"),
+    ("arc", "31492101cb82b4fc59251902252c71b79818cde4921d82b125ce479fcd12c6f4"),
+    ("straight",
+     "1ea27dcc88bca8c37d0c15dec8b4aaf85212d6463470cb232848df92fefa93be"),
+])
+def test_curved_svg_bytes_are_stable(curve, sha256):
+    # The golden map is straight-edged; this pins the bytes of bevels,
+    # loop cuts, hairpins and long polylines under every curve kind.
+    g = curved_line_graph()
+    o = Ordering({eid: tuple(reversed(e.lines)) if eid in ("t", "z")
+                  else e.lines for eid, e in g.edges.items()})
+    doc = render_map(g, o, RenderStyle(curve=curve))
+    assert doc.count('id="band-') == 10 and doc.count('id="conn-') == 6
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == sha256
