@@ -102,6 +102,7 @@ class PipelineConfig:
     hub_separation: float = 3.0
     variant: str = "I"
     solver: str = "builtin"
+    time_limit: float | None = None
     line_width: float = 4.0
     curve: str = "cubic-curve"
     buffer_radius: float | None = None
@@ -116,7 +117,7 @@ class PipelineConfig:
                      "hub_cross_same", "hub_cross_split", "hub_separation",
                      "line_width"):
             _check_positive(name, getattr(self, name))
-        for name in ("buffer_radius", "max_expansion"):
+        for name in ("time_limit", "buffer_radius", "max_expansion"):
             if getattr(self, name) is not None:
                 _check_positive(name, getattr(self, name))
         if isinstance(self.k, bool) or not isinstance(self.k, Integral):
@@ -224,7 +225,7 @@ def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _optimize_graph(g: LineGraph, cfg: PipelineConfig) -> PipelineResult:
     return optimize_pipeline(g, cfg.variant, cfg.weight_policy(g),
-                             backend=cfg.backend())
+                             backend=cfg.backend(), timeout=cfg.time_limit)
 
 
 def _summary(result: PipelineResult, cfg: PipelineConfig) -> str:
@@ -327,6 +328,11 @@ def _shared_flags() -> argparse.ArgumentParser:
     shared.add_argument("--solver",
                         help="'builtin' or 'ext:<command>' taking an LP file "
                         "and a solution path")
+    shared.add_argument("--time-limit", dest="time_limit", type=float,
+                        metavar="SECONDS",
+                        help="seconds each external solver call may run "
+                        "before the run fails with exit 6 (default: no "
+                        "limit; the builtin solver ignores it)")
     shared.add_argument("--line-width", dest="line_width", type=float,
                         help="rendered line width in meters")
     shared.add_argument("--curve",

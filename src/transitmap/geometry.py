@@ -15,6 +15,7 @@ arc-length fractions in [0, 1].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ _EPS = 1e-9
 # above the rounding of any coordinate below 10^7 m, so a query whose
 # computed distance is within the radius always lies in the padded box.
 _BOX_SLACK = 1e-6
+
+
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the 2-vectors along the last axis of a and b, the
+    leading axes broadcast.  Each comes from the kernel that computes one
+    product `u @ v`, so it equals that product bit for bit; a plain
+    u_x * v_x + u_y * v_y can differ in the last bit where that kernel
+    fuses a multiply-add."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 # ── polyline ────────────────────────────────────────────────────────
@@ -168,8 +178,7 @@ class Polyline:
         i0 = int(np.searchsorted(self._cum, s0, side="right"))
         i1 = int(np.searchsorted(self._cum, s1, side="left"))
         mid = self.pts[i0:i1]
-        head = self.param_points([t0])
-        tail = self.param_points([t1])
+        head, tail = self.param_points([t0, t1])
         return Polyline(np.vstack([head, mid, tail]))
 
     def resample(self, n: int) -> np.ndarray:
@@ -181,6 +190,33 @@ class Polyline:
 
     def __repr__(self) -> str:
         return f"Polyline({len(self.pts)} pts, {self.length:.1f} m)"
+
+
+class PolylineFrames:
+    """Scalar point-and-tangent lookups on one polyline.  at(t) returns
+    p.param_point(t) and p.tangent_at(t) for t in [0, 1] as four floats,
+    equal to them bit for bit, with no numpy call per lookup."""
+
+    __slots__ = ("_cum", "_pts", "_tangents")
+
+    def __init__(self, p: Polyline) -> None:
+        d = np.diff(p.pts, axis=0)
+        tangents = d / np.maximum(np.sqrt(dots(d, d)), _EPS)[:, None]
+        self._cum = p._cum.tolist()
+        self._pts = p.pts.tolist()
+        self._tangents = tangents.tolist()
+
+    def at(self, t: float) -> tuple[float, float, float, float]:
+        """(x, y, tx, ty): the point at parameter t and the unit tangent
+        of the segment holding it."""
+        cum = self._cum
+        s = t * cum[-1]
+        i = min(max(bisect_right(cum, s) - 1, 0), len(cum) - 2)
+        (x0, y0), (x1, y1) = self._pts[i], self._pts[i + 1]
+        seg_len = cum[i + 1] - cum[i]
+        local = (s - cum[i]) / seg_len if seg_len > _EPS else 0.0
+        tx, ty = self._tangents[i]
+        return x0 + local * (x1 - x0), y0 + local * (y1 - y0), tx, ty
 
 
 # ── shared segment detection ────────────────────────────────────────
@@ -265,6 +301,7 @@ def offset_polyline(p: Polyline, delta: float, miter_limit: float = 2.0) -> Poly
     """Offset p to the left of its travel direction by delta meters
     (negative = right).  Joins are mitered up to miter_limit, beveled
     beyond it; local loops from sharp inner corners are cleaned up.
+    All joins are computed in one array expression.
     """
     if abs(delta) < _EPS:
         return Polyline(p.pts.copy())
@@ -274,24 +311,21 @@ def offset_polyline(p: Polyline, delta: float, miter_limit: float = 2.0) -> Poly
     dirs = seg / seg_len[:, None]
     normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)  # left of travel
 
-    out = [pts[0] + delta * normals[0]]
-    for i in range(1, len(pts) - 1):
-        n1, n2 = normals[i - 1], normals[i]
-        dot = float(n1 @ n2)
-        if dot < -1.0 + 1e-6:
-            # full reversal: square off with both endpoint offsets
-            out.append(pts[i] + delta * n1)
-            out.append(pts[i] + delta * n2)
-            continue
-        miter_ratio = math.sqrt(2.0 / (1.0 + dot)) if dot < 1.0 else 1.0
-        if miter_ratio > miter_limit:
-            out.append(pts[i] + delta * n1)
-            out.append(pts[i] + delta * n2)
-        else:
-            out.append(pts[i] + delta * (n1 + n2) / (1.0 + dot))
-    out.append(pts[-1] + delta * normals[-1])
-    cleaned = _remove_local_loops(np.asarray(out))
-    return Polyline(cleaned)
+    n1, n2 = normals[:-1], normals[1:]
+    mid = pts[1:-1]
+    dot = dots(n1, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # hairpins: dot = -1
+        miter_ratio = np.where(dot < 1.0, np.sqrt(2.0 / (1.0 + dot)), 1.0)
+        miter = mid + delta * (n1 + n2) / (1.0 + dot)[:, None]
+    # A full reversal or a join past the miter limit is squared off with
+    # both segments' endpoint offsets; any other join is one miter point.
+    bevel = (dot < -1.0 + 1e-6) | (miter_ratio > miter_limit)
+    joins = np.stack([np.where(bevel[:, None], mid + delta * n1, miter),
+                      mid + delta * n2], axis=1)
+    keep = np.stack([np.ones_like(bevel), bevel], axis=1)
+    out = np.concatenate([pts[:1] + delta * normals[:1], joins[keep],
+                          pts[-1:] + delta * normals[-1:]])
+    return Polyline(_remove_local_loops(out))
 
 
 _LOOP_WINDOW = 8
@@ -301,31 +335,30 @@ def _first_local_crossing(pts: np.ndarray,
                           start: int) -> tuple[int, int, np.ndarray] | None:
     """First pair (i, j), in (i, j) order, of segments i >= start and
     j = i + 2 ... i + _LOOP_WINDOW that cross properly, with their
-    crossing point; None when there is none.  One vectorised test per
-    window offset j - i."""
+    crossing point; None when there is none.  One vectorised test over
+    every (window offset, i) pair."""
     a0 = pts[start:-1]
     r = np.diff(pts[start:], axis=0)
-    best: tuple[int, int, float] | None = None
-    for off in range(2, _LOOP_WINDOW + 1):
-        m = len(r) - off
-        if m <= 0:
-            break
-        ra, s = r[:m], r[off:]
-        q = a0[off:] - a0[:m]
-        denom = ra[:, 0] * s[:, 1] - ra[:, 1] * s[:, 0]
-        ok = np.abs(denom) >= _EPS
-        denom = np.where(ok, denom, 1.0)
-        t = (q[:, 0] * s[:, 1] - q[:, 1] * s[:, 0]) / denom
-        u = (q[:, 0] * ra[:, 1] - q[:, 1] * ra[:, 0]) / denom
-        hit = ok & (_EPS < t) & (t < 1 - _EPS) & (_EPS < u) & (u < 1 - _EPS)
-        if hit.any():
-            k = int(np.argmax(hit))
-            if best is None or k < best[0]:
-                best = (k, off, t[k])
-    if best is None:
+    n = len(r)
+    if n < 3:
         return None
-    k, off, t = best
-    return start + k, start + k + off, a0[k] + t * r[k]
+    i = np.arange(n - 2)[None, :]
+    j = i + np.arange(2, _LOOP_WINDOW + 1)[:, None]  # one row per offset
+    valid = j < n
+    j = np.minimum(j, n - 1)
+    ra, s = r[i], r[j]
+    q = a0[j] - a0[i]
+    denom = ra[..., 0] * s[..., 1] - ra[..., 1] * s[..., 0]
+    ok = valid & (np.abs(denom) >= _EPS)
+    denom = np.where(ok, denom, 1.0)
+    t = (q[..., 0] * s[..., 1] - q[..., 1] * s[..., 0]) / denom
+    u = (q[..., 0] * ra[..., 1] - q[..., 1] * ra[..., 0]) / denom
+    hit = ok & (_EPS < t) & (t < 1 - _EPS) & (_EPS < u) & (u < 1 - _EPS)
+    first = np.flatnonzero(hit.T)  # by segment i, then by offset
+    if not len(first):
+        return None
+    k, row = divmod(int(first[0]), len(hit))
+    return start + k, start + k + 2 + row, a0[k] + t[row, k] * r[k]
 
 
 def _remove_local_loops(pts: np.ndarray) -> np.ndarray:

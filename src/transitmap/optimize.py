@@ -318,7 +318,12 @@ def _run_external(model, command: str, timeout: float | None) -> dict[str, float
     """Invoke `<command> <model.lp> <solution.out>`; the solution file is
     one `name value` pair per line, in UTF-8.  Exit code 2 means the model
     is infeasible; any other nonzero exit, a command that cannot be
-    started and an unreadable solution are solver failures."""
+    started, running past timeout seconds and an unreadable solution are
+    solver failures.
+
+    On timeout only the started process is killed, not processes it
+    started in turn: a wrapper script should `exec` its solver, or the
+    solver keeps running after the failure."""
     with tempfile.TemporaryDirectory(prefix="transitmap-") as tmp:
         lp_path = Path(tmp) / "model.lp"
         out_path = Path(tmp) / "solution.out"

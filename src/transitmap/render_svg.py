@@ -9,6 +9,13 @@ which centers the band on the path: a single line renders on the path
 itself, and adjacent lines sit exactly one line width apart.  Rendered
 connection curves then realize exactly the crossings the evaluator
 prices, which the tests use as geometric ground truth.
+
+Coordinate contract: every SVG coordinate is the map point shifted to
+(x - min_x, max_y - y) and written with two decimals, correctly rounded
+from the double (as round(v, 2) rounds), with "-0.00" written "0.00".
+The hot paths (offset joins, band trims, node-front checks, coordinate
+runs) work on whole arrays or plain floats and give the same bytes as
+the per-point formulas they replace.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionViolated, SchemaViolation
-from .geometry import Polyline, offset_polyline
+from .geometry import Polyline, PolylineFrames, dots, offset_polyline
 from .ilp_model import Ordering
 from .line_graph import LineGraph
 
@@ -109,54 +116,68 @@ class NodeFront:
     normal: tuple[float, float]
 
 
-def _make_front(g: LineGraph, node_id: str, edge_id: str, trim: float,
-                style: RenderStyle) -> NodeFront:
+def _front_frame(g: LineGraph, frames: dict[str, PolylineFrames],
+                 node_id: str, edge_id: str,
+                 trim: float) -> tuple[float, float, float, float]:
+    """Center (x, y) and unit tangent (tx, ty) of edge_id's path where its
+    band ends at node_id, trim meters into the edge."""
     e = g.edges[edge_id]
-    length = e.path.length
-    t_end = min(max(trim / length, 0.0), 1.0)
-    param = t_end if node_id == e.a else 1.0 - t_end
-    tangent = e.path.tangent_at(param)
-    base = e.path.param_point(param)
-    left = np.array([-tangent[1], tangent[0]])
-    outward = tangent if node_id == e.a else -tangent
-    n = len(e.lines)
-    w = style.line_width
-    ports = tuple(
-        tuple(base + left * _offset_delta(n, p, w)) for p in range(1, n + 1))
+    t_end = min(max(trim / e.path.length, 0.0), 1.0)
+    if edge_id not in frames:
+        frames[edge_id] = PolylineFrames(e.path)
+    return frames[edge_id].at(t_end if node_id == e.a else 1.0 - t_end)
+
+
+def _baseline(frame, n: int, w: float):
+    """Ends of the baseline of an n-line band at frame, left end first."""
+    x, y, tx, ty = frame
     half = w * n / 2.0
+    lx, ly = -ty, tx
+    return (x + lx * half, y + ly * half), (x - lx * half, y - ly * half)
+
+
+def _make_front(g: LineGraph, node_id: str, edge_id: str, frame,
+                w: float) -> NodeFront:
+    e = g.edges[edge_id]
+    x, y, tx, ty = frame
+    lx, ly = -ty, tx
+    n = len(e.lines)
+    ports = tuple((x + lx * d, y + ly * d)
+                  for d in (_offset_delta(n, p, w) for p in range(1, n + 1)))
     return NodeFront(
         node=node_id,
         edge=edge_id,
-        baseline=(tuple(base + left * half), tuple(base - left * half)),
+        baseline=_baseline(frame, n, w),
         ports=ports,
-        normal=tuple(outward),
+        normal=(tx, ty) if node_id == e.a else (-tx, -ty),
     )
 
 
 def _point_segment_distance(q, a, b) -> float:
-    d = b - a
-    len2 = float(d @ d)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    len2 = dx * dx + dy * dy
     if len2 < 1e-18:
-        return float(np.linalg.norm(q - a))
-    t = min(max(float((q - a) @ d) / len2, 0.0), 1.0)
-    return float(np.linalg.norm(q - (a + t * d)))
+        return math.hypot(q[0] - a[0], q[1] - a[1])
+    t = min(max(((q[0] - a[0]) * dx + (q[1] - a[1]) * dy) / len2, 0.0), 1.0)
+    return math.hypot(q[0] - (a[0] + t * dx), q[1] - (a[1] + t * dy))
 
 
 def _segments_cross(a0, a1, b0, b1) -> bool:
-    r = a1 - a0
-    s = b1 - b0
-    denom = r[0] * s[1] - r[1] * s[0]
+    rx, ry = a1[0] - a0[0], a1[1] - a0[1]
+    sx, sy = b1[0] - b0[0], b1[1] - b0[1]
+    denom = rx * sy - ry * sx
     if abs(denom) < 1e-12:
         return False
-    q = b0 - a0
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
+    qx, qy = b0[0] - a0[0], b0[1] - a0[1]
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
 
 
 def _segment_distance(seg_a, seg_b) -> float:
-    a0, a1 = (np.asarray(p, dtype=float) for p in seg_a)
-    b0, b1 = (np.asarray(p, dtype=float) for p in seg_b)
+    """Distance between two segments given as pairs of (x, y) floats."""
+    a0, a1 = seg_a
+    b0, b1 = seg_b
     if _segments_cross(a0, a1, b0, b1):
         return 0.0
     return min(
@@ -173,17 +194,17 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    pts = pts[order].tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
+    lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
+    upper: list[list[float]] = []
     for p in pts[::-1]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -201,18 +222,20 @@ def expand_node_fronts(
     w = style.line_width
     buffer = style.resolved_buffer()
     max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
+    frames: dict[str, PolylineFrames] = {}
     fronts_out: dict[tuple[str, str], NodeFront] = {}
     polygons: dict[str, np.ndarray] = {}
     for nid in sorted(g.nodes):
         inc = g.incident(nid)
         trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
         while True:
-            fronts = {eid: _make_front(g, nid, eid, trims[eid], style)
-                      for eid in inc}
+            at = {eid: _front_frame(g, frames, nid, eid, trims[eid])
+                  for eid in inc}
+            baselines = {eid: _baseline(at[eid], len(g.edges[eid].lines), w)
+                         for eid in inc}
             crowded: set[str] = set()
             for e1, e2 in combinations(sorted(inc), 2):
-                gap = _segment_distance(fronts[e1].baseline,
-                                        fronts[e2].baseline)
+                gap = _segment_distance(baselines[e1], baselines[e2])
                 if gap < w - 1e-9:
                     crowded.add(e1)
                     crowded.add(e2)
@@ -226,11 +249,11 @@ def expand_node_fronts(
                     moved = True
             if not moved:
                 break
-        # The last check built the fronts at the final trims.
+        # The last check measured the fronts at the final trims.
         pts = [g.nodes[nid].xy]
         for eid in inc:
-            fronts_out[(nid, eid)] = fronts[eid]
-            pts.extend(np.asarray(p) for p in fronts[eid].baseline)
+            fronts_out[(nid, eid)] = _make_front(g, nid, eid, at[eid], w)
+            pts.extend(baselines[eid])
         polygons[nid] = _convex_hull(np.array(pts))
     return fronts_out, polygons
 
@@ -338,27 +361,34 @@ def _fmt(v: float) -> str:
     return f"{r:.2f}"
 
 
+def _fill(template: str, xy: np.ndarray) -> str:
+    """template % the coordinates of xy in row order, each written as
+    _fmt writes it: "%.2f" rounds correctly from the double, as round
+    does, and "-0.00" becomes "0.00".  The template may hold no other
+    number that can read "-0.00"."""
+    return (template % tuple(xy.ravel().tolist())).replace("-0.00", "0.00")
+
+
 def _safe_id(raw: str) -> str:
     return "".join(c if c.isalnum() or c in "_-" else "_" for c in raw)
 
 
 def _label_direction(g: LineGraph, nid: str) -> np.ndarray:
-    """Unit direction pointing away from the node's busiest sides."""
-    dirs = []
-    for eid in g.incident(nid):
-        ang = g.departure_angle(eid, nid)
-        dirs.append(np.array([math.cos(ang), math.sin(ang)]))
-    if not dirs:
+    """Unit direction pointing away from the node's busiest sides: the
+    first of 16 compass directions whose largest dot product with an
+    incident edge's departure direction is least, up to 1e-12."""
+    angles = [g.departure_angle(eid, nid) for eid in g.incident(nid)]
+    if not angles:
         return np.array([1.0, 0.0])
-    best = None
-    best_score = None
-    for k in range(16):
-        ang = 2.0 * math.pi * k / 16.0
-        cand = np.array([math.cos(ang), math.sin(ang)])
-        score = max(float(cand @ d) for d in dirs)
-        if best_score is None or score < best_score - 1e-12:
-            best, best_score = cand, score
-    return best
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
+    cands = np.array([[math.cos(a), math.sin(a)]
+                      for a in (2.0 * math.pi * k / 16.0 for k in range(16))])
+    scores = dots(cands[:, None, :], dirs[None, :, :]).max(axis=1).tolist()
+    best = 0
+    for k, score in enumerate(scores):
+        if score < scores[best] - 1e-12:
+            best = k
+    return cands[best]
 
 
 def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
@@ -383,9 +413,8 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
         xs += [x0, x1]
         ys += [y0, y1]
     for hull in polygons.values():
-        for p in hull:
-            xs.append(float(p[0]))
-            ys.append(float(p[1]))
+        xs += hull[:, 0].tolist()
+        ys += hull[:, 1].tolist()
     if xs:
         margin = buffer + w * (g.max_lines_per_edge + 1)
         min_x, max_x = min(xs) - margin, max(xs) + margin
@@ -396,8 +425,15 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
         max_y = 100.0
         width = height = 100.0
 
-    def pt(p) -> str:
-        return f"{_fmt(float(p[0]) - min_x)} {_fmt(max_y - float(p[1]))}"
+    def svg_path(template: str, points) -> str:
+        # the SVG y axis points down: x - min_x, max_y - y
+        xy = np.asarray(points, dtype=float)
+        return _fill(template, np.column_stack((xy[:, 0] - min_x,
+                                                max_y - xy[:, 1])))
+
+    def polyline_path(points, close: str = "") -> str:
+        return svg_path("M " + " L ".join(["%.2f %.2f"] * len(points))
+                        + close, points)
 
     lines_out = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -407,17 +443,15 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
 
     for eid in sorted(g.edges):
         e = g.edges[eid]
+        front_a, front_b = fronts[(e.a, eid)], fronts[(e.b, eid)]
         for line in sorted(e.lines):
             band = offsets[(eid, line)]
             pos = o.position(eid, line)
-            start = np.asarray(fronts[(e.a, eid)].ports[pos - 1])
-            end = np.asarray(fronts[(e.b, eid)].ports[pos - 1])
-            t0 = band.nearest_point_param(start)[0]
-            t1 = band.nearest_point_param(end)[0]
+            ends = np.array([front_a.ports[pos - 1], front_b.ports[pos - 1]])
+            t0, t1 = band.nearest_many(ends)[0].tolist()
             if t1 - t0 <= 1e-6:
                 continue  # fully trimmed: the node polygons cover it
-            piece = band.sub(t0, t1)
-            d = "M " + " L ".join(pt(p) for p in piece.pts)
+            d = polyline_path(band.sub(t0, t1).pts)
             lines_out.append(
                 f'    <path id="band-{_safe_id(eid)}-{_safe_id(line)}" '
                 f'fill="none" stroke="{g.lines[line].color}" '
@@ -426,15 +460,15 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
 
     lines_out.append('  <g id="inner-connections">')
     for (nid, line), conn in sorted(conns.items()):
-        p = conn.points
         if conn.kind == "cubic-curve":
-            d = (f"M {pt(p[0])} C {pt(p[1])}, {pt(p[2])}, {pt(p[3])}")
+            template = "M %.2f %.2f C %.2f %.2f, %.2f %.2f, %.2f %.2f"
         elif conn.kind == "straight":
-            d = f"M {pt(p[0])} L {pt(p[1])}"
+            template = "M %.2f %.2f L %.2f %.2f"
         else:
             r = _fmt(conn.arc_radius)
             svg_sweep = 1 - conn.arc_sweep  # the y flip mirrors orientation
-            d = f"M {pt(p[0])} A {r} {r} 0 0 {svg_sweep} {pt(p[1])}"
+            template = f"M %.2f %.2f A {r} {r} 0 0 {svg_sweep} %.2f %.2f"
+        d = svg_path(template, conn.points)
         lines_out.append(
             f'    <path id="conn-{_safe_id(nid)}-{_safe_id(line)}" '
             f'fill="none" stroke="{g.lines[line].color}" '
@@ -449,10 +483,9 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
             continue
         hull = polygons[nid]
         if len(hull) == 1:
-            only = hull[0]
-            d = f"M {pt(only)} L {pt(only + np.array([0.01, 0.0]))}"
+            d = polyline_path([hull[0], hull[0] + np.array([0.01, 0.0])])
         else:
-            d = "M " + " L ".join(pt(p) for p in hull) + " Z"
+            d = polyline_path(hull, " Z")
         body = 2.0 * buffer
         lines_out.append(
             f'    <path id="station-{_safe_id(nid)}" fill="#1a1a1a" '

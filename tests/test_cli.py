@@ -3,6 +3,7 @@ artifact schemas, config precedence, and exit codes."""
 
 import json
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from synth import (
     seven_line_reduction_graph,
     write_gtfs,
 )
+from transitmap import cli
 from transitmap.cli import PipelineConfig, main
 from transitmap.errors import PreconditionViolated, SchemaViolation
 from transitmap.ilp_model import Ordering, WeightPolicy
@@ -329,3 +331,65 @@ def test_non_finite_flag_value_exits_5(tmp_path, capsys):
     save_line_graph(separation_chain_graph(), graph)
     assert run(["optimize", "--d-hat", "nan", graph, tmp_path / "o.json"]) == 5
     assert "d_hat" in capsys.readouterr().err
+
+
+def test_time_limit_stops_a_hung_external_solver(tmp_path, capsys):
+    # exec: the shell becomes sleep, so the timeout kills the sleeper
+    # itself rather than leaving it running under a killed shell.
+    script = tmp_path / "solver.sh"
+    script.write_text("#!/bin/sh\nexec sleep 30\n")
+    script.chmod(0o755)
+    graph = tmp_path / "g.json"
+    save_line_graph(separation_chain_graph(), graph)
+    t0 = time.monotonic()
+    assert run(["optimize", "--solver", f"ext:{script}", "--time-limit",
+                "0.5", graph, tmp_path / "o.json"]) == 6
+    assert time.monotonic() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "timed out after 0.5 seconds" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "full"])
+@pytest.mark.parametrize("source", ["flag", "config", "unset"])
+def test_time_limit_reaches_the_optimizer(command, source, feed_dir, tmp_path,
+                                          monkeypatch, capsys):
+    seen = []
+    real = cli.optimize_pipeline
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("timeout"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_pipeline", spy)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time_limit": 7.5}))
+    extra = {"flag": ["--time-limit", "7.5"],
+             "config": ["--config", config], "unset": []}[source]
+    if command == "optimize":
+        graph = tmp_path / "g.json"
+        save_line_graph(separation_chain_graph(), graph)
+        args = [graph, tmp_path / "o.json"]
+    else:
+        args = [feed_dir, tmp_path / "map.svg"]
+    assert run([command, *extra, *args]) == 0
+    assert seen == [None if source == "unset" else 7.5]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf"), "1"],
+                         ids=["nan", "zero", "negative", "inf", "string"])
+def test_time_limit_must_be_positive_and_finite(value, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    save_line_graph(separation_chain_graph(), graph)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time_limit": value}))
+    code = 4 if isinstance(value, str) else 5
+    assert run(["optimize", "--config", config, graph,
+                tmp_path / "o.json"]) == code
+    assert "time_limit" in capsys.readouterr().err
+    if code == 5:
+        assert run(["optimize", "--time-limit", str(value), graph,
+                    tmp_path / "o.json"]) == 5
+        assert "time_limit" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

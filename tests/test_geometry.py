@@ -19,6 +19,7 @@ from transitmap.geometry import (
     _EPS,
     _LOOP_WINDOW,
     Polyline,
+    PolylineFrames,
     average_path,
     count_proper_intersections,
     offset_polyline,
@@ -436,6 +437,85 @@ def test_loop_cleanup_matches_scalar_oracle_on_noisy_polylines(monkeypatch):
             assert np.array_equal(got, Polyline(exp).pts)
             cuts += len(raw) > len(exp)
     assert cuts > 100  # the family must actually exercise the cleanup
+
+
+def _offset_polyline_oracle(p, delta, miter_limit=2.0):
+    """Scalar reference for offset_polyline: one miter or bevel join per
+    interior vertex in a Python loop."""
+    if abs(delta) < _EPS:
+        return Polyline(p.pts.copy())
+    pts = p.pts
+    seg = np.diff(pts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    dirs = seg / seg_len[:, None]
+    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    out = [pts[0] + delta * normals[0]]
+    for i in range(1, len(pts) - 1):
+        n1, n2 = normals[i - 1], normals[i]
+        dot = float(n1 @ n2)
+        if dot < -1.0 + 1e-6:
+            out.append(pts[i] + delta * n1)
+            out.append(pts[i] + delta * n2)
+            continue
+        miter_ratio = math.sqrt(2.0 / (1.0 + dot)) if dot < 1.0 else 1.0
+        if miter_ratio > miter_limit:
+            out.append(pts[i] + delta * n1)
+            out.append(pts[i] + delta * n2)
+        else:
+            out.append(pts[i] + delta * (n1 + n2) / (1.0 + dot))
+    out.append(pts[-1] + delta * normals[-1])
+    return Polyline(_remove_local_loops_oracle(np.asarray(out)))
+
+
+def test_offset_matches_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(1717)
+    shapes = []
+    for _ in range(25):
+        base = smooth_polyline(rng, n_pts=int(rng.integers(3, 70)),
+                               step=float(rng.uniform(3, 40)),
+                               max_turn=float(rng.uniform(0.1, 2.5)))
+        shapes += [base, wiggle_offset(rng, base, 6.0, noise=2.0)]
+    shapes += [
+        # zigzags past the miter limit
+        Polyline([(10.0 * i, 30.0 * (i % 2)) for i in range(40)]),
+        Polyline([(3.0 * i, 7.0 * (i % 2)) for i in range(25)]),
+        # exact and near hairpins
+        Polyline([(0, 0), (100, 0), (0, 0)]),
+        Polyline([(0, 0), (100, 0), (0, 1e-7)]),
+        Polyline([(0, 0), (100, 0), (0, -1e-7), (50, 30)]),
+        Polyline([(5, 5), (5, 80), (5, 20), (60, 20)]),
+        # collinear runs
+        Polyline([(0, 0), (10, 0), (25, 0), (26, 0), (40, 0)]),
+        Polyline([(0, 0), (1, 1), (2, 2), (7, 7), (7, 20), (7, 21)]),
+        # two points
+        Polyline([(0, 0), (3, 4)]),
+    ]
+    bevels = hairpins = 0
+    for p in shapes:
+        n = p.pts[1:] - p.pts[:-1]
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        dot = np.sum(n[:-1] * n[1:], axis=1)
+        hairpins += int(np.sum(dot < -1.0 + 1e-6))
+        bevels += int(np.sum(dot < -0.5))  # miter ratio past 2
+        for delta in (0.0, 1.5, -1.5, 6.0, -6.0, 20.0, -20.0):
+            got = offset_polyline(p, delta).pts
+            assert np.array_equal(got, _offset_polyline_oracle(p, delta).pts)
+    assert bevels > 50 and hairpins >= 3  # the family must exercise both
+
+
+def test_polyline_frames_match_param_point_and_tangent_at():
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        p = smooth_polyline(rng, n_pts=int(rng.integers(2, 50)),
+                            step=float(rng.uniform(0.5, 50)), max_turn=1.5)
+        frames = PolylineFrames(p)
+        ts = np.concatenate([[0.0, 1.0, 1e-12, 1.0 - 1e-12],
+                             rng.uniform(0, 1, 40),
+                             p._cum / p.length])  # exact vertex parameters
+        for t in ts.tolist():
+            x, y, tx, ty = frames.at(t)
+            assert np.array_equal([x, y], p.param_point(t))
+            assert np.array_equal([tx, ty], p.tangent_at(t))
 
 
 # ── averaging ───────────────────────────────────────────────────────

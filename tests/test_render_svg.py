@@ -349,3 +349,23 @@ def test_curved_svg_bytes_are_stable(curve, sha256):
     doc = render_map(g, o, RenderStyle(curve=curve))
     assert doc.count('id="band-') == 10 and doc.count('id="conn-') == 6
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == sha256
+
+
+def test_batched_coordinate_formatter_matches_fmt():
+    from transitmap.render_svg import _fill, _fmt
+
+    rng = np.random.default_rng(2675)
+    values = np.concatenate([
+        rng.uniform(-2000.0, 2000.0, 20000),
+        rng.normal(0.0, 1.0, 5000),
+        np.arange(-20000, 20001) / 1000.0,
+        np.arange(-4000, 4001) / 200.0,
+        [0.125, 0.375, 2.675, -0.125, -0.375, -2.675, 1.005, 0.015],
+        -rng.uniform(0.0, 0.005, 2000),  # rounds to -0.00
+        [-0.004, -0.0049999, -0.005, -0.0, 0.0, 1e7, -1e7, 1e7 + 0.005],
+    ])
+    if len(values) % 2:
+        values = np.append(values, 0.5)
+    xy = values.reshape(-1, 2)
+    got = _fill(" L ".join(["%.2f %.2f"] * len(xy)), xy)
+    assert got == " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in xy.tolist())
