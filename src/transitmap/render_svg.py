@@ -123,8 +123,6 @@ def _front_frame(g: LineGraph, frames: dict[str, PolylineFrames],
     band ends at node_id, trim meters into the edge."""
     e = g.edges[edge_id]
     t_end = min(max(trim / e.path.length, 0.0), 1.0)
-    if edge_id not in frames:
-        frames[edge_id] = PolylineFrames(e.path)
     return frames[edge_id].at(t_end if node_id == e.a else 1.0 - t_end)
 
 
@@ -222,7 +220,7 @@ def expand_node_fronts(
     w = style.line_width
     buffer = style.resolved_buffer()
     max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
-    frames: dict[str, PolylineFrames] = {}
+    frames = {eid: PolylineFrames(e.path) for eid, e in g.edges.items()}
     fronts_out: dict[tuple[str, str], NodeFront] = {}
     polygons: dict[str, np.ndarray] = {}
     for nid in sorted(g.nodes):
