@@ -15,7 +15,6 @@ arc-length fractions in [0, 1].
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,11 +104,20 @@ class Polyline:
 
     def tangent_at(self, t: float) -> np.ndarray:
         """Unit tangent of the segment containing parameter t."""
+        return np.array(self.frame_at(t)[2:])
+
+    def frame_at(self, t: float) -> tuple[float, float, float, float]:
+        """(x, y, tx, ty): param_point(t) and tangent_at(t) as plain
+        floats, without the array overhead of param_point."""
         s = min(max(t, 0.0), 1.0) * self.length
-        idx = int(np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self.pts) - 2))
+        idx = min(max(int(np.searchsorted(self._cum, s, side="right")) - 1, 0),
+                  len(self.pts) - 2)
+        c0, c1 = self._cum[idx:idx + 2].tolist()
+        (x0, y0), (x1, y1) = self.pts[idx:idx + 2].tolist()
+        local = (s - c0) / (c1 - c0) if c1 - c0 > _EPS else 0.0
         d = self.pts[idx + 1] - self.pts[idx]
-        n = np.linalg.norm(d)
-        return d / max(n, _EPS)
+        tx, ty = (d / max(np.linalg.norm(d), _EPS)).tolist()
+        return x0 + local * (x1 - x0), y0 + local * (y1 - y0), tx, ty
 
     # nearest point ----------------------------------------------------
 
@@ -190,33 +198,6 @@ class Polyline:
 
     def __repr__(self) -> str:
         return f"Polyline({len(self.pts)} pts, {self.length:.1f} m)"
-
-
-class PolylineFrames:
-    """Scalar point-and-tangent lookups on one polyline.  at(t) returns
-    p.param_point(t) and p.tangent_at(t) for t in [0, 1] as four floats,
-    equal to them bit for bit, with no numpy call per lookup."""
-
-    __slots__ = ("_cum", "_pts", "_tangents")
-
-    def __init__(self, p: Polyline) -> None:
-        d = np.diff(p.pts, axis=0)
-        tangents = d / np.maximum(np.sqrt(dots(d, d)), _EPS)[:, None]
-        self._cum = p._cum.tolist()
-        self._pts = p.pts.tolist()
-        self._tangents = tangents.tolist()
-
-    def at(self, t: float) -> tuple[float, float, float, float]:
-        """(x, y, tx, ty): the point at parameter t and the unit tangent
-        of the segment holding it."""
-        cum = self._cum
-        s = t * cum[-1]
-        i = min(max(bisect_right(cum, s) - 1, 0), len(cum) - 2)
-        (x0, y0), (x1, y1) = self._pts[i], self._pts[i + 1]
-        seg_len = cum[i + 1] - cum[i]
-        local = (s - cum[i]) / seg_len if seg_len > _EPS else 0.0
-        tx, ty = self._tangents[i]
-        return x0 + local * (x1 - x0), y0 + local * (y1 - y0), tx, ty
 
 
 # ── shared segment detection ────────────────────────────────────────

@@ -13,9 +13,6 @@ prices, which the tests use as geometric ground truth.
 Coordinate contract: every SVG coordinate is the map point shifted to
 (x - min_x, max_y - y) and written with two decimals, correctly rounded
 from the double (as round(v, 2) rounds), with "-0.00" written "0.00".
-The hot paths (offset joins, band trims, node-front checks, coordinate
-runs) work on whole arrays or plain floats and give the same bytes as
-the per-point formulas they replace.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionViolated, SchemaViolation
-from .geometry import Polyline, PolylineFrames, dots, offset_polyline
+from .geometry import Polyline, dots, offset_polyline
 from .ilp_model import Ordering
 from .line_graph import LineGraph
 
@@ -116,14 +113,13 @@ class NodeFront:
     normal: tuple[float, float]
 
 
-def _front_frame(g: LineGraph, frames: dict[str, PolylineFrames],
-                 node_id: str, edge_id: str,
+def _front_frame(g: LineGraph, node_id: str, edge_id: str,
                  trim: float) -> tuple[float, float, float, float]:
     """Center (x, y) and unit tangent (tx, ty) of edge_id's path where its
     band ends at node_id, trim meters into the edge."""
     e = g.edges[edge_id]
     t_end = min(max(trim / e.path.length, 0.0), 1.0)
-    return frames[edge_id].at(t_end if node_id == e.a else 1.0 - t_end)
+    return e.path.frame_at(t_end if node_id == e.a else 1.0 - t_end)
 
 
 def _baseline(frame, n: int, w: float):
@@ -220,14 +216,13 @@ def expand_node_fronts(
     w = style.line_width
     buffer = style.resolved_buffer()
     max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
-    frames = {eid: PolylineFrames(e.path) for eid, e in g.edges.items()}
     fronts_out: dict[tuple[str, str], NodeFront] = {}
     polygons: dict[str, np.ndarray] = {}
     for nid in sorted(g.nodes):
         inc = g.incident(nid)
         trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
         while True:
-            at = {eid: _front_frame(g, frames, nid, eid, trims[eid])
+            at = {eid: _front_frame(g, nid, eid, trims[eid])
                   for eid in inc}
             baselines = {eid: _baseline(at[eid], len(g.edges[eid].lines), w)
                          for eid in inc}

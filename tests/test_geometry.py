@@ -19,7 +19,6 @@ from transitmap.geometry import (
     _EPS,
     _LOOP_WINDOW,
     Polyline,
-    PolylineFrames,
     average_path,
     count_proper_intersections,
     offset_polyline,
@@ -503,18 +502,22 @@ def test_offset_matches_scalar_oracle_bit_for_bit():
     assert bevels > 50 and hairpins >= 3  # the family must exercise both
 
 
-def test_polyline_frames_match_param_point_and_tangent_at():
+def test_frame_at_matches_param_point_and_a_tangent_oracle():
     rng = np.random.default_rng(99)
     for _ in range(20):
         p = smooth_polyline(rng, n_pts=int(rng.integers(2, 50)),
                             step=float(rng.uniform(0.5, 50)), max_turn=1.5)
-        frames = PolylineFrames(p)
-        ts = np.concatenate([[0.0, 1.0, 1e-12, 1.0 - 1e-12],
+        ts = np.concatenate([[-0.5, 0.0, 1.0, 1.5, 1e-12, 1.0 - 1e-12],
                              rng.uniform(0, 1, 40),
                              p._cum / p.length])  # exact vertex parameters
         for t in ts.tolist():
-            x, y, tx, ty = frames.at(t)
+            x, y, tx, ty = p.frame_at(t)
             assert np.array_equal([x, y], p.param_point(t))
+            s = min(max(t, 0.0), 1.0) * p.length
+            i = min(max(int(np.searchsorted(p._cum, s, side="right")) - 1, 0),
+                    len(p.pts) - 2)
+            d = p.pts[i + 1] - p.pts[i]
+            assert np.array_equal([tx, ty], d / max(np.linalg.norm(d), _EPS))
             assert np.array_equal([tx, ty], p.tangent_at(t))
 
 
