@@ -209,8 +209,7 @@ def _extract_graph(gtfs_dir: str, cfg: PipelineConfig) -> LineGraph:
 
 
 def _dims_line(g: LineGraph) -> str:
-    stations = sum(1 for n in g.nodes.values() if n.kind == "station")
-    return (f"{stations} | {len(g.nodes)} | {len(g.edges)} | "
+    return (f"{g.station_count()} | {len(g.nodes)} | {len(g.edges)} | "
             f"{len(g.lines)} | {g.max_lines_per_edge}")
 
 

@@ -3,10 +3,16 @@ queries, shared-segment detection between polylines, parallel offsetting
 with miter/bevel joins, and path averaging.
 
 A shared-segment sweep asks, for every sweep point, for the nearest point
-of the other polyline within d_hat.  That query costs one boolean box
-test per (point, segment) pair; it projects a point only onto the segments
-whose boxes, padded by d_hat, contain it, so the projections, distances
-and reductions follow the number of nearby pairs, not points * segments.
+of the other polyline within d_hat.  One kernel answers that query, for
+one polyline (`Polyline.nearest_many`) or for several at once
+(`nearest_on`).  It tests boxes in blocks of consecutive queries: a block
+keeps only the segments whose boxes, padded by the radius, meet the
+block's own box, and holds at most _BLOCK_CELLS (query, segment) cells,
+or one query against the segments near it when that alone is more
+(against every segment when there is no radius).  It projects a query
+only onto the segments whose padded boxes contain it.  So memory is
+bounded by one block, not by queries * segments, and the projections,
+distances and reductions follow the number of nearby pairs.
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -14,6 +20,7 @@ arc-length fractions in [0, 1].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,6 +33,12 @@ _EPS = 1e-9
 # above the rounding of any coordinate below 10^7 m, so a query whose
 # computed distance is within the radius always lies in the padded box.
 _BOX_SLACK = 1e-6
+# Most (query, segment) cells in one box test of the nearest-segment
+# kernel.  The projections take about 200 bytes per near pair, so a block
+# holds at most about 55 MB however many queries and segments a call has.
+# The merge loop's calls on the benchmark feeds have at most 1.4 * 10^5
+# cells before the box prefilter, so each runs as one block.
+_BLOCK_CELLS = 1 << 18
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,15 +67,19 @@ class Polyline:
             raise DegenerateSegment(f"expected (N, 2) points, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise DegenerateSegment("non-finite coordinate in polyline")
+        seg = None
         if len(pts) >= 2:
-            keep = np.ones(len(pts), dtype=bool)
-            keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > _EPS
-            pts = pts[keep]
+            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            keep = seg > _EPS
+            if not keep.all():
+                pts = pts[np.concatenate(([True], keep))]
+                seg = None
         if len(pts) < 2:
             raise DegenerateSegment("polyline collapsed below two distinct points")
         self.pts = pts
         self.pts.setflags(write=False)
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        if seg is None:
+            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
 
     # basic measures -------------------------------------------------
@@ -109,15 +126,21 @@ class Polyline:
     def frame_at(self, t: float) -> tuple[float, float, float, float]:
         """(x, y, tx, ty): param_point(t) and tangent_at(t) as plain
         floats, without the array overhead of param_point."""
+        x, y, idx = self._point_at(t)
+        d = self.pts[idx + 1] - self.pts[idx]
+        tx, ty = (d / max(np.linalg.norm(d), _EPS)).tolist()
+        return x, y, tx, ty
+
+    def _point_at(self, t: float) -> tuple[float, float, int]:
+        """param_point(t) as plain floats, bit for bit, and the index of
+        the segment it lies on."""
         s = min(max(t, 0.0), 1.0) * self.length
         idx = min(max(int(np.searchsorted(self._cum, s, side="right")) - 1, 0),
                   len(self.pts) - 2)
         c0, c1 = self._cum[idx:idx + 2].tolist()
         (x0, y0), (x1, y1) = self.pts[idx:idx + 2].tolist()
         local = (s - c0) / (c1 - c0) if c1 - c0 > _EPS else 0.0
-        d = self.pts[idx + 1] - self.pts[idx]
-        tx, ty = (d / max(np.linalg.norm(d), _EPS)).tolist()
-        return x0 + local * (x1 - x0), y0 + local * (y1 - y0), tx, ty
+        return x0 + local * (x1 - x0), y0 + local * (y1 - y0), idx
 
     # nearest point ----------------------------------------------------
 
@@ -133,48 +156,95 @@ class Polyline:
         to each of qs; ties go to the lowest segment index.
 
         Only the (query, segment) pairs whose query lies in the segment's
-        box padded by radius are projected, so past one boolean box test
-        per pair the work grows with the number of nearby pairs, not with
-        len(qs) * segments.  Every segment within radius of a query passes
-        that test, so a query within radius gets the parameter and distance
-        of the unbounded call (radius None, every pair projected); a query
-        farther than radius gets parameter nan and distance inf.
+        box padded by radius are projected, so past the box tests the work
+        grows with the number of nearby pairs, not with len(qs) * segments.
+        Every segment within radius of a query passes that test, so a
+        query within radius gets the parameter and distance of the
+        unbounded call (radius None, every pair projected); a query farther
+        than radius gets parameter nan and distance inf.
+
+        The box tests and projections run block by block, over runs of
+        consecutive queries of at most _BLOCK_CELLS cells (see the module
+        docstring), so memory stays bounded for any number of queries and
+        segments; a query's result does not depend on its block.
         """
-        p0, p1 = self.pts[:-1], self.pts[1:]
-        d = p1 - p0
-        if radius is None:
-            near = np.ones((len(qs), len(d)), dtype=bool)
-        else:
-            lo = np.minimum(p0, p1) - (radius + _BOX_SLACK)
-            hi = np.maximum(p0, p1) + (radius + _BOX_SLACK)
-            x, y = qs[:, None, 0], qs[:, None, 1]
-            near = ((lo[:, 0] <= x) & (x <= hi[:, 0])
-                    & (lo[:, 1] <= y) & (y <= hi[:, 1]))
-        qi, si = np.nonzero(near)  # by query, then by segment index
-        len2 = np.maximum(np.einsum("ij,ij->i", d, d), _EPS**2)
-        q, a, dk = qs[qi], p0[si], d[si]
-        rel = q - a
-        tloc = np.clip((rel[:, 0] * dk[:, 0] + rel[:, 1] * dk[:, 1]) / len2[si],
-                       0.0, 1.0)
-        e = q - (a + tloc[:, None] * dk)
-        dist2 = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
-        best2 = np.full(len(qs), np.inf)
-        np.minimum.at(best2, qi, dist2)
-        k = np.flatnonzero(dist2 == best2[qi])  # every nearest pair
-        rows = qi[k]
-        first = np.ones(len(k), dtype=bool)  # the lowest segment of each query
-        first[1:] = rows[1:] != rows[:-1]
-        k, rows = k[first], rows[first]
-        s = si[k]
-        seg_len = self._cum[1:] - self._cum[:-1]
-        params = np.full(len(qs), np.nan)
-        params[rows] = (self._cum[s] + tloc[k] * seg_len[s]) / max(self.length, _EPS)
-        dists = np.full(len(qs), np.inf)
-        dists[rows] = np.sqrt(dist2[k])
-        if radius is not None:
-            far = dists > radius
-            params[far], dists[far] = np.nan, np.inf
-        return params, dists
+        return _nearest(qs, _segment_table([self]), radius)
+
+    def nearest_in_order(self, qs: np.ndarray, radius: float):
+        """Yield (t, d) for each query in order: the parameter, on this
+        polyline, and the distance of the nearest point of sub(t', 1.0),
+        t' being the previous query's t (0.0 for the first), so the
+        parameters never decrease.  Once t' reaches 1 - 1e-12 the rest is
+        the end point (t = 1.0).
+
+        Each pair is bit-equal to `rest = self.sub(t', 1.0)`,
+        `t_loc, d = rest.nearest_point_param(q)`, `t = t' + t_loc *
+        (1.0 - t')`, and raises the DegenerateSegment that sub raises;
+        but no rest polyline is built.  Its inner segments are this
+        polyline's own, projected for all queries in one kernel call with
+        radius, and only its first and last segments, which sub cuts or
+        rebuilds, are projected per query.  A query with nothing within
+        radius takes the sub path, so the pairs do not depend on radius;
+        radius only bounds the kernel's work.
+        """
+        qs = np.asarray(qs, dtype=float)
+        n, cum, xs = len(self.pts), self._cum.tolist(), self.pts.tolist()
+        seg_len = np.linalg.norm(np.diff(self.pts, axis=0), axis=1)
+        tail = self._point_at(1.0)[:2]
+        # sub(t', 1.0) is [head, xs[i0:n-1], tail] less each point within
+        # _EPS of the point before it.  When no segment is that short, the
+        # last cumulative length exceeds the one before and the tail is
+        # kept after xs[n-2], only the point after the head can go; other
+        # polylines take the sub path.
+        fast = (bool((seg_len > _EPS).all()) and cum[-2] < cum[-1]
+                and _dist(xs[n - 2], tail) > _EPS)
+        if fast:
+            qi, si, tl, d2 = _near_pairs(qs, _segment_table([self]), radius)
+
+        def past(prev: float, q: list[float], j: int) -> tuple[float, float]:
+            if 1.0 <= prev + _EPS:
+                raise DegenerateSegment(f"empty parameter range [{prev}, {1.0}]")
+            i0 = bisect.bisect_right(cum, prev * self.length)
+            head = self._point_at(prev)[:2]
+            if i0 == n - 1 and _dist(head, tail) <= _EPS:
+                return math.inf, math.inf  # sub raises: take its path
+            j0 = i0 + 1 if i0 < n - 1 and _dist(head, xs[i0]) <= _EPS else i0
+            # the rest's segments: head to the next point kept, this
+            # polyline's segments j0 .. n-3, and xs[n-2] to the tail
+            first_end = xs[j0] if j0 < n - 1 else tail
+            best2, best_t = _project_one(q, head, first_end)
+            best_pos = 0
+            lo = bisect.bisect_left(qi, j)
+            hi = bisect.bisect_left(qi, j + 1, lo)
+            for k in range(bisect.bisect_left(si, j0, lo, hi), hi):
+                if si[k] >= n - 2:
+                    break
+                if d2[k] < best2:
+                    best2, best_t, best_pos = d2[k], tl[k], 1 + si[k] - j0
+            lengths = [_dist(head, first_end)]
+            if j0 < n - 1:
+                last2, last_t = _project_one(q, xs[n - 2], tail)
+                if last2 < best2:
+                    best2, best_t, best_pos = last2, last_t, n - 1 - j0
+                lengths = np.concatenate((lengths, seg_len[j0:n - 2],
+                                          [_dist(xs[n - 2], tail)]))
+            rest_cum = np.cumsum(lengths).tolist()
+            c0 = rest_cum[best_pos - 1] if best_pos else 0.0
+            c1 = rest_cum[best_pos]
+            t_loc = (c0 + best_t * (c1 - c0)) / max(rest_cum[-1], _EPS)
+            return prev + t_loc * (1.0 - prev), math.sqrt(best2)
+
+        prev = 0.0
+        for j, q in enumerate(qs.tolist()):
+            if prev >= 1.0 - 1e-12:
+                t, d = 1.0, float(np.linalg.norm(self.end - qs[j]))
+            else:
+                t, d = past(prev, q, j) if fast else (math.inf, math.inf)
+                if d > radius:
+                    t_loc, d = self.sub(prev, 1.0).nearest_point_param(qs[j])
+                    t = prev + t_loc * (1.0 - prev)
+            yield t, d
+            prev = t
 
     # slicing ----------------------------------------------------------
 
@@ -198,6 +268,162 @@ class Polyline:
 
     def __repr__(self) -> str:
         return f"Polyline({len(self.pts)} pts, {self.length:.1f} m)"
+
+
+# ── the nearest-segment kernel ──────────────────────────────────────
+
+# Columns of a segment table, one row per segment: start point, direction,
+# squared length (at least _EPS**2), box corners, arc length at the start
+# and along the segment, and the polyline length (at least _EPS) that
+# turns arc lengths into parameters.
+_P0, _D, _LEN2, _LO, _HI = slice(0, 2), slice(2, 4), 4, slice(5, 7), slice(7, 9)
+_C0, _SL, _SCALE = 9, 10, 11
+_COLUMNS = 12
+
+
+def nearest_on(paths: list[Polyline], qs: np.ndarray, radius: float,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters and distances, shape (len(paths), len(qs)): row i is
+    paths[i].nearest_many(qs, radius), bit for bit, from one kernel call
+    over the concatenated segments of all paths."""
+    owner = np.repeat(np.arange(len(paths)), [len(p.pts) - 1 for p in paths])
+    params, dists = _nearest(qs, _segment_table(paths), radius,
+                             owner, len(paths))
+    shape = (len(paths), len(qs))
+    return params.reshape(shape), dists.reshape(shape)
+
+
+def _segment_table(paths: list[Polyline]) -> np.ndarray:
+    """The segments of paths, concatenated, one row each (see _COLUMNS).
+    Each value is the elementwise result nearest_many computed from one
+    polyline's own arrays, so the concatenation changes no bit."""
+    if len(paths) == 1:
+        pts, cum, inner = paths[0].pts, paths[0]._cum, slice(None)
+    else:
+        pts = np.concatenate([p.pts for p in paths])
+        cum = np.concatenate([p._cum for p in paths])
+        inner = np.ones(len(pts) - 1, dtype=bool)  # both ends in one path
+        inner[np.cumsum([len(p.pts) for p in paths[:-1]]) - 1] = False
+    p0, p1 = pts[:-1][inner], pts[1:][inner]
+    c0, c1 = cum[:-1][inner], cum[1:][inner]
+    d = p1 - p0
+    tab = np.empty((len(d), _COLUMNS))
+    tab[:, _P0], tab[:, _D] = p0, d
+    tab[:, _LEN2] = np.maximum(np.einsum("ij,ij->i", d, d), _EPS**2)
+    tab[:, _LO], tab[:, _HI] = np.minimum(p0, p1), np.maximum(p0, p1)
+    tab[:, _C0], tab[:, _SL] = c0, c1 - c0
+    tab[:, _SCALE] = np.repeat([max(p.length, _EPS) for p in paths],
+                               [len(p.pts) - 1 for p in paths])
+    return tab
+
+
+def _nearest(qs: np.ndarray, tab: np.ndarray, radius: float | None,
+             owner: np.ndarray | None = None, n_owner: int = 1,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of nearest_many and nearest_on.  Results are indexed
+    owner * len(qs) + query; each is the lowest segment of its owner at
+    the least distance."""
+    n = len(qs)
+    best2 = np.full(n_owner * n, np.inf)
+    params = np.full(n_owner * n, np.nan)
+    dists = np.full(n_owner * n, np.inf)
+    for qi, si, tloc, dist2 in _pair_blocks(qs, tab, radius):
+        g = qi if owner is None else owner[si] * n + qi
+        np.minimum.at(best2, g, dist2)
+        k = np.flatnonzero(dist2 == best2[g])  # every nearest pair
+        rows = g[k]
+        # pairs come by query, then by segment, and each owner's segments
+        # are consecutive: the first of a row is its lowest segment
+        first = np.ones(len(k), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        k, rows = k[first], rows[first]
+        seg = tab[si[k]]
+        params[rows] = (seg[:, _C0] + tloc[k] * seg[:, _SL]) / seg[:, _SCALE]
+        dists[rows] = np.sqrt(dist2[k])
+    if radius is not None:
+        far = dists > radius
+        params[far], dists[far] = np.nan, np.inf
+    return params, dists
+
+
+def _pair_blocks(qs: np.ndarray, tab: np.ndarray, radius: float | None):
+    """Yield (query, segment, tloc, dist2) arrays of the (query, segment)
+    pairs whose query lies in the segment's box padded by radius (every
+    pair when radius is None), block by block in query order, each block
+    by query and then by segment.  tloc is the clamped projection
+    parameter on the segment and dist2 the squared distance.
+
+    A block is a run of consecutive queries tested against the segments
+    whose padded boxes meet the block's box.  A block of more than
+    _BLOCK_CELLS cells is halved, down to one query, so a call under the
+    cap is one block."""
+    n, n_seg = len(qs), len(tab)
+    if radius is None:
+        step = max(1, _BLOCK_CELLS // n_seg)
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            qi = np.repeat(np.arange(i0, i1), n_seg)
+            yield _project(qs, tab, qi, np.tile(np.arange(n_seg), i1 - i0))
+        return
+    if not n:
+        return
+    pad = radius + _BOX_SLACK
+    lo, hi = tab[:, _LO] - pad, tab[:, _HI] + pad
+    todo = [(0, n, None)]
+    while todo:
+        i0, i1, sel = todo.pop()
+        block = qs[i0:i1]
+        bmin, bmax = block.min(axis=0), block.max(axis=0)
+        blo, bhi = (lo, hi) if sel is None else (lo[sel], hi[sel])
+        meets = np.flatnonzero((blo[:, 0] <= bmax[0]) & (bmin[0] <= bhi[:, 0])
+                               & (blo[:, 1] <= bmax[1]) & (bmin[1] <= bhi[:, 1]))
+        sel = meets if sel is None else sel[meets]
+        if (i1 - i0) * len(sel) > _BLOCK_CELLS and i1 - i0 > 1:
+            mid = (i0 + i1) // 2
+            todo += [(mid, i1, sel), (i0, mid, sel)]
+            continue
+        blo, bhi = blo[meets], bhi[meets]
+        x, y = block[:, None, 0], block[:, None, 1]
+        near = ((blo[:, 0] <= x) & (x <= bhi[:, 0])
+                & (blo[:, 1] <= y) & (y <= bhi[:, 1]))
+        qi, sj = np.nonzero(near)  # by query, then by segment index
+        yield _project(qs, tab, qi + i0, sel[sj])
+
+
+def _project(qs: np.ndarray, tab: np.ndarray, qi: np.ndarray, si: np.ndarray):
+    """(qi, si, tloc, dist2) of the pairs (qs[qi], segment si)."""
+    q, seg = qs[qi], tab[si]
+    a, dk = seg[:, _P0], seg[:, _D]
+    rel = q - a
+    tloc = np.clip((rel[:, 0] * dk[:, 0] + rel[:, 1] * dk[:, 1]) / seg[:, _LEN2],
+                   0.0, 1.0)
+    e = q - (a + tloc[:, None] * dk)
+    return qi, si, tloc, e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+
+
+def _near_pairs(qs: np.ndarray, tab: np.ndarray, radius: float):
+    """Every pair of _pair_blocks as four lists: query, segment, tloc,
+    dist2, by query and then by segment."""
+    blocks = list(_pair_blocks(qs, tab, radius))
+    if not blocks:
+        return [], [], [], []
+    return tuple(np.concatenate(cols).tolist() for cols in zip(*blocks))
+
+
+def _dist(a, b) -> float:
+    """np.linalg.norm of b - a, bit for bit, on plain floats."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _project_one(q, a, b) -> tuple[float, float]:
+    """(dist2, tloc) of q on segment a -> b: _project on plain floats."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    len2 = max(dx * dx + dy * dy, _EPS**2)
+    rx, ry = q[0] - a[0], q[1] - a[1]
+    t = min(max((rx * dx + ry * dy) / len2, 0.0), 1.0)
+    ex, ey = q[0] - (a[0] + t * dx), q[1] - (a[1] + t * dy)
+    return ex * ex + ey * ey, t
 
 
 # ── shared segment detection ────────────────────────────────────────
@@ -233,24 +459,29 @@ def shared_segments(
     k: int = 2,
     min_len: float = 0.0,
     sweep: tuple[np.ndarray, np.ndarray] | None = None,
+    nearest: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SharedSegment]:
     """Sweep a at parameter steps dt and record maximal runs whose distance
     to b stays within d_hat; a run survives up to k consecutive outlier
     steps before it is closed at the last in-threshold step.  Runs shorter
     than min_len meters are dropped.  sweep, when given, must be
     sweep_points(a, dt); a caller sweeping a against many polylines
-    computes it once.
+    computes it once.  nearest, when given, must be
+    b.nearest_many(sweep points, d_hat); a caller computes it for many
+    pairs in one kernel call (nearest_on).
     """
     ts, pts = sweep_points(a, dt) if sweep is None else sweep
-    tb, dist = b.nearest_many(pts, radius=d_hat)
-    inside = dist <= d_hat
-
+    tb, dist = b.nearest_many(pts, radius=d_hat) if nearest is None else nearest
+    inside = np.flatnonzero(dist <= d_hat)
+    if not len(inside):
+        return []
+    # in-threshold steps more than k + 1 apart leave more than k outliers
+    # between them: a run ends at the first and starts at the second
+    cuts = np.flatnonzero(np.diff(inside) > k + 1).tolist()
+    steps = inside.tolist()
     out: list[SharedSegment] = []
-    open_first = -1
-    last_in = -1
-    misses = 0
-
-    def close(first: int, last: int) -> None:
+    for first, last in zip([steps[0]] + [steps[c + 1] for c in cuts],
+                           [steps[c] for c in cuts] + [steps[-1]]):
         extent = (ts[last] - ts[first]) * a.length
         if extent >= min_len and last > first:
             out.append(SharedSegment(
@@ -258,21 +489,6 @@ def shared_segments(
                 range_b=(float(tb[first]), float(tb[last])),
                 extent=float(extent),
             ))
-
-    for i in range(len(ts)):
-        if inside[i]:
-            if open_first < 0:
-                open_first = i
-            last_in = i
-            misses = 0
-        elif open_first >= 0:
-            misses += 1
-            if misses > k:
-                close(open_first, last_in)
-                open_first = -1
-                misses = 0
-    if open_first >= 0:
-        close(open_first, last_in)
     return out
 
 
@@ -365,22 +581,3 @@ def average_path(a: Polyline, b: Polyline, step: float = 5.0) -> Polyline:
     same way."""
     n = max(2, int(math.ceil(max(a.length, b.length) / max(step, _EPS))) + 1)
     return Polyline((a.resample(n) + b.resample(n)) / 2.0)
-
-
-# ── intersection counting (ground truth for crossing tests) ─────────
-
-def count_proper_intersections(a_pts: np.ndarray, b_pts: np.ndarray) -> int:
-    """Number of transversal (strictly interior, non-parallel) crossings
-    between two polylines, vectorized over all segment pairs."""
-    a0, a1 = a_pts[:-1], a_pts[1:]
-    b0, b1 = b_pts[:-1], b_pts[1:]
-    r = (a1 - a0)[:, None, :]
-    s = (b1 - b0)[None, :, :]
-    q = b0[None, :, :] - a0[:, None, :]
-    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
-    ok = np.abs(denom) > _EPS
-    denom = np.where(ok, denom, 1.0)
-    t = (q[..., 0] * s[..., 1] - q[..., 1] * s[..., 0]) / denom
-    u = (q[..., 0] * r[..., 1] - q[..., 1] * r[..., 0]) / denom
-    hit = ok & (t > _EPS) & (t < 1 - _EPS) & (u > _EPS) & (u < 1 - _EPS)
-    return int(hit.sum())

@@ -277,21 +277,15 @@ def _snap_stops_to_shape(shape: Polyline, stop_pts: list[np.ndarray], snap_tol: 
                          context: str) -> list[float]:
     """Arc-length parameters of each stop on the shape, forced monotone:
     each stop is matched on the remainder of the shape past its
-    predecessor.  Distances beyond snap_tol raise ShapeMismatch."""
+    predecessor (Polyline.nearest_in_order).  Distances beyond snap_tol
+    raise ShapeMismatch."""
     params: list[float] = []
-    prev = 0.0
-    for i, q in enumerate(stop_pts):
-        if prev >= 1.0 - 1e-12:
-            t, d = 1.0, float(np.linalg.norm(shape.end - q))
-        else:
-            rest = shape.sub(prev, 1.0)
-            t_loc, d = rest.nearest_point_param(q)
-            t = prev + t_loc * (1.0 - prev)
+    for i, (t, d) in enumerate(shape.nearest_in_order(np.asarray(stop_pts, dtype=float),
+                                                      snap_tol)):
         if d > snap_tol:
             raise ShapeMismatch(f"{context}: stop #{i} is {d:.1f} m from its shape "
                                 f"(tolerance {snap_tol:.1f} m)")
         params.append(t)
-        prev = t
     return params
 
 

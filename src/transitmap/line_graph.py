@@ -19,6 +19,7 @@ from .geometry import (
     Polyline,
     SharedSegment,
     average_path,
+    nearest_on,
     shared_segments,
     sweep_points,
 )
@@ -59,10 +60,6 @@ class LGEdge:
         if node_id == self.b:
             return self.a
         raise KeyError(f"node {node_id!r} is not an endpoint of edge {self.id!r}")
-
-    def leaves(self, node_id: str) -> bool:
-        """True when the canonical direction points out of node_id."""
-        return node_id == self.a
 
 
 class LineGraph:
@@ -193,7 +190,7 @@ def save_line_graph(g: LineGraph, path) -> None:
             "a": e.a,
             "b": e.b,
             "lines": list(e.lines),
-            "path": [[float(x), float(y)] for x, y in e.path.pts],
+            "path": e.path.pts.tolist(),
         })
     lines = [
         {"id": l.id, "label": l.label, "color": l.color}
@@ -317,6 +314,10 @@ class _Builder:
     edges that share a segment: each merge adds the pairs of its fresh
     edges and drops those of the two edges it kills, so picking the next
     merge looks at a few hundred pairs, not at every pair ever checked.
+    `_pairs_of` indexes the stored pairs by edge, and `_boxes` holds the
+    box of every edge ever added, row n for edge e{n}, with `_live`
+    marking the edges still alive; both are kept up to date on each add
+    and merge instead of being rebuilt.
     """
 
     def __init__(self, raw: RawNetwork, d_hat: float, sweep_step: float,
@@ -330,6 +331,9 @@ class _Builder:
         self.nodes: dict[str, dict] = {}
         self.edges: dict[str, _BEdge] = {}
         self.pairs: dict[tuple[str, str], tuple[SharedSegment, str]] = {}
+        self._pairs_of: dict[str, list[tuple[str, str]]] = {}
+        self._boxes = np.empty((max(16, 2 * len(raw.edges)), 4))
+        self._live = np.zeros(len(self._boxes), dtype=bool)
         self._next_edge = 0
         self._next_aux = 0
         self.lines_table = dict(raw.lines)
@@ -352,7 +356,8 @@ class _Builder:
                              else merge_budget)
 
     def _add_edge(self, a: str, b: str, lines: frozenset, path: Polyline) -> str:
-        eid = f"e{self._next_edge}"
+        n = self._next_edge
+        eid = f"e{n}"
         self._next_edge += 1
         # dt, and so the sweep, depends only on the path: compute it once
         # for all pairs this edge is swept in
@@ -360,7 +365,20 @@ class _Builder:
         self.edges[eid] = _BEdge(id=eid, a=a, b=b, lines=lines, path=path,
                                  bbox=path.bbox(), dt=dt,
                                  sweep=sweep_points(path, dt))
+        if n == len(self._boxes):
+            self._boxes = np.concatenate((self._boxes, np.empty_like(self._boxes)))
+            self._live = np.concatenate((self._live, np.zeros_like(self._live)))
+        self._boxes[n] = self.edges[eid].bbox
+        self._live[n] = True
+        self._pairs_of[eid] = []
         return eid
+
+    def _kill(self, eid: str) -> None:
+        """Drop a merged edge and every stored pair it is in."""
+        del self.edges[eid]
+        self._live[int(eid[1:])] = False
+        for key in self._pairs_of.pop(eid):
+            self.pairs.pop(key, None)
 
     def _new_aux(self, x: float, y: float) -> str:
         nid = f"x{self._next_aux}"
@@ -372,9 +390,9 @@ class _Builder:
     def _pair_key(self, i: str, j: str) -> tuple[str, str]:
         return (i, j) if i < j else (j, i)
 
-    def _compute_pair(self, i: str, j: str) -> tuple[SharedSegment, str] | None:
-        """Best shared segment between edges i and j, swept along the
-        longer path.  Returns (segment, subject_edge_id) or None."""
+    def _roles(self, i: str, j: str) -> tuple[_BEdge, _BEdge] | None:
+        """(subject, target) of the pair i < j: the longer path is swept;
+        None when it is shorter than min_seg_len."""
         ei, ej = self.edges[i], self.edges[j]
         if ei.path.length > ej.path.length or (
                 ei.path.length == ej.path.length and i < j):
@@ -383,9 +401,17 @@ class _Builder:
             subject, target = ej, ei
         if subject.path.length < self.min_seg_len:
             return None
+        return subject, target
+
+    def _best(self, subject: _BEdge, target: _BEdge,
+              nearest: tuple[np.ndarray, np.ndarray],
+              ) -> tuple[SharedSegment, str] | None:
+        """Best shared segment of the subject swept against the target,
+        given the target's nearest points to the subject's sweep.
+        Returns (segment, subject_edge_id) or None."""
         segs = shared_segments(subject.path, target.path, self.d_hat,
                                subject.dt, k=self.k, min_len=self.min_seg_len,
-                               sweep=subject.sweep)
+                               sweep=subject.sweep, nearest=nearest)
         other_len = target.path.length
         segs = [s for s in segs
                 if abs(s.range_b[1] - s.range_b[0]) * other_len
@@ -398,11 +424,10 @@ class _Builder:
     def _candidates(self, fresh: list[str]) -> None:
         """Store the shared segments of every fresh edge with every live
         edge.  Only pairs whose boxes, padded by d_hat, overlap can share
-        a segment, so one numpy comparison per fresh edge against all live
+        a segment, so one numpy comparison per fresh edge against the live
         boxes selects the pairs to sweep; they are swept in `self.edges`
         order, and a pair of two fresh edges once."""
-        ids = list(self.edges)
-        boxes = np.array([self.edges[j].bbox for j in ids])
+        boxes = self._boxes[:self._next_edge]
         pad = self.d_hat
         done: set[str] = set()
         for i in fresh:
@@ -410,14 +435,41 @@ class _Builder:
             apart = ((bi[2] + pad < boxes[:, 0]) | (boxes[:, 2] + pad < bi[0])
                      | (bi[3] + pad < boxes[:, 1]) | (boxes[:, 3] + pad < bi[1]))
             done.add(i)
-            for n in np.flatnonzero(~apart):
-                j = ids[n]
-                if j in done:
-                    continue
-                key = self._pair_key(i, j)
-                found = self._compute_pair(*key)
+            plan = []
+            for n in np.flatnonzero(self._live[:self._next_edge] & ~apart).tolist():
+                j = f"e{n}"
+                if j not in done:
+                    key = self._pair_key(i, j)
+                    roles = self._roles(*key)
+                    if roles is not None:
+                        plan.append((key, *roles))
+            nearest = self._nearest_batch(self.edges[i], plan)
+            for (key, subject, target), near in zip(plan, nearest):
+                found = self._best(subject, target, near)
                 if found is not None:
                     self.pairs[key] = found
+                    self._pairs_of[key[0]].append(key)
+                    self._pairs_of[key[1]].append(key)
+
+    def _nearest_batch(self, fresh: _BEdge, plan: list) -> list:
+        """For each (key, subject, target) of the fresh edge's plan, in
+        order, the target's nearest points to the subject's sweep
+        (nearest_many with radius d_hat), from two kernel calls: the
+        fresh edge's sweep against every target it is the subject for,
+        and the sweeps of every other subject, concatenated, against the
+        fresh edge."""
+        targets = [t.path for _, s, t in plan if s is fresh]
+        subjects = [s.sweep[1] for _, s, t in plan if s is not fresh]
+        as_subject, as_target = iter(()), iter(())
+        if targets:
+            as_subject = zip(*nearest_on(targets, fresh.sweep[1], self.d_hat))
+        if subjects:
+            tb, dist = fresh.path.nearest_many(np.concatenate(subjects),
+                                               self.d_hat)
+            cuts = np.cumsum([len(q) for q in subjects[:-1]])
+            as_target = zip(np.split(tb, cuts), np.split(dist, cuts))
+        return [next(as_subject if s is fresh else as_target)
+                for _, s, _ in plan]
 
     def _pick(self) -> tuple[str, str] | None:
         """Longest shared extent first, ties to the larger key; a
@@ -482,14 +534,13 @@ class _Builder:
             del self.pairs[key]  # merging would self-loop or leave a
             return []            # zero-length remnant: leave as is
 
-        del self.edges[ea.id], self.edges[eb.id]
-        self.pairs = {k: v for k, v in self.pairs.items()
-                      if ea.id not in k and eb.id not in k}
+        self._kill(ea.id)
+        self._kill(eb.id)
         node_u = res["U"] or self._new_aux(*merged.start)
         node_v = res["V"] or self._new_aux(*merged.end)
 
         def snapped(path_pts: np.ndarray, start_node: str, end_node: str) -> Polyline:
-            pts = [tuple(p) for p in path_pts]
+            pts = path_pts.tolist()
             sa = (self.nodes[start_node]["x"], self.nodes[start_node]["y"])
             sb = (self.nodes[end_node]["x"], self.nodes[end_node]["y"])
             if math.hypot(pts[0][0] - sa[0], pts[0][1] - sa[1]) > _COORD_TOL:

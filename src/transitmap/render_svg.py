@@ -271,44 +271,6 @@ class InnerConnection:
     arc_radius: float = 0.0
     arc_sweep: int = 0
 
-    def sample(self, n: int = 65) -> np.ndarray:
-        ts = np.linspace(0.0, 1.0, n)
-        p = [np.asarray(q, dtype=float) for q in self.points]
-        if self.kind == "straight":
-            return p[0] + ts[:, None] * (p[1] - p[0])
-        if self.kind == "cubic-curve":
-            p0, c1, c2, p3 = p
-            u = 1.0 - ts
-            return (u**3)[:, None] * p0 + (3 * u**2 * ts)[:, None] * c1 \
-                + (3 * u * ts**2)[:, None] * c2 + (ts**3)[:, None] * p3
-        p0, p3 = p
-        center, a0, a1 = _arc_geometry(p0, p3, self.arc_radius, self.arc_sweep)
-        if center is None:
-            return p0 + ts[:, None] * (p3 - p0)
-        angles = a0 + ts * (a1 - a0)
-        return center + self.arc_radius * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=1)
-
-
-def _arc_geometry(p0: np.ndarray, p3: np.ndarray, radius: float, sweep: int):
-    """Circle center and angle range of the minor arc from p0 to p3.
-    sweep=1 walks counterclockwise in map coordinates."""
-    chord = p3 - p0
-    half = float(np.linalg.norm(chord)) / 2.0
-    if radius < half or half < 1e-12:
-        return None, 0.0, 0.0
-    mid = (p0 + p3) / 2.0
-    h = math.sqrt(max(radius * radius - half * half, 0.0))
-    perp = np.array([-chord[1], chord[0]]) / (2.0 * half)
-    center = mid - perp * h if sweep == 1 else mid + perp * h
-    a0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
-    a1 = math.atan2(p3[1] - center[1], p3[0] - center[0])
-    if sweep == 1 and a1 < a0:
-        a1 += 2.0 * math.pi
-    if sweep == 0 and a1 > a0:
-        a1 -= 2.0 * math.pi
-    return center, a0, a1
-
 
 def inner_connections(
     g: LineGraph, o: Ordering, fronts: dict[tuple[str, str], NodeFront],

@@ -1,0 +1,122 @@
+"""Reference implementations that only the tests use: plain, slow
+versions of what the package computes in bulk, and measurements of its
+output that the pipeline itself never needs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from transitmap.geometry import _EPS, Polyline, SharedSegment, sweep_points
+
+
+def count_proper_intersections(a_pts: np.ndarray, b_pts: np.ndarray) -> int:
+    """Number of transversal (strictly interior, non-parallel) crossings
+    between two polylines, vectorized over all segment pairs."""
+    a0, a1 = a_pts[:-1], a_pts[1:]
+    b0, b1 = b_pts[:-1], b_pts[1:]
+    r = (a1 - a0)[:, None, :]
+    s = (b1 - b0)[None, :, :]
+    q = b0[None, :, :] - a0[:, None, :]
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    ok = np.abs(denom) > _EPS
+    denom = np.where(ok, denom, 1.0)
+    t = (q[..., 0] * s[..., 1] - q[..., 1] * s[..., 0]) / denom
+    u = (q[..., 0] * r[..., 1] - q[..., 1] * r[..., 0]) / denom
+    hit = ok & (t > _EPS) & (t < 1 - _EPS) & (u > _EPS) & (u < 1 - _EPS)
+    return int(hit.sum())
+
+
+def sample(conn, n: int = 65) -> np.ndarray:
+    """n points along a render_svg.InnerConnection's curve."""
+    ts = np.linspace(0.0, 1.0, n)
+    p = [np.asarray(q, dtype=float) for q in conn.points]
+    if conn.kind == "straight":
+        return p[0] + ts[:, None] * (p[1] - p[0])
+    if conn.kind == "cubic-curve":
+        p0, c1, c2, p3 = p
+        u = 1.0 - ts
+        return (u**3)[:, None] * p0 + (3 * u**2 * ts)[:, None] * c1 \
+            + (3 * u * ts**2)[:, None] * c2 + (ts**3)[:, None] * p3
+    p0, p3 = p
+    center, a0, a1 = _arc_geometry(p0, p3, conn.arc_radius, conn.arc_sweep)
+    if center is None:
+        return p0 + ts[:, None] * (p3 - p0)
+    angles = a0 + ts * (a1 - a0)
+    return center + conn.arc_radius * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _arc_geometry(p0: np.ndarray, p3: np.ndarray, radius: float, sweep: int):
+    """Circle center and angle range of the minor arc from p0 to p3.
+    sweep=1 walks counterclockwise in map coordinates."""
+    chord = p3 - p0
+    half = float(np.linalg.norm(chord)) / 2.0
+    if radius < half or half < 1e-12:
+        return None, 0.0, 0.0
+    mid = (p0 + p3) / 2.0
+    h = math.sqrt(max(radius * radius - half * half, 0.0))
+    perp = np.array([-chord[1], chord[0]]) / (2.0 * half)
+    center = mid - perp * h if sweep == 1 else mid + perp * h
+    a0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
+    a1 = math.atan2(p3[1] - center[1], p3[0] - center[0])
+    if sweep == 1 and a1 < a0:
+        a1 += 2.0 * math.pi
+    if sweep == 0 and a1 > a0:
+        a1 -= 2.0 * math.pi
+    return center, a0, a1
+
+
+def snap_params_by_sub(shape: Polyline, stop_pts):
+    """Yield (t, d) of each stop on the shape, each matched on
+    shape.sub(prev, 1.0) past its predecessor: the per-stop loop that
+    Polyline.nearest_in_order replaces, without the tolerance check."""
+    prev = 0.0
+    for q in stop_pts:
+        if prev >= 1.0 - 1e-12:
+            t, d = 1.0, float(np.linalg.norm(shape.end - q))
+        else:
+            rest = shape.sub(prev, 1.0)
+            t_loc, d = rest.nearest_point_param(q)
+            t = prev + t_loc * (1.0 - prev)
+        yield t, d
+        prev = t
+
+
+def shared_segments_by_loop(a: Polyline, b: Polyline, d_hat: float, dt: float,
+                            k: int = 2, min_len: float = 0.0) -> list:
+    """geometry.shared_segments with its runs found by a loop over every
+    sweep step, outlier counter and all."""
+    ts, pts = sweep_points(a, dt)
+    tb, dist = b.nearest_many(pts, radius=d_hat)
+    inside = dist <= d_hat
+    out = []
+    open_first = last_in = -1
+    misses = 0
+
+    def close(first: int, last: int) -> None:
+        extent = (ts[last] - ts[first]) * a.length
+        if extent >= min_len and last > first:
+            out.append(SharedSegment(
+                range_a=(float(ts[first]), float(ts[last])),
+                range_b=(float(tb[first]), float(tb[last])),
+                extent=float(extent),
+            ))
+
+    for i in range(len(ts)):
+        if inside[i]:
+            if open_first < 0:
+                open_first = i
+            last_in = i
+            misses = 0
+        elif open_first >= 0:
+            misses += 1
+            if misses > k:
+                close(open_first, last_in)
+                open_first = -1
+                misses = 0
+    if open_first >= 0:
+        close(open_first, last_in)
+    return out

@@ -4,6 +4,7 @@ artifact schemas, config precedence, and exit codes."""
 import json
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -46,6 +47,27 @@ def test_extract_writes_graph_and_prints_dims(feed_dir, tmp_path, capsys):
                     f"{len(g.lines)} | {g.max_lines_per_edge}")
     assert stations == 6  # the bus-only stop is filtered out
     assert len(g.lines) == 5
+
+
+def test_extract_with_a_stop_55_km_away_stays_small(tmp_path, capsys):
+    # Stop B 55 km south makes two 55 km edges, each swept at 5 m steps
+    # against the other: 11 000 sweep points against 11 000 segments of
+    # the merged path.  The nearest-segment kernel blocks its box tests,
+    # so memory stays far below one dense box test of ~10^8 cells.
+    tables = basic_feed_tables()
+    for stop in tables["stops"]:
+        if stop["stop_id"] == "B":
+            stop["stop_lat"] = 46.5
+    feed = write_gtfs(tmp_path / "feed", **tables)
+    tracemalloc.start()
+    try:
+        code = run(["extract", feed, tmp_path / "g.json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 100e6
+    assert capsys.readouterr().out.startswith("6 | ")
 
 
 def test_extract_missing_stops_exits_3(tmp_path, capsys):

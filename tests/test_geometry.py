@@ -9,6 +9,7 @@ written directly in this file.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from transitmap.geometry import (
     _LOOP_WINDOW,
     Polyline,
     average_path,
-    count_proper_intersections,
     offset_polyline,
     shared_segments,
 )
+from oracles import count_proper_intersections, shared_segments_by_loop
 from synth import smooth_polyline, wiggle_offset
 
 
@@ -555,3 +556,106 @@ def test_count_proper_intersections():
     s1 = np.array([[0.0, 0.0], [5.0, 4.0], [10.0, 0.0]])
     s2 = np.array([[0.0, 2.0], [5.0, -2.0], [10.0, 2.0]])
     assert count_proper_intersections(s1, s2) == 2
+
+
+# ── the batched, blocked nearest-segment kernel ─────────────────────
+
+def test_polyline_reuses_segment_lengths_only_without_drops():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        pts = rng.normal(size=(int(rng.integers(2, 40)), 2)) * 100
+        if rng.random() < 0.5:  # repeated points, dropped on construction
+            i = rng.integers(len(pts), size=3)
+            pts = np.insert(pts, i, pts[i], axis=0)
+        p = Polyline(pts)
+        seg = np.linalg.norm(np.diff(p.pts, axis=0), axis=1)
+        assert np.array_equal(p._cum, np.concatenate(([0.0], np.cumsum(seg))))
+
+
+def test_nearest_on_rows_equal_nearest_many():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        base = smooth_polyline(rng, n_pts=int(rng.integers(2, 60)),
+                               step=float(rng.uniform(3.0, 40.0)))
+        paths = [wiggle_offset(rng, base, float(rng.uniform(-40, 40)),
+                               noise=float(rng.uniform(0, 10)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        paths.append(base)
+        qs = base.param_points(np.linspace(0, 1, int(rng.integers(1, 300))))
+        radius = float(rng.uniform(1.0, 40.0))
+        tb, dist = geometry.nearest_on(paths, qs, radius)
+        assert tb.shape == dist.shape == (len(paths), len(qs))
+        for p, row_tb, row_dist in zip(paths, tb, dist):
+            exp_tb, exp_dist = p.nearest_many(qs, radius)
+            assert np.array_equal(row_tb, exp_tb, equal_nan=True)
+            assert np.array_equal(row_dist, exp_dist)
+
+
+def test_shared_segments_runs_match_loop_oracle_on_random_pairs():
+    rng = np.random.default_rng(2027)
+    runs = 0
+    for noise in [12.0] * 150 + [0.0] * 30:
+        a = smooth_polyline(rng, n_pts=30, step=40.0)
+        b = wiggle_offset(rng, a, float(rng.uniform(5, 40)), noise=noise)
+        if rng.random() < 0.5:
+            a, b = b, a
+        k = int(rng.integers(0, 4))
+        min_len = float(rng.choice([0.0, 50.0]))
+        got = shared_segments(a, b, d_hat=25.0, dt=0.01, k=k, min_len=min_len)
+        assert got == shared_segments_by_loop(a, b, 25.0, 0.01, k, min_len)
+        runs += len(got)
+    assert runs > 150
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_outlier_gaps_of_k_and_k_plus_one_steps(k):
+    # a runs along y=0 from x=-100 to 1100 with a sweep point every 5 m;
+    # b runs along y=10 but jogs out to y=60 between x=400 and x=x2.
+    # A sweep point within sqrt(525) = 22.9 m (in x) of a jog is within
+    # d_hat = 25 of b, so x = 425, 430, ..., x2 - 25 are the outliers.
+    a = Polyline([(-100, 0), (1100, 0)])
+    for outliers in (k, k + 1):
+        x2 = 445 + 5 * outliers
+        b = Polyline([(0, 10), (400, 10), (400, 60), (x2, 60), (x2, 10),
+                      (1000, 10)])
+        ts, pts = geometry.sweep_points(a, 5.0 / a.length)
+        _, dist = b.nearest_many(pts, radius=25.0)
+        gap = (pts[:, 0] > 400) & (pts[:, 0] < x2)
+        assert int((dist[gap] > 25.0).sum()) == outliers
+        got = shared_segments(a, b, 25.0, 5.0 / a.length, k=k)
+        assert got == shared_segments_by_loop(a, b, 25.0, 5.0 / a.length, k)
+        assert len(got) == (1 if outliers <= k else 2)
+
+
+def test_blocked_nearest_many_bounds_memory_and_matches_chunks():
+    # 20 000 collinear queries against a 20 000-segment polyline: one
+    # dense box test would be 4 * 10^8 cells.
+    n = 20_000
+    xs = np.linspace(0.0, 1e5, n + 1)
+    p = Polyline(np.stack([xs, np.zeros(n + 1)], axis=1))
+    qs = np.stack([np.linspace(-50.0, 1.0005e5, n), np.full(n, 3.0)], axis=1)
+    tracemalloc.start()
+    try:
+        tb, dist = p.nearest_many(qs, radius=25.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    chunk = geometry._BLOCK_CELLS // n  # each chunk is one block
+    parts = [p.nearest_many(qs[i:i + chunk], radius=25.0)
+             for i in range(0, n, chunk)]
+    assert np.array_equal(tb, np.concatenate([t for t, _ in parts]), equal_nan=True)
+    assert np.array_equal(dist, np.concatenate([d for _, d in parts]))
+    assert np.isnan(tb[:1]).all() and np.isfinite(tb[100:-100]).all()
+
+
+def test_unbounded_nearest_many_blocks_by_query_count():
+    rng = np.random.default_rng(9)
+    p = smooth_polyline(rng, n_pts=3000, step=2.0)
+    qs = rng.uniform(-500, 500, size=(400, 2))
+    tb, dist = p.nearest_many(qs)
+    assert len(list(geometry._pair_blocks(qs, geometry._segment_table([p]),
+                                          None))) > 1
+    for i in range(0, len(qs), 37):
+        t1, d1 = p.nearest_many(qs[i:i + 1])
+        assert t1[0] == tb[i] and d1[0] == dist[i]

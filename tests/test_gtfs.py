@@ -3,6 +3,7 @@ pattern expansion, and shape snapping."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from transitmap.errors import (
     DanglingReference,
+    DegenerateSegment,
     MalformedRow,
     MissingFile,
     ProjectionFailure,
@@ -22,7 +24,9 @@ from transitmap.gtfs import (
     load_feed,
     project_lonlat,
 )
-from synth import basic_feed_tables, write_gtfs
+from transitmap.line_graph import construct_line_graph, save_line_graph
+from oracles import snap_params_by_sub
+from synth import basic_feed_tables, smooth_polyline, write_gtfs
 
 
 # ── loading ─────────────────────────────────────────────────────────
@@ -229,3 +233,164 @@ def test_unknown_shape_reference(tmp_path):
     ]
     with pytest.raises(DanglingReference):
         load_feed(write_gtfs(tmp_path / "feed", **t))
+
+
+# ── shape snapping: pinned bytes and the per-stop oracle ────────────
+
+def _shapes_pin_tables():
+    """A shapes.txt feed for pinning the GTFS path of extract.  Two local
+    routes and an express run one street a few metres apart, the express
+    stopping at every other stop but keeping the shape through them; one
+    route makes a U-turn back along a parallel leg 30 m away.  Every stop
+    is a vertex of its shapes, as the line graph requires of edge ends,
+    and some shape points are repeated."""
+    lat0, lon0 = 47.0, 9.0
+    dlat = 1.0 / 111194.9
+    dlon = 1.0 / (111194.9 * math.cos(math.radians(lat0)))
+    street = [(0, 0), (300, 40), (620, 20), (900, 90), (1200, 60)]
+    u_turn = [(620, 20), (620, -150), (1000, -150), (1000, -180),
+              (800, -180), (620, -180)]
+    north = [(0, 300), (210, 300), (600, 300)]
+    # route: (waypoints, indices of the stops among them, lateral offset)
+    routes = {
+        "L1": (street, [0, 1, 2, 3, 4], 3.0),
+        "L2": (street, [0, 1, 2, 3, 4], -3.0),
+        "X": (street, [0, 2, 4], 6.0),
+        "U": (u_turn, [0, 1, 2, 4, 5], 0.0),
+        "V": (u_turn[1:3], [0, 1], 2.0),
+        "N": (north, [0, 1, 2], 0.0),
+    }
+    stop_xy: dict[tuple, str] = {}
+    shapes, trips, stop_times = [], [], []
+    for rid, (way, stop_idx, lateral) in routes.items():
+        pts, stop_at = [np.array(way[0], dtype=float)], {0: 0}
+        for w, (a, b) in enumerate(zip(way, way[1:]), start=1):
+            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+            length = float(np.linalg.norm(b - a))
+            u = (b - a) / length
+            normal = np.array([-u[1], u[0]])
+            n = max(2, math.ceil(length / 20.0))
+            for s in np.arange(1, n) * (length / n):
+                side = lateral * min(1.0, s / 60.0, (length - s) / 60.0)
+                pts.append(a + u * s + normal * side)
+            pts.append(b)
+            stop_at[w] = len(pts) - 1
+        seq = [tuple(way[i]) for i in stop_idx]
+        rows = [tuple(p) for p in pts]
+        if rid == "L1":  # repeat the point after each stop
+            for i in sorted((stop_at[i] + 1 for i in stop_idx[:-1]), reverse=True):
+                rows.insert(i, rows[i])
+        if rid == "U":  # repeat a stop vertex
+            rows.insert(stop_at[2], rows[stop_at[2]])
+        shapes += [{"shape_id": f"sh_{rid}", "shape_pt_sequence": i,
+                    "shape_pt_lat": lat0 + y * dlat, "shape_pt_lon": lon0 + x * dlon}
+                   for i, (x, y) in enumerate(rows)]
+        trips.append({"trip_id": f"t_{rid}", "route_id": rid, "shape_id": f"sh_{rid}"})
+        for k, xy in enumerate(seq):
+            sid = stop_xy.setdefault(xy, f"s{len(stop_xy)}")
+            stop_times.append({"trip_id": f"t_{rid}", "stop_id": sid, "stop_sequence": k})
+    stops = [{"stop_id": sid, "stop_name": sid, "stop_lat": lat0 + y * dlat,
+              "stop_lon": lon0 + x * dlon} for (x, y), sid in stop_xy.items()]
+    return dict(
+        stops=stops,
+        routes=[{"route_id": rid, "route_short_name": rid, "route_type": 0}
+                for rid in routes],
+        trips=trips, stop_times=stop_times, shapes=shapes,
+    )
+
+
+# sha256 of the saved line graph of _shapes_pin_tables, frozen from the
+# extract that built one sub polyline per stop to snap it
+_SHAPES_PIN_SHA = ("3f211520a1ff07289875b9ce56ff9f88"
+                  "0167d0247529aafb79bd2e39ed8de627")
+
+
+def test_shapes_feed_extract_bytes_are_pinned(tmp_path):
+    feed = load_feed(write_gtfs(tmp_path / "feed", **_shapes_pin_tables()))
+    raw = build_raw_network(feed)
+    out = tmp_path / "graph.json"
+    save_line_graph(construct_line_graph(raw), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SHAPES_PIN_SHA
+
+
+def _random_snap_case(rng):
+    """A random shape (smooth, U-turning, or with repeated and nearly
+    repeated points) and stops on, near or off it, in shape order."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        shape = smooth_polyline(rng, n_pts=int(rng.integers(2, 80)),
+                                step=float(rng.uniform(1.0, 40.0)))
+    elif kind == 1:  # out, turn, back along a parallel leg
+        n = int(rng.integers(2, 30))
+        gap = float(rng.integers(5, 80))
+        xs = np.linspace(0.0, float(rng.integers(50, 900)), n)
+        shape = Polyline(np.concatenate([np.stack([xs, np.zeros(n)], 1),
+                                         np.stack([xs[::-1], np.full(n, gap)], 1)]))
+        if rng.random() < 0.5:  # stops halfway between the legs: ties
+            on = np.sort(rng.integers(n, size=int(rng.integers(2, 10))))
+            return shape, np.stack([xs[on], np.full(len(on), gap / 2)], 1)
+    else:  # repeated points; or, kept after the duplicate drop, points
+        # 0.2e-9 apart, which only the sub path handles
+        base = smooth_polyline(rng, n_pts=int(rng.integers(3, 40)), step=20.0)
+        pts = list(base.pts)
+        for _ in range(int(rng.integers(1, 6))):
+            i = int(rng.integers(len(pts)))
+            if kind == 2:
+                pts.insert(i, pts[i])
+            else:
+                pts[i + 1:i + 1] = [pts[i] + (0.9e-9, 0.0), pts[i] - (0.2e-9, 0.0)]
+        shape = Polyline(np.array(pts))
+    ts = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 25))))
+    stops = shape.param_points(ts)
+    stops += rng.normal(size=stops.shape) * rng.choice([0.0, 0.5, 20.0])
+    if rng.random() < 0.5:  # stops exactly on vertices, in shape order
+        on = np.sort(rng.integers(len(shape.pts), size=len(ts)))
+        stops = shape.pts[on].copy()
+    if rng.random() < 0.2:  # run the last stops off the end
+        stops = np.concatenate([stops, stops[-1:] + 5.0, stops[-1:]])
+    return shape, stops
+
+
+def _pairs_until_error(pairs):
+    """The (t, d) pairs an iterable yields, and the error that ends it."""
+    out = []
+    try:
+        for pair in pairs:
+            out.append(pair)
+    except DegenerateSegment as exc:
+        return out, str(exc)
+    return out, None
+
+
+def test_snap_matches_per_stop_sub_oracle():
+    rng = np.random.default_rng(2411)
+    # A stop 1e-7 m before the end leaves too short a rest for the next
+    # (the parameter range is empty), and so does one 7.5e-10 m before
+    # the end of a 0.5 m shape (the rest collapses to one point).  A last
+    # segment 1.0038e-9 m long 168 km out has its end point rounded back
+    # onto the point before it, which sub then drops.
+    far = np.array([168064.54123322014, 0.0])
+    far_end = far + 1.0038323251804027e-09 * np.array(
+        [math.cos(5.041402708247953), math.sin(5.041402708247953)])
+    cases = [(Polyline([(0, 0), (1000, 0)]),
+              np.array([(0.0, 0.0), (1000.0 - 1e-7, 0.0), (2000.0, 0.0)])),
+             (Polyline([(0, 0), (0.3, 0), (0.5, 0)]),
+              np.array([(0.0, 0.0), (0.5 - 7.5e-10, 0.0), (0.5, 0.0)])),
+             (Polyline([(0.0, 0.0), far, far_end]),
+              np.array([(0.0, 0.0), (9e4, 3.0), far, far_end]))]
+    cases += [_random_snap_case(rng) for _ in range(400)]
+    errors = 0
+    for shape, stops in cases:
+        expected = _pairs_until_error(snap_params_by_sub(shape, list(stops)))
+        got = _pairs_until_error(shape.nearest_in_order(stops, radius=100.0))
+        assert got == expected
+        errors += expected[1] is not None
+        if expected[1] is None:
+            tol = 100.0
+            if all(d <= tol for _, d in expected[0]):
+                assert _snap_stops_to_shape(shape, list(stops), tol, "x") == [
+                    t for t, _ in expected[0]]
+            else:
+                with pytest.raises(ShapeMismatch):
+                    _snap_stops_to_shape(shape, list(stops), tol, "x")
+    assert 0 < errors < 40

@@ -494,3 +494,115 @@ def test_construction_work_and_bytes_are_pinned(feed, monkeypatch, tmp_path):
         got[seed] = (calls["shared_segments"], calls["average_path"],
                      hashlib.sha256(out.read_bytes()).hexdigest())
     assert got == _PINNED_CONSTRUCTION[feed]
+
+
+# ── batched sweeps: the same pairs as one shared_segments call each ─
+
+def _sweep_cases_network():
+    """Edges around E1, 1000 m along y=0, one per case of the batched
+    sweep: an equal-length copy (the subject is the smaller id), a longer
+    edge that sweeps E1, partial and lateral overlaps, a box that meets
+    E1's only within d_hat with a single near step, one with none, and
+    jogs that leave d_hat for exactly k = 2 and k + 1 sweep steps."""
+    paths = {
+        "E1": [(0, 0), (1000, 0)],
+        "E2": [(0, 0), (1000, 0)],
+        "E3": [(200, 10), (800, 10)],
+        "E4": [(0, 20), (1000, 20)],
+        "E5": [(1010, 20), (1300, 300)],
+        "E6": [(1024, 20), (1300, 300)],
+        "E7": [(100, 10), (400, 10), (400, 60), (455, 60), (455, 10), (800, 10)],
+        "E8": [(100, 10), (400, 10), (400, 60), (460, 60), (460, 10), (800, 10)],
+        "E9": [(-200, -10), (1200, -10)],
+    }
+    stations, edges = {}, []
+    for line, pts in paths.items():
+        ends = []
+        for xy in (pts[0], pts[-1]):
+            sid = stations.setdefault(xy, f"s{len(stations)}")
+            ends.append(sid)
+        edges.append(RawEdge(station_a=ends[0], station_b=ends[1], line=line,
+                             path=Polyline(pts)))
+    sts = [Station(id=sid, name=sid, xy=(float(x), float(y)))
+           for (x, y), sid in stations.items()]
+    return _raw(sts, edges)
+
+
+def _pair_by_own_sweep(builder, i, j):
+    """The stored pair of edges i < j from one unbatched shared_segments
+    call, as the merge loop computed it pair by pair."""
+    ei, ej = builder.edges[i], builder.edges[j]
+    if ei.path.length > ej.path.length or (
+            ei.path.length == ej.path.length and i < j):
+        subject, target = ei, ej
+    else:
+        subject, target = ej, ei
+    if subject.path.length < MIN_SEG:
+        return None
+    segs = shared_segments(subject.path, target.path, D_HAT, subject.dt,
+                           k=2, min_len=MIN_SEG)
+    segs = [s for s in segs if abs(s.range_b[1] - s.range_b[0])
+            * target.path.length >= 0.5 * MIN_SEG]
+    return (max(segs, key=lambda s: s.extent), subject.id) if segs else None
+
+
+def _checked_shared_segments(seen):
+    """A shared_segments that checks its batched nearest points and its
+    runs against an unbatched call, and records (subject path, target
+    path, runs) in seen."""
+    def checked(a, b, d_hat, dt, k=2, min_len=0.0, sweep=None, nearest=None):
+        tb, dist = b.nearest_many(sweep[1], radius=d_hat)
+        assert np.array_equal(nearest[0], tb, equal_nan=True)
+        assert np.array_equal(nearest[1], dist)
+        got = shared_segments(a, b, d_hat, dt, k, min_len, sweep=sweep,
+                              nearest=nearest)
+        assert got == shared_segments(a, b, d_hat, dt, k, min_len)
+        seen.append((a, b, got))
+        return got
+    return checked
+
+
+def test_batched_sweeps_equal_per_pair_shared_segments(monkeypatch):
+    seen = []
+    monkeypatch.setattr(line_graph, "shared_segments",
+                        _checked_shared_segments(seen))
+    builder = line_graph._Builder(_sweep_cases_network(), D_HAT, 5.0, 2,
+                                  MIN_SEG, None, None)
+    ids = {min(e.lines): eid for eid, e in builder.edges.items()}
+    cases, stored, sweeps = set(), {}, []
+    for fid in list(builder.edges):  # every edge once as the fresh edge
+        fresh = builder.edges[fid].path
+        builder.pairs.clear()
+        seen.clear()
+        builder._candidates([fid])
+        for j in builder.edges:
+            if j != fid:
+                key = builder._pair_key(fid, j)
+                assert builder.pairs.get(key) == _pair_by_own_sweep(builder, *key)
+        stored.update(builder.pairs)
+        sweeps += seen
+        for a, b, runs in seen:
+            cases.add(("fresh subject" if a is fresh else "fresh target",
+                       len(runs)))
+    assert {("fresh subject", 0), ("fresh subject", 1), ("fresh subject", 2),
+            ("fresh target", 0), ("fresh target", 1),
+            ("fresh target", 2)} <= cases
+    # the equal-length pair is swept along the smaller id; E6 is swept
+    # but its box meets E1's only within d_hat, and nothing is near
+    e1, e2 = builder.edges[ids["E1"]], builder.edges[ids["E2"]]
+    assert stored[builder._pair_key(e1.id, e2.id)][1] == min(e1.id, e2.id)
+    e5, e6, e7, e8 = (builder.edges[ids[n]].path for n in ("E5", "E6", "E7", "E8"))
+    for target, runs in ((e5, 0), (e6, 0), (e7, 1), (e8, 2)):
+        assert [len(r) for a, b, r in sweeps
+                if a is e1.path and b is target] == [runs, runs]
+
+
+def test_batched_sweeps_hold_through_merges(monkeypatch):
+    seen = []
+    monkeypatch.setattr(line_graph, "shared_segments",
+                        _checked_shared_segments(seen))
+    for raw in (_sweep_cases_network(), _dense_shapes_corridor(),
+                random_raw_network(np.random.default_rng(301))):
+        seen.clear()
+        construct_line_graph(raw)
+        assert sum(1 for _, _, runs in seen if runs) > 5

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import count_proper_intersections, sample
 from synth import (
     curved_line_graph,
     double_y_graph,
@@ -17,7 +18,6 @@ from synth import (
     seven_line_reduction_graph,
 )
 from transitmap.errors import PreconditionViolated, SchemaViolation
-from transitmap.geometry import count_proper_intersections
 from transitmap.ilp_model import Ordering
 from transitmap.optimize import WeightPolicy, evaluate
 from transitmap.render_svg import (
@@ -201,7 +201,7 @@ def test_straight_through_connection_collapses_to_chord():
     fronts, _ = expand_node_fronts(g, style)
     conns = inner_connections(g, identity_ordering(g), fronts, style)
     for conn in conns.values():
-        pts = conn.sample(50)
+        pts = sample(conn, 50)
         chord_y = conn.points[0][1]
         assert np.allclose(pts[:, 1], chord_y, atol=1e-9)
         assert np.allclose(pts[0], conn.points[0])
@@ -215,7 +215,7 @@ def test_connection_samples_join_their_ports(curve):
     fronts, _ = expand_node_fronts(g, style)
     conns = inner_connections(g, identity_ordering(g), fronts, style)
     for conn in conns.values():
-        pts = conn.sample(33)
+        pts = sample(conn, 33)
         assert np.allclose(pts[0], conn.points[0], atol=1e-9)
         assert np.allclose(pts[-1], conn.points[-1], atol=1e-9)
         assert np.isfinite(pts).all()
@@ -241,7 +241,7 @@ def geometric_counts(g, o, style):
             # point off the sample vertices, where the strict-interior
             # intersection test would not see it
             n_cross = count_proper_intersections(
-                conns[(nid, la)].sample(128), conns[(nid, lb)].sample(126))
+                sample(conns[(nid, la)], 128), sample(conns[(nid, lb)], 126))
             counts[(nid, frozenset((la, lb)))] = n_cross
     return counts
 
