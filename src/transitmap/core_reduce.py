@@ -26,7 +26,6 @@ expensive elsewhere; nodes whose weights violate that are left alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +179,6 @@ class ReductionMap:
 
     def to_dict(self) -> dict:
         return {"actions": [a.to_dict() for a in self.actions]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class _IdMaker:
@@ -491,13 +487,15 @@ def split_components(
 
     Each connected piece is one component, except that every piece
     whose lines only part (split sites but no continuation sites, see
-    _events) goes into one shared, possibly disconnected component.
-    Such a piece prices each edge's order on its own, so solving the
-    pieces together gives each edge the same lexicographically first
-    optimum as solving them apart, and a model that is the disjoint
-    union of theirs, in one solver call.  Components come back sorted by
-    their smallest edge id, with node and line tables restricted to what
-    each component touches."""
+    _events) joins the component of the coupled piece with the smallest
+    edge id, or, when no piece is coupled, one shared component of
+    their own; either is possibly disconnected.  A parting piece prices
+    each edge's order on its own, so solving it together with other
+    pieces gives each edge the same lexicographically first optimum as
+    solving it apart, and a model that is the disjoint union of theirs,
+    in one solver call.  Components come back sorted by their smallest
+    edge id, with node and line tables restricted to what each
+    component touches."""
     nodes = dict(core.nodes)
     edges = dict(core.edges)
     actions: list[_Action] = []
@@ -549,8 +547,16 @@ def split_components(
     fin = LineGraph(nodes, edges, core.lines, core.line_weight)
     comps: list[LineGraph] = []
     parting: list[LineGraph] = []
+    coupled: list[LineGraph] = []
     for piece in _pieces(fin):
-        (parting if _events(piece) == "parting" else comps).append(piece)
+        kind = _events(piece)
+        (parting if kind == "parting" else comps).append(piece)
+        if kind == "coupled":
+            coupled.append(piece)
+    if parting and coupled:
+        host = min(coupled, key=lambda c: min(c.edges))
+        comps = [c for c in comps if c is not host]
+        parting.append(host)
     if len(parting) > 1:
         parting = [_subgraph(fin, [eid for p in parting for eid in p.edges])]
     comps += parting

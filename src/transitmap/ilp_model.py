@@ -35,6 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .errors import (
     InfeasibleAssignment,
@@ -42,7 +43,9 @@ from .errors import (
     PreconditionViolated,
     SchemaViolation,
 )
-from .line_graph import LGEdge, LineGraph
+
+if TYPE_CHECKING:
+    from .line_graph import LGEdge, LineGraph
 
 TWO_PI = 2.0 * math.pi
 

@@ -257,7 +257,13 @@ def _branch_and_bound(g: LineGraph, sites: EventSites,
     level prices all its permutations in one vector expression; a branch
     is cut once its cost plus every later level's least split cost
     reaches the best found.  That bound is admissible, so the first
-    optimum found is the lexicographically smallest, as in brute_force."""
+    optimum found is the lexicographically smallest, as in brute_force.
+
+    A level that no priced pair site links to another is priced by its
+    split cost alone, so it is settled up front on its first cheapest
+    permutation and only the linked levels are searched.  The optima
+    are a product of the settled picks and the linked levels' optima,
+    so the lexicographically smallest one is the same."""
     order = [eid for eid in sorted(g.edges) if len(g.edges[eid].lines) > 1]
     level_of = {eid: i for i, eid in enumerate(order)}
     cols, split_cost = {}, []
@@ -285,31 +291,36 @@ def _branch_and_bound(g: LineGraph, sites: EventSites,
         earlier.append((level_of[first],
                         indicator(g, s, first, cols[first]) != fires_on_equal))
     charged = [(np.array(w), np.array(r), e) for w, r, e in charged]
-    least = [cost.min() for cost in split_cost]
-    rest = np.cumsum([0.0] + least[::-1])[::-1].tolist()
-    picks = [0] * len(order)
+    linked = {level_of[eid] for s, _, _ in rules
+              for eid in (s.edge_a, s.edge_b)}
+    search = sorted(linked)
+    picks = [int(np.argmin(cost)) for cost in split_cost]
+    least = [float(cost.min()) for cost in split_cost]
+    settled = sum(c for lv, c in enumerate(least) if lv not in linked)
+    rest = np.cumsum([0.0] + [least[lv] for lv in search[::-1]])[::-1].tolist()
     best = [np.inf, None]
 
-    def dfs(level: int, cur: float) -> None:
-        if level == len(order):
+    def dfs(k: int, cur: float) -> None:
+        if k == len(search):
             best[:] = cur, picks[:]
             return
+        level = search[k]
         weights, rows, earlier = charged[level]
         cost = split_cost[level]
         if earlier:
             target = np.array([vec[picks[lv]] for lv, vec in earlier])
             cost = cost + weights @ (rows != target[:, None])
         for i, c in enumerate(cost.tolist()):
-            if cur + c + rest[level + 1] < best[0]:
+            if cur + c + rest[k + 1] < best[0]:
                 picks[level] = i
-                dfs(level + 1, cur + c)
+                dfs(k + 1, cur + c)
 
     dfs(0, 0.0)
     final = {eid: e.lines for eid, e in g.edges.items()}
     for eid, pick in zip(order, best[1]):
         final[eid] = tuple(sorted(cols[eid],
                                   key=lambda line: cols[eid][line][pick]))
-    return Ordering(final), float(best[0])
+    return Ordering(final), float(best[0]) + settled
 
 
 # ── external bridge ─────────────────────────────────────────────────

@@ -444,20 +444,40 @@ def crossing_separation_trade_graph():
     )
 
 
-def parting_pieces_graph():
+def parting_pieces_graph(hubs: int = 2):
     """crossing_separation_trade_graph, whose lines continue in pairs,
-    beside two hubs where three two-line edges meet and every line pair
-    only parts: one coupled core piece and two parting ones."""
+    beside hubs where three two-line edges meet and every line pair only
+    parts: one coupled core piece and one parting piece per hub.  Hubs
+    alternate 1 km north and south of the trunk, then 2 km, and so on."""
     trade = crossing_separation_trade_graph()
     nodes = {n.id: (n.x, n.y) for n in trade.nodes.values()}
     edges = [(e.id, e.a, e.b, e.lines) for e in trade.edges.values()]
-    for k, y in ((1, 1000.0), (2, -1000.0)):
+    for k in range(1, hubs + 1):
+        y = 1000.0 * ((k + 1) // 2) * (1 if k % 2 else -1)
         nodes.update({f"a{k}": (-300.0, y), f"v{k}": (0.0, y),
                       f"b{k}": (250.0, y + 200.0), f"c{k}": (250.0, y - 200.0)})
         edges += [(f"s{k}a", f"a{k}", f"v{k}", (f"m{k}1", f"m{k}2")),
                   (f"s{k}b", f"v{k}", f"b{k}", (f"m{k}1", f"m{k}3")),
                   (f"s{k}c", f"v{k}", f"c{k}", (f"m{k}2", f"m{k}3"))]
     return make_graph(nodes=nodes, edges=edges, aux=("vw", "ve"))
+
+
+def disjoint_union(graphs):
+    """The graphs side by side, 10 km apart, with the ids of the k-th
+    graph's nodes, edges and lines prefixed by "g<k>_", so that they
+    share nothing."""
+    nodes, edges, aux = {}, [], []
+    for k, g in enumerate(graphs):
+        pre, dx = f"g{k}_", 10_000.0 * k
+        for n in g.nodes.values():
+            nodes[pre + n.id] = (n.x + dx, n.y)
+            if n.kind == "aux":
+                aux.append(pre + n.id)
+        edges += [(pre + e.id, pre + e.a, pre + e.b,
+                   tuple(pre + lid for lid in e.lines),
+                   [(x + dx, y) for x, y in e.path.pts.tolist()])
+                  for e in g.edges.values()]
+    return make_graph(nodes=nodes, edges=edges, aux=aux)
 
 
 def curved_line_graph():

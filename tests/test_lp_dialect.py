@@ -2,6 +2,8 @@
 model of random line graphs, and mutated LP files are either read as a
 model or rejected with SchemaViolation, never misread into a crash."""
 
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -104,3 +106,15 @@ def test_mutated_lp_is_read_or_rejected(case):
         assert rejected or not must_reject
         code = lp_solve.main([str(path), str(out)])
     assert code == 3 if rejected else code in (0, 2)
+
+
+def test_solver_child_loads_no_graph_modules():
+    # Every external solve starts `python -m transitmap.lp_solve`; the
+    # LP reader needs no line graph, feed or geometry code.
+    code = "import sys, transitmap.lp_solve; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "transitmap.lp_solve" in loaded
+    for name in ("line_graph", "gtfs", "geometry"):
+        assert f"transitmap.{name}" not in loaded

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from transitmap.ilp_model import (
     compile_event_sites,
 )
 from transitmap.optimize import (
+    _branch_and_bound,
     brute_force,
     evaluate,
     identity_ordering,
@@ -32,6 +34,8 @@ from transitmap.optimize import (
     solve,
 )
 from synth import (
+    crossing_separation_trade_graph,
+    disjoint_union,
     double_y_graph,
     lattice_line_graph,
     make_graph,
@@ -170,6 +174,60 @@ def test_builtin_solver_matches_brute_force_on_random_instances():
             assert got_b.objective(include_sep) == pytest.approx(
                 expect_b.objective(include_sep)), f"seed {seed} variant {variant}"
             assert got_o == expect_o, f"seed {seed} variant {variant}"
+
+
+def test_settled_search_matches_brute_force_on_joined_components():
+    # split_components joins parting pieces to a coupled one, so a
+    # component mixes levels the search settles up front (split sites
+    # only, or none) with levels pair sites link.
+    seen = {"joined": 0, "mixed": 0}
+    rng = np.random.default_rng(6113)
+    for _ in range(40):
+        g = disjoint_union([
+            random_line_graph(rng, n_nodes=int(rng.integers(5, 9)),
+                              n_lines=int(rng.integers(3, 6)))
+            for _ in range(3)])
+        w = WeightPolicy.from_graph(g)
+        for variant, include_sep in (("I", False), ("S", True)):
+            core, _ = prune(g, w, collapse_bundles=not include_sep)
+            for comp in split_components(core):
+                if math.prod(math.factorial(len(e.lines))
+                             for e in comp.edges.values()) > 200_000:
+                    continue  # keeps brute_force's cost tensor small
+                sites = compile_event_sites(comp, w)
+                pair = sites.same_cont + (sites.separation if include_sep
+                                          else ())
+                linked = {eid for s in pair for eid in (s.edge_a, s.edge_b)}
+                levels = {eid for eid, e in comp.edges.items()
+                          if len(e.lines) > 1}
+                seen["joined"] += len(_pieces(comp)) > 1
+                seen["mixed"] += bool(linked) and bool(levels - linked)
+                got, claimed = _branch_and_bound(comp, sites, include_sep)
+                expect, best = brute_force(
+                    comp, w, include_separation=include_sep, sites=sites)
+                assert got == expect, f"variant {variant}"
+                assert claimed == pytest.approx(best.objective(include_sep))
+    assert seen["joined"] >= 30 and seen["mixed"] >= 50, seen
+
+
+def test_settled_search_is_fast_on_forty_free_edges():
+    # 13 hubs of three two-line edges each join the coupled trade piece:
+    # 39 levels with split sites only around three linked ones.
+    g = parting_pieces_graph(hubs=13)
+    w = WeightPolicy.from_graph(g)
+    core, rmap = prune(g, w)
+    comps = split_components(core, rmap)
+    comp = max(comps, key=lambda c: len(c.edges))
+    assert len(_pieces(comp)) == 14
+    sites = compile_event_sites(comp, w)
+    start = time.perf_counter()
+    got, claimed = _branch_and_bound(comp, sites, False)
+    assert time.perf_counter() - start < 1.0
+    alone = [brute_force(p, w, include_separation=False)
+             for p in _pieces(comp)]
+    assert claimed == pytest.approx(sum(b.crossing_weight for _, b in alone))
+    assert got == Ordering({eid: lines for o, _ in alone
+                            for eid, lines in o.to_dict().items()})
 
 
 def test_builtin_search_builds_no_table_across_two_edges():
@@ -422,16 +480,38 @@ def test_parting_pieces_share_one_solver_process(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", counting_run)
     external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
-    assert len(calls) == len(priced) == 2
+    assert len(calls) == len(priced) == 1
     builtin = optimize_pipeline(g, "I", w)
     _, best = brute_force(g, w, include_separation=False)
     assert external.breakdown.crossing_weight == pytest.approx(
         best.crossing_weight)
     assert builtin.breakdown.crossing_weight == pytest.approx(
         best.crossing_weight)
-    # The joined parting pieces give each edge the order a solve of its
-    # own piece gives it.
+    # The parting pieces, joined to the coupled one, give each edge the
+    # order a solve of its own piece gives it.
     alone = [solve(p, "I", w)[0] for c in comps for p in _pieces(c)]
-    assert len(alone) == len(comps) + 1
+    assert len(alone) == len(comps) + 2
     assert (json.dumps(unfold(alone, rmap, g).to_dict())
             == json.dumps(builtin.ordering.to_dict()))
+
+
+def test_two_coupled_pieces_take_one_solver_process_each(monkeypatch):
+    # The benchmark's traced check, solver processes = priced components,
+    # with parting pieces beside two coupled pieces;
+    # test_parting_pieces_share_one_solver_process checks it with one.
+    g = disjoint_union([parting_pieces_graph(),
+                        crossing_separation_trade_graph()])
+    w = WeightPolicy.from_graph(g)
+    core, _ = prune(g, w)
+    sites = [compile_event_sites(c, w) for c in split_components(core)]
+    assert sum(bool(s.same_cont or s.split) for s in sites) == 2
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
+    assert len(calls) == 2
