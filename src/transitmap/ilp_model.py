@@ -20,8 +20,8 @@ the renderer:
   sits at adjacent positions in exactly one of the two edges.
 
 Variable-name grammar (stable; external solution files are keyed by it):
-position `x_e<edge>_l<line>_p<pos>`, cumulative `x_e<edge>_l<line>_le<p>`,
-order `x_e<edge>_l<A>_b_l<B>` (A before B), in-edge separation
+position `x_e<edge>_l<line>_p<pos>`, order `x_e<edge>_l<A>_b_l<B>`
+(A before B), in-edge separation
 `x_e<edge>_l<A>_nb_l<B>` (A not beside B), and the objective events
 `xc_n<node>_e<e1>_e<e2>_l<A>_l<B>` (continuation crossing),
 `xs_n<node>_e<edge>_l<A>_l<B>` (split crossing),
@@ -314,9 +314,6 @@ class IlpModel:
         if kind == "pos":
             _, e, l, p = role
             return f"x_e{t(e)}_l{t(l)}_p{p}"
-        if kind == "cum":
-            _, e, l, p = role
-            return f"x_e{t(e)}_l{t(l)}_le{p}"
         if kind == "before":
             _, e, a, b = role
             return f"x_e{t(e)}_l{t(a)}_b_l{t(b)}"
@@ -430,11 +427,6 @@ def build_baseline(g: LineGraph, weights: WeightPolicy,
     return m
 
 
-def _cumulative_sum_terms(m: IlpModel, edge_id: str, line: str, n: int,
-                          sign: float):
-    return [(sign, m.by_role[("cum", edge_id, line, p)]) for p in range(1, n + 1)]
-
-
 def _order_var(m: IlpModel, edge: LGEdge, node: str, line_a: str, line_b: str,
                arriving: bool) -> str:
     """Order variable that equals the arrival indicator of (line_a,
@@ -445,32 +437,24 @@ def _order_var(m: IlpModel, edge: LGEdge, node: str, line_a: str, line_b: str,
     return m.by_role[("before", edge.id, line_b, line_a)]
 
 
-def _build_cumulative_core(m: IlpModel, g: LineGraph, sites: EventSites) -> None:
+def _build_order_core(m: IlpModel, g: LineGraph, sites: EventSites) -> None:
+    """Per edge, a tournament of `before` variables kept transitive by
+    the two 3-cycle rows of every line triple (the linear-ordering
+    polytope's facets); then the crossing events, one order variable per
+    edge and O(1) rows each."""
     for e in _sorted_edges(g):
-        n = len(e.lines)
         m.edge_lines[e.id] = e.lines
-        for line in e.lines:
-            for p in range(1, n + 1):
-                m.add_variable(("cum", e.id, line, p))
-        for line in e.lines:
-            for p in range(1, n):
-                m.add_constraint([
-                    (1.0, m.by_role[("cum", e.id, line, p)]),
-                    (-1.0, m.by_role[("cum", e.id, line, p + 1)]),
-                ], "<=", 0.0)
-        for p in range(1, n + 1):
-            m.add_constraint(
-                [(1.0, m.by_role[("cum", e.id, line, p)]) for line in e.lines],
-                "=", float(p))
         for a, b in combinations(e.lines, 2):
             x_ab = m.add_variable(("before", e.id, a, b))
             x_ba = m.add_variable(("before", e.id, b, a))
-            diff = (_cumulative_sum_terms(m, e.id, a, n, 1.0)
-                    + _cumulative_sum_terms(m, e.id, b, n, -1.0))
-            m.add_constraint(diff + [(float(n), x_ba)], ">=", 0.0)
-            m.add_constraint([(-c, v) for c, v in diff] + [(float(n), x_ab)],
-                             ">=", 0.0)
             m.add_constraint([(1.0, x_ab), (1.0, x_ba)], "=", 1.0)
+        for a, b, c in combinations(e.lines, 3):
+            for u, v, w in ((a, b, c), (a, c, b)):
+                m.add_constraint([
+                    (1.0, m.by_role[("before", e.id, u, v)]),
+                    (1.0, m.by_role[("before", e.id, v, w)]),
+                    (1.0, m.by_role[("before", e.id, w, u)]),
+                ], "<=", 2.0)
 
     for s in sites.same_cont:
         xc = m.add_variable(("cross", s.node, s.edge_a, s.edge_b, s.line_a, s.line_b),
@@ -495,26 +479,28 @@ def _build_cumulative_core(m: IlpModel, g: LineGraph, sites: EventSites) -> None
 
 def build_improved(g: LineGraph, weights: WeightPolicy,
                    sites: EventSites | None = None) -> IlpModel:
-    """Cumulative-variable formulation: order comparisons become single
-    variables, shrinking the model to a constant number of rows per line
-    pair per edge."""
+    """Pair-order formulation: one variable per ordered line pair and
+    edge, kept a linear order by 3-cycle rows, so every event reads one
+    order variable per edge with O(1) rows and every coefficient is
+    ±1."""
     m = IlpModel("I")
     if sites is None:
         sites = compile_event_sites(g, weights)
-    _build_cumulative_core(m, g, sites)
+    _build_order_core(m, g, sites)
     return m
 
 
 def build_separation(g: LineGraph, weights: WeightPolicy,
                      sites: EventSites | None = None) -> IlpModel:
-    """Improved formulation plus adjacency tracking: per-edge variables
-    flag pairs that are not side by side, a per-edge cardinality cap
-    pins them exactly, and separation events price adjacency changes
-    across nodes."""
+    """Improved formulation plus adjacency tracking: per pair and edge an
+    `apart` variable that betweenness rows force to 1 whenever a third
+    line sits between the pair, a per-edge cap that then pins every one
+    of them, and separation events that price adjacency changes across
+    nodes."""
     m = IlpModel("S")
     if sites is None:
         sites = compile_event_sites(g, weights)
-    _build_cumulative_core(m, g, sites)
+    _build_order_core(m, g, sites)
     for e in _sorted_edges(g):
         n = len(e.lines)
         if n < 2:
@@ -523,11 +509,15 @@ def build_separation(g: LineGraph, weights: WeightPolicy,
         for a, b in combinations(e.lines, 2):
             x_nb = m.add_variable(("apart", e.id, a, b))
             pair_vars.append(x_nb)
-            diff = (_cumulative_sum_terms(m, e.id, a, n, 1.0)
-                    + _cumulative_sum_terms(m, e.id, b, n, -1.0))
-            m.add_constraint(diff + [(-float(n), x_nb)], "<=", 1.0)
-            m.add_constraint([(-c, v) for c, v in diff] + [(-float(n), x_nb)],
-                             "<=", 1.0)
+            for c in e.lines:
+                if c in (a, b):
+                    continue
+                for u, v in ((a, b), (b, a)):
+                    m.add_constraint([
+                        (1.0, m.by_role[("before", e.id, u, c)]),
+                        (1.0, m.by_role[("before", e.id, c, v)]),
+                        (-1.0, x_nb),
+                    ], "<=", 1.0)
         cap = math.comb(n, 2) - (n - 1)
         m.add_constraint([(1.0, v) for v in pair_vars], "<=", float(cap))
 
@@ -679,8 +669,8 @@ def extract_ordering(m: IlpModel, assignment: dict[str, float]) -> Ordering:
                     )
                 pos = hits[0]
             else:
-                pos = 1 + sum(1 for p in range(1, n + 1)
-                              if value(("cum", eid, line, p)) < 0.5)
+                pos = 1 + sum(1 for other in lines if other != line
+                              and value(("before", eid, other, line)) > 0.5)
             if pos in slots:
                 raise InfeasibleAssignment(
                     f"edge {eid!r}: lines {slots[pos]!r} and {line!r} share "

@@ -94,7 +94,7 @@ def all_outcomes(g, w):
 
 def test_01_improved_model_matches_exhaustive_search():
     # On 200 random instances the crossing optimum found through the
-    # cumulative formulation equals the exhaustive-search optimum,
+    # pair-order formulation equals the exhaustive-search optimum,
     # exactly and within a minute.  An externally configured solver
     # must reproduce the same optima.
     graphs = small_graph_family()
@@ -161,7 +161,7 @@ def test_03_reduction_pipeline_preserves_the_optimum():
 
 
 def test_04_model_size_scaling():
-    # The cumulative formulation stays within 12|E|M^2 rows and
+    # The pair-order formulation stays within 12|E|M^2 rows and
     # 8|E|M^2 columns; the direct formulation grows like M^4 (log-log
     # slope within 0.5 of 4 on a fixture with one continuing pair);
     # and on a network of big-city dimensions the row count shrinks by
@@ -202,28 +202,32 @@ def test_04_model_size_scaling():
     assert baseline_rows >= 15 * improved_rows
 
 
-def test_05_cumulative_matrices_encode_exactly_the_permutations():
+def test_05_order_block_encodes_exactly_the_permutations():
     # Exhaustive 0/1 enumeration: for an edge with n lines, the
-    # assignments satisfying the cumulative block constraints are
-    # exactly the n! staircase matrices, and they decode to the n!
-    # distinct orderings.
+    # assignments of the n(n-1) pair-order variables that satisfy the
+    # order block (one "= 1" row per pair, two 3-cycle rows per triple)
+    # are exactly the n! transitive tournaments, and they decode to the
+    # n! distinct orderings.
     for n in (2, 3, 4):
         lines = tuple(f"l{i}" for i in range(1, n + 1))
         g = make_graph(nodes={"a": (0.0, 0.0), "b": (500.0, 0.0)},
                        edges=[("e1", "a", "b", lines)])
         m = build_improved(g, WeightPolicy.from_graph(g))
-        block = [m.by_role[("cum", "e1", line, p)]
-                 for line in lines for p in range(1, n + 1)]
+        block = [m.by_role[("before", "e1", a, b)]
+                 for a in lines for b in lines if a != b]
         block_set = set(block)
         rows = [c for c in m.constraints
                 if all(var in block_set for _, var in c.terms)]
+        assert len(rows) == len(m.constraints) == (
+            math.comb(n, 2) + 2 * math.comb(n, 3))
         col = {var: j for j, var in enumerate(block)}
-        coef = np.zeros((len(rows), n * n))
+        coef = np.zeros((len(rows), len(block)))
         for r, c in enumerate(rows):
             for value, var in c.terms:
                 coef[r, col[var]] += value
-        bits = np.arange(2 ** (n * n), dtype=np.int64)
-        candidates = ((bits[:, None] >> np.arange(n * n)) & 1).astype(float)
+        bits = np.arange(2 ** len(block), dtype=np.int64)
+        candidates = ((bits[:, None] >> np.arange(len(block))) & 1
+                      ).astype(float)
         lhs = candidates @ coef.T
         feasible = np.ones(len(bits), dtype=bool)
         for j, c in enumerate(rows):
@@ -233,10 +237,10 @@ def test_05_cumulative_matrices_encode_exactly_the_permutations():
                 feasible &= lhs[:, j] >= c.rhs - 1e-9
             else:
                 feasible &= np.abs(lhs[:, j] - c.rhs) <= 1e-9
-        matrices = candidates[feasible]
-        assert len(matrices) == math.factorial(n)
+        tournaments = candidates[feasible]
+        assert len(tournaments) == math.factorial(n)
         decoded = set()
-        for row in matrices:
+        for row in tournaments:
             assignment = dict(zip(block, row.tolist()))
             decoded.add(extract_ordering(m, assignment).lines_at("e1"))
         assert decoded == set(permutations(lines))

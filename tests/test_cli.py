@@ -97,19 +97,19 @@ def test_optimize_writes_ordering_and_summary(tmp_path, capsys):
 @pytest.mark.parametrize("make_graph, variant, summary", [
     (seven_line_reduction_graph, "I",
      ["core: 9 nodes, 7 edges, 6 components",
-      "model: 30 rows x 27 cols (variant I)",
+      "model: 4 rows x 7 cols (variant I)",
       "crossings: 0, separations: 0"]),
     (seven_line_reduction_graph, "S",
      ["core: 9 nodes, 7 edges, 5 components",
-      "model: 86 rows x 62 cols (variant S)",
+      "model: 38 rows x 30 cols (variant S)",
       "crossings: 0, separations: 0"]),
     (separation_chain_graph, "I",
      ["core: 6 nodes, 5 edges, 5 components",
-      "model: 17 rows x 16 cols (variant I)",
+      "model: 3 rows x 4 cols (variant I)",
       "crossings: 2, separations: 0"]),
     (separation_chain_graph, "S",
      ["core: 6 nodes, 5 edges, 3 components",
-      "model: 61 rows x 44 cols (variant S)",
+      "model: 28 rows x 23 cols (variant S)",
       "crossings: 2, separations: 0"]),
 ])
 def test_optimize_summary_lines_are_pinned(make_graph, variant, summary,

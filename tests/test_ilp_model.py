@@ -2,6 +2,7 @@
 LP round trips and ordering extraction."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from transitmap.ilp_model import (
     read_lp,
     write_lp,
 )
-from synth import big_line_graph, make_graph
+from synth import big_line_graph, make_graph, random_line_graph
 
 EVENT_KINDS = ("cross", "splitcross", "sepevent")
 
@@ -89,9 +90,6 @@ def _truth_assignment(m, ordering):
         if kind == "pos":
             _, eid, line, p = role
             values[name] = 1.0 if pos[eid][line] == p else 0.0
-        elif kind == "cum":
-            _, eid, line, p = role
-            values[name] = 1.0 if pos[eid][line] <= p else 0.0
         elif kind == "before":
             _, eid, a, b = role
             values[name] = 1.0 if pos[eid][a] < pos[eid][b] else 0.0
@@ -216,9 +214,9 @@ def test_separation_adjacency_variables_are_exact_for_three_lines():
         ordering = Ordering({"e1": perm})
         truth = _truth_assignment(m, ordering)
         assert _satisfies(m, truth)
-        # Forcing the non-adjacent pair to claim adjacency breaks the
-        # distance rows; claiming separation for an adjacent pair breaks
-        # the per-edge cap.
+        # Forcing the non-adjacent pair to claim adjacency breaks a
+        # betweenness row; claiming separation for an adjacent pair
+        # breaks the per-edge cap.
         outer = tuple(sorted((perm[0], perm[2])))
         inner = tuple(sorted((perm[0], perm[1])))
         broken = dict(truth)
@@ -227,6 +225,55 @@ def test_separation_adjacency_variables_are_exact_for_three_lines():
         broken = dict(truth)
         broken[m.by_role[("apart", "e1") + inner]] = 1.0
         assert not _satisfies(m, broken)
+
+
+def test_separation_adjacency_variables_are_exact_for_four_lines():
+    lines = ("l1", "l2", "l3", "l4")
+    g = _single_edge(lines)
+    m = build_separation(g, WeightPolicy.from_graph(g))
+    names = list(m.variables)
+    col = {name: j for j, name in enumerate(names)}
+    coef = np.zeros((len(m.constraints), len(names)))
+    for r, c in enumerate(m.constraints):
+        for value, var in c.terms:
+            coef[r, col[var]] += value
+    rhs = np.array([c.rhs for c in m.constraints])
+    eq = np.array([c.relation == "=" for c in m.constraints])
+    assert {c.relation for c in m.constraints} == {"=", "<="}
+
+    def violated(points):
+        lhs = points @ coef.T
+        return np.where(eq, np.abs(lhs - rhs) > 1e-9, lhs > rhs + 1e-9)
+
+    # Exhaustive 0/1 enumeration of the 12 order and 6 apart columns:
+    # exactly one feasible point per permutation, its truth assignment.
+    bits = np.arange(2 ** len(names), dtype=np.int64)
+    points = ((bits[:, None] >> np.arange(len(names))) & 1).astype(float)
+    feasible = {tuple(p) for p in points[~violated(points).any(1)].tolist()}
+    expected = set()
+    for perm in itertools.permutations(lines):
+        truth = _truth_assignment(m, Ordering({"e1": perm}))
+        expected.add(tuple(truth[name] for name in names))
+        for i, j in itertools.combinations(range(4), 2):
+            pair = tuple(sorted((perm[i], perm[j])))
+            apart = m.by_role[("apart", "e1") + pair]
+            broken = dict(truth)
+            broken[apart] = 1.0 - truth[apart]
+            rows = [m.constraints[r] for r in np.flatnonzero(violated(
+                np.array([broken[name] for name in names])))]
+            if j == i + 1:
+                # Claiming separation for an adjacent pair breaks the cap.
+                assert [c.rhs for c in rows] == [math.comb(4, 2) - 3]
+                continue
+            # Claiming adjacency for a pair with lines between it breaks
+            # one betweenness row per line between, whose two order
+            # variables meet at that line.
+            assert len(rows) == j - i - 1
+            for c in rows:
+                (_, x), (_, y), (sign, z) = c.terms
+                assert (sign, z) == (-1.0, apart)
+                assert m.roles[x][3] == m.roles[y][2] in perm[i + 1:j]
+    assert feasible == expected and len(feasible) == 24
 
 
 # ── event semantics on hand-built fixtures ──────────────────────────
@@ -390,17 +437,32 @@ def test_arrival_indicator_orientation():
 def test_single_edge_dims_by_hand():
     g2 = _single_edge(("l1", "l2"))
     w2 = WeightPolicy.from_graph(g2)
+    # Baseline: 2 lines x 2 positions, one row per line and per position.
     assert model_dims(build_baseline(g2, w2)) == (4, 4)
-    assert model_dims(build_improved(g2, w2)) == (7, 6)
-    assert model_dims(build_separation(g2, w2)) == (10, 7)
+    # Improved: before(l1,l2), before(l2,l1) and their "= 1" row; two
+    # lines form no triple, so there is no 3-cycle row.
+    assert model_dims(build_improved(g2, w2)) == (1, 2)
+    # Separation: plus apart(l1,l2) and its cap row (C(2,2) - 1 = 0); no
+    # third line, so no betweenness row.
+    assert model_dims(build_separation(g2, w2)) == (2, 3)
+
+    g3 = _single_edge(("l1", "l2", "l3"))
+    w3 = WeightPolicy.from_graph(g3)
+    # Improved: C(3,2) = 3 pairs, 2 columns and 1 row each, plus the two
+    # 3-cycle rows of the one triple: 5 rows, 6 columns.
+    assert model_dims(build_improved(g3, w3)) == (5, 6)
+    # Separation: plus 3 apart columns, 2 betweenness rows per pair and
+    # third line (3 * 1 * 2 = 6), and the cap row: 12 rows, 9 columns.
+    assert model_dims(build_separation(g3, w3)) == (12, 9)
 
 
 def test_corridor_dims_by_hand():
     g = corridor_pair()
     w = WeightPolicy.from_graph(g)
-    # Improved: per edge 7 rows and 6 columns, plus one crossing variable
-    # with its two event rows.
-    assert model_dims(build_improved(g, w)) == (16, 13)
+    # Improved: per edge 1 row ("= 1") and 2 columns (the two order
+    # variables of the pair), plus one crossing variable with its two
+    # event rows: 2 * 1 + 2 rows, 2 * 2 + 1 columns.
+    assert model_dims(build_improved(g, w)) == (4, 5)
     # Baseline: per edge 4 rows and 4 columns, plus 2 * C(2,2)^2 aligned
     # position combinations for the single continuing pair.
     assert model_dims(build_baseline(g, w)) == (10, 9)
@@ -438,6 +500,23 @@ def test_dims_bounds_on_random_graph():
         assert cols <= 8 * n_edges * m_cap ** 2
 
 
+def test_order_models_have_unit_coefficients_on_random_graphs():
+    # Every row of I and S reads 0/1 variables with coefficients ±1: no
+    # big-M row links the order variables to anything.
+    graphs = [big_line_graph(np.random.default_rng(seed))
+              for seed in (4157, 4158)]
+    graphs += [random_line_graph(np.random.default_rng(seed), n_nodes=7,
+                                 n_lines=8, max_lines_per_edge=4)
+               for seed in range(4160, 4170)]
+    assert max(g.max_lines_per_edge for g in graphs) == 4
+    for g in graphs:
+        w = WeightPolicy.from_graph(g)
+        for builder in (build_improved, build_separation):
+            coefs = {coef for c in builder(g, w).constraints
+                     for coef, _ in c.terms}
+            assert coefs == {1.0, -1.0}
+
+
 def test_dims_add_over_disjoint_components():
     def shifted(prefix, dx):
         nodes = {f"{prefix}{n}": (x + dx, y)
@@ -467,7 +546,6 @@ def test_empty_graph_yields_empty_model():
 
 def test_variable_name_grammar():
     m = IlpModel("I")
-    assert m.add_variable(("cum", "e1", "l1", 2)) == "x_ee1_ll1_le2"
     assert m.add_variable(("before", "e1", "l1", "l2")) == "x_ee1_ll1_b_ll2"
     assert m.add_variable(("pos", "e2", "l1", 1)) == "x_ee2_ll1_p1"
     assert m.add_variable(("apart", "e2", "l1", "l2")) == "x_ee2_ll1_nb_ll2"
@@ -480,10 +558,10 @@ def test_variable_name_grammar():
 
 def test_variable_name_sanitization_and_collisions():
     m = IlpModel("I")
-    first = m.add_variable(("cum", "hbf:3", "s.1", 1))
-    second = m.add_variable(("cum", "hbf.3", "s.1", 1))
-    assert first == "x_ehbf_3_ls_1_le1"
-    assert second == "x_ehbf_3_2_ls_1_le1"
+    first = m.add_variable(("pos", "hbf:3", "s.1", 1))
+    second = m.add_variable(("pos", "hbf.3", "s.1", 1))
+    assert first == "x_ehbf_3_ls_1_p1"
+    assert second == "x_ehbf_3_2_ls_1_p1"
     assert first != second
 
 
@@ -588,9 +666,14 @@ def test_extract_ordering_round_trips_every_permutation():
 def test_extract_ordering_rejects_broken_assignments():
     g = _single_edge(("l1", "l2"))
     w = WeightPolicy.from_graph(g)
-    mi = build_improved(g, w)
-    truth = _truth_assignment(mi, Ordering({"e1": ("l1", "l2")}))
-    truth[mi.by_role[("cum", "e1", "l2", 1)]] = 1.0  # both lines claim slot 1
+    g3 = _single_edge(("l1", "l2", "l3"))
+    mi = build_improved(g3, WeightPolicy.from_graph(g3))
+    truth = _truth_assignment(mi, Ordering({"e1": ("l1", "l2", "l3")}))
+    # Reverse l1 < l3 into the cyclic tournament l1 < l2 < l3 < l1: each
+    # line then has one line before it, so all three claim position 2.
+    truth[mi.by_role[("before", "e1", "l1", "l3")]] = 0.0
+    truth[mi.by_role[("before", "e1", "l3", "l1")]] = 1.0
+    assert not _satisfies(mi, truth)
     with pytest.raises(InfeasibleAssignment):
         extract_ordering(mi, truth)
 
@@ -614,7 +697,9 @@ def test_ordering_validation():
 def test_single_line_edge_models():
     g = _single_edge(("l1",))
     w = WeightPolicy.from_graph(g)
-    assert model_dims(build_improved(g, w)) == (1, 1)
+    # One line has no pair to order: no variable and no row, and it
+    # decodes to position 1.
+    assert model_dims(build_improved(g, w)) == (0, 0)
     m = build_improved(g, w)
     truth = _truth_assignment(m, Ordering({"e1": ("l1",)}))
     assert _satisfies(m, truth)

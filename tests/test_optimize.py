@@ -259,6 +259,36 @@ def test_external_backend_agrees_with_builtin():
                 via_builtin.objective(include_sep)), f"seed {seed} {variant}"
 
 
+@pytest.mark.parametrize("variant, include_sep", [("I", False), ("S", True)])
+def test_external_order_block_matches_brute_force(variant, include_sep):
+    # Twelve random instances with up to four lines per edge, so that
+    # 3-cycle and betweenness rows bind, solved side by side in one
+    # solver call.  Every S optimum among them pays a crossing; on eight
+    # seeds the I optimum separates pairs that the S optimum keeps side
+    # by side, on four of them (384, 648, 1177, 1283) at the price of
+    # another crossing.  Each piece's share of the ordering must reach
+    # its own exhaustive optimum.
+    graphs = [random_line_graph(np.random.default_rng(seed), n_nodes=7,
+                                n_lines=8, max_lines_per_edge=4)
+              for seed in (199, 384, 607, 648, 702, 708, 840, 854, 1176,
+                           1177, 1251, 1283)]
+    union = disjoint_union(graphs)
+    w = WeightPolicy.from_graph(union)
+    ordering, breakdown = solve(union, variant, w, backend=SCIPY_SOLVER)
+    pieces = _pieces(union)
+    assert len(pieces) == len(graphs)
+    best = 0.0
+    for piece in pieces:
+        _, expect = brute_force(piece, w, include_separation=include_sep)
+        got = evaluate(piece, Ordering({eid: ordering.lines_at(eid)
+                                        for eid in piece.edges}), w)
+        assert got.objective(include_sep) == pytest.approx(
+            expect.objective(include_sep))
+        best += expect.objective(include_sep)
+    assert best > 0
+    assert breakdown.objective(include_sep) == pytest.approx(best)
+
+
 def test_variant_s_avoids_separations_at_equal_crossing_cost():
     g = separation_chain_graph()
     w = WeightPolicy.from_graph(g)
