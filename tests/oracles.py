@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use: plain, slow
-versions of what the package computes in bulk, and measurements of its
-output that the pipeline itself never needs.
+versions of what the package computes in bulk, the earlier scipy.optimize
+path that the bundled solver must match byte for byte, and measurements
+of its output that the pipeline itself never needs.
 """
 
 from __future__ import annotations
@@ -8,8 +9,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from transitmap.geometry import _EPS, Polyline, SharedSegment, sweep_points
+from transitmap.ilp_model import read_lp
 
 
 def count_proper_intersections(a_pts: np.ndarray, b_pts: np.ndarray) -> int:
@@ -120,3 +124,39 @@ def shared_segments_by_loop(a: Polyline, b: Polyline, d_hat: float, dt: float,
     if open_first >= 0:
         close(open_first, last_in)
     return out
+
+
+def milp_solve_lp_file(model_path, out_path) -> int:
+    """lp_solve.solve_lp_file as it was built on scipy.optimize.milp: a
+    CSR matrix with repeated terms summed, rows bounded by their
+    relation, every column an integer in [0, 1].  Returns 0 after
+    writing the solution, 2 on an infeasible model and 3 on any other
+    failed solve."""
+    model = read_lp(model_path)
+    names = list(model.variables)
+    lines = []
+    if names:
+        index = {name: i for i, name in enumerate(names)}
+        objective = np.array([model.variables[n].objective for n in names])
+        rows, cols, coefs = [], [], []
+        con_lo, con_hi = [], []
+        for i, con in enumerate(model.constraints):
+            for coef, var in con.terms:
+                rows.append(i)
+                cols.append(index[var])
+                coefs.append(coef)
+            con_lo.append(-np.inf if con.relation == "<=" else con.rhs)
+            con_hi.append(np.inf if con.relation == ">=" else con.rhs)
+        matrix = sparse.csr_matrix(
+            (coefs, (rows, cols)), shape=(len(model.constraints), len(names)))
+        result = milp(c=objective, integrality=1, bounds=Bounds(0, 1),
+                      constraints=LinearConstraint(matrix, con_lo, con_hi))
+        if result.status == 2:
+            return 2
+        if not result.success:
+            return 3
+        lines = [f"{name} {int(round(value))}\n"
+                 for name, value in zip(names, result.x)]
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return 0

@@ -1,6 +1,8 @@
 """Property tests of the LP artifact: write_lp → read_lp keeps every
 model of random line graphs, and mutated LP files are either read as a
-model or rejected with SchemaViolation, never misread into a crash."""
+model or rejected with SchemaViolation, never misread into a crash.  The
+bundled solver writes the same solution bytes as the scipy.optimize.milp
+reference in tests/oracles.py."""
 
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from transitmap import lp_solve
@@ -20,6 +23,7 @@ from transitmap.ilp_model import (
     read_lp,
     write_lp,
 )
+from oracles import milp_solve_lp_file
 from synth import random_line_graph
 
 BUILDERS = {"B": build_baseline, "I": build_improved, "S": build_separation}
@@ -108,13 +112,73 @@ def test_mutated_lp_is_read_or_rejected(case):
     assert code == 3 if rejected else code in (0, 2)
 
 
-def test_solver_child_loads_no_graph_modules():
+def test_solver_child_loads_no_graph_or_scipy_package_modules():
     # Every external solve starts `python -m transitmap.lp_solve`; the
-    # LP reader needs no line graph, feed or geometry code.
-    code = "import sys, transitmap.lp_solve; print(*sys.modules)"
+    # LP reader needs no line graph, feed or geometry code, and HiGHS's
+    # bindings load without scipy's package inits, whose scipy.optimize
+    # and scipy.sparse imports used to take most of the process's time.
+    code = ("import sys, transitmap.lp_solve as s; s._highs(); "
+            "print(*sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     loaded = proc.stdout.split()
     assert "transitmap.lp_solve" in loaded
     for name in ("line_graph", "gtfs", "geometry"):
         assert f"transitmap.{name}" not in loaded
+    for name in ("scipy", "scipy.optimize", "scipy.sparse"):
+        assert name not in loaded
+
+
+def _both_solutions(path: Path) -> tuple:
+    """(exit code, solution text) of the bundled solver and of the milp
+    reference on one LP file."""
+    got = []
+    for solver in (lp_solve.solve_lp_file, milp_solve_lp_file):
+        out = path.with_suffix(f".{solver.__name__}.out")
+        code = solver(path, out)
+        got.append((code, out.read_text() if out.exists() else None))
+    return tuple(got)
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_solver_writes_the_milp_reference_bytes(tmp_path, variant):
+    # Among tied optima HiGHS returns the same one from the bindings as
+    # through milp, so the orderings and maps stay byte for byte.
+    for seed in range(6):
+        for kwargs in ({}, {"n_nodes": 7, "n_lines": 8,
+                            "max_lines_per_edge": 4}):
+            g = random_line_graph(np.random.default_rng(seed), **kwargs)
+            path = tmp_path / f"s{seed}_{len(kwargs)}.lp"
+            write_lp(BUILDERS[variant](g, WeightPolicy.from_graph(g)), path)
+            ours, reference = _both_solutions(path)
+            assert ours[0] == 0 and ours == reference, f"seed {seed} {kwargs}"
+
+
+@pytest.mark.parametrize("objective, rows, code, solution", [
+    ("1 x", [" c0: 1 x + 1 x >= 2"], 0, "x 1\n"),
+    ("1 x + 1 y", [" c0: 1 x + 1 y >= 3"], 2, None),
+    ("1 x - 1 y", [], 0, "x 0\ny 1\n"),
+], ids=["repeated_variable", "infeasible", "no_constraints"])
+def test_solver_on_hand_made_models(tmp_path, objective, rows, code, solution):
+    path = tmp_path / "model.lp"
+    names = [token for token in objective.split() if token.isidentifier()]
+    path.write_text("\n".join(["Minimize", f" obj: {objective}",
+                               "Subject To", *rows, "Binary",
+                               " " + " ".join(names), "End"]) + "\n")
+    ours, reference = _both_solutions(path)
+    assert ours == reference == (code, solution)
+    assert lp_solve.main([str(path), str(tmp_path / "main.out")]) == code
+
+
+def test_solver_without_highs_bindings_exits_3(tmp_path, capsys, monkeypatch):
+    # Without scipy/optimize/_highspy/_core the one error line names the
+    # installed scipy; there is no fallback solve path.
+    path, out = tmp_path / "model.lp", tmp_path / "solution.out"
+    path.write_text("Minimize\n obj: 1 x\nSubject To\nBinary\n x\nEnd\n")
+    monkeypatch.delitem(sys.modules, lp_solve._CORE, raising=False)
+    monkeypatch.setattr(lp_solve.importlib.util, "find_spec", lambda _: None)
+    assert lp_solve.main([str(path), str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "scipy 1." in err[0]
+    assert not out.exists()

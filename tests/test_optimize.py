@@ -254,8 +254,8 @@ def test_external_backend_agrees_with_builtin():
         for variant in ("B", "I", "S"):
             include_sep = variant == "S"
             _, via_builtin = solve(g, variant, w, backend="builtin")
-            _, via_milp = solve(g, variant, w, backend=SCIPY_SOLVER)
-            assert via_milp.objective(include_sep) == pytest.approx(
+            _, via_highs = solve(g, variant, w, backend=SCIPY_SOLVER)
+            assert via_highs.objective(include_sep) == pytest.approx(
                 via_builtin.objective(include_sep)), f"seed {seed} {variant}"
 
 
@@ -266,18 +266,23 @@ def test_external_order_block_matches_brute_force(variant, include_sep):
     # solver call.  Every S optimum among them pays a crossing; on eight
     # seeds the I optimum separates pairs that the S optimum keeps side
     # by side, on four of them (384, 648, 1177, 1283) at the price of
-    # another crossing.  Each piece's share of the ordering must reach
-    # its own exhaustive optimum.
+    # another crossing.  None of their S optima separates a pair, so six
+    # lattice instances follow whose I optimum pays crossings and whose
+    # S optimum pays a separation too.  Each piece's share of the
+    # ordering must reach its own exhaustive optimum.
     graphs = [random_line_graph(np.random.default_rng(seed), n_nodes=7,
                                 n_lines=8, max_lines_per_edge=4)
               for seed in (199, 384, 607, 648, 702, 708, 840, 854, 1176,
                            1177, 1251, 1283)]
+    graphs += [lattice_line_graph(np.random.default_rng(seed))
+               for seed in (228, 323, 661, 712, 798, 2094)]
     union = disjoint_union(graphs)
     w = WeightPolicy.from_graph(union)
     ordering, breakdown = solve(union, variant, w, backend=SCIPY_SOLVER)
     pieces = _pieces(union)
     assert len(pieces) == len(graphs)
     best = 0.0
+    priced = separating = 0
     for piece in pieces:
         _, expect = brute_force(piece, w, include_separation=include_sep)
         got = evaluate(piece, Ordering({eid: ordering.lines_at(eid)
@@ -285,7 +290,11 @@ def test_external_order_block_matches_brute_force(variant, include_sep):
         assert got.objective(include_sep) == pytest.approx(
             expect.objective(include_sep))
         best += expect.objective(include_sep)
+        priced += expect.objective(include_sep) > 0
+        separating += expect.separation_weight > 0
     assert best > 0
+    assert priced >= 6
+    assert separating >= 6 or not include_sep
     assert breakdown.objective(include_sep) == pytest.approx(best)
 
 
