@@ -3,16 +3,23 @@ queries, shared-segment detection between polylines, parallel offsetting
 with miter/bevel joins, and path averaging.
 
 A shared-segment sweep asks, for every sweep point, for the nearest point
-of the other polyline within d_hat.  One kernel answers that query, for
-one polyline (`Polyline.nearest_many`) or for several at once
-(`nearest_on`).  It tests boxes in blocks of consecutive queries: a block
-keeps only the segments whose boxes, padded by the radius, meet the
-block's own box, and holds at most _BLOCK_CELLS (query, segment) cells,
-or one query against the segments near it when that alone is more
-(against every segment when there is no radius).  It projects a query
-only onto the segments whose padded boxes contain it.  So memory is
-bounded by one block, not by queries * segments, and the projections,
-distances and reductions follow the number of nearby pairs.
+of the other polyline within d_hat.  Two kernels answer that query with
+the same box test and the same arithmetic, so with the same bits.  Both
+project a query only onto the segments whose boxes, padded by the
+radius, contain it, and both work in blocks, so memory is bounded by one
+block and the projections, distances and reductions follow the number
+of nearby pairs.
+
+- `Polyline.nearest_many`, for one polyline, works in blocks of
+  consecutive queries: a block keeps only the segments whose padded
+  boxes meet the block's own box, and holds at most _BLOCK_CELLS (query,
+  segment) cells, or one query against the segments near it when that
+  alone is more (against every segment when there is no radius).
+- `nearest_pass`, for many (queries, polyline) pairs at once, as the
+  merge loop asks them in one round, packs whole pairs into blocks.  A
+  block builds one segment table for its distinct polylines and tests
+  runs of _CHUNK consecutive queries by box before it tests each query,
+  so one block of a few numpy passes serves a hundred small pairs.
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -34,11 +41,13 @@ _EPS = 1e-9
 # computed distance is within the radius always lies in the padded box.
 _BOX_SLACK = 1e-6
 # Most (query, segment) cells in one box test of the nearest-segment
-# kernel.  The projections take about 200 bytes per near pair, so a block
+# kernels.  The projections take about 200 bytes per near pair, so a block
 # holds at most about 55 MB however many queries and segments a call has.
-# The merge loop's calls on the benchmark feeds have at most 1.4 * 10^5
-# cells before the box prefilter, so each runs as one block.
 _BLOCK_CELLS = 1 << 18
+# Consecutive queries that nearest_pass tests together by box before it
+# tests each of them: 16 sweep points at the merge loop's 5 m steps span
+# 75 m.
+_CHUNK = 16
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,18 +290,6 @@ _C0, _SL, _SCALE = 9, 10, 11
 _COLUMNS = 12
 
 
-def nearest_on(paths: list[Polyline], qs: np.ndarray, radius: float,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters and distances, shape (len(paths), len(qs)): row i is
-    paths[i].nearest_many(qs, radius), bit for bit, from one kernel call
-    over the concatenated segments of all paths."""
-    owner = np.repeat(np.arange(len(paths)), [len(p.pts) - 1 for p in paths])
-    params, dists = _nearest(qs, _segment_table(paths), radius,
-                             owner, len(paths))
-    shape = (len(paths), len(qs))
-    return params.reshape(shape), dists.reshape(shape)
-
-
 def _segment_table(paths: list[Polyline]) -> np.ndarray:
     """The segments of paths, concatenated, one row each (see _COLUMNS).
     Each value is the elementwise result nearest_many computed from one
@@ -318,32 +315,123 @@ def _segment_table(paths: list[Polyline]) -> np.ndarray:
 
 
 def _nearest(qs: np.ndarray, tab: np.ndarray, radius: float | None,
-             owner: np.ndarray | None = None, n_owner: int = 1,
              ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of nearest_many and nearest_on.  Results are indexed
-    owner * len(qs) + query; each is the lowest segment of its owner at
-    the least distance."""
-    n = len(qs)
-    best2 = np.full(n_owner * n, np.inf)
-    params = np.full(n_owner * n, np.nan)
-    dists = np.full(n_owner * n, np.inf)
+    """The kernel of nearest_many: each query's lowest segment at the
+    least distance."""
+    params, dists = np.full(len(qs), np.nan), np.full(len(qs), np.inf)
     for qi, si, tloc, dist2 in _pair_blocks(qs, tab, radius):
-        g = qi if owner is None else owner[si] * n + qi
-        np.minimum.at(best2, g, dist2)
-        k = np.flatnonzero(dist2 == best2[g])  # every nearest pair
-        rows = g[k]
-        # pairs come by query, then by segment, and each owner's segments
-        # are consecutive: the first of a row is its lowest segment
-        first = np.ones(len(k), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        k, rows = k[first], rows[first]
-        seg = tab[si[k]]
-        params[rows] = (seg[:, _C0] + tloc[k] * seg[:, _SL]) / seg[:, _SCALE]
-        dists[rows] = np.sqrt(dist2[k])
+        _settle(qi, si, tloc, dist2, tab, params, dists)
     if radius is not None:
         far = dists > radius
         params[far], dists[far] = np.nan, np.inf
     return params, dists
+
+
+def nearest_pass(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
+    """For each (qs, p) of pairs, in order, yield (params, dists), equal
+    bit for bit to p.nearest_many(qs, radius).
+
+    The pairs go in blocks, each block's results yielded before the next
+    block starts.  A block stacks its distinct query arrays and builds
+    one segment table for its distinct polylines (by identity), so a
+    polyline in many of its pairs is not copied per pair.  It cuts each
+    query array into runs of _CHUNK consecutive queries, tests each (run,
+    segment) cell of its pairs by box, then each query of a run that
+    passes against the segment's padded box, the test of nearest_many.
+    A block holds at most _BLOCK_CELLS // _CHUNK (run, segment) cells and
+    queries together, so at most _BLOCK_CELLS (query, segment) cells
+    reach the second test; a pair of more than that goes alone through
+    nearest_many's own blocks."""
+    cap = _BLOCK_CELLS // _CHUNK
+    blocks, a, total = [], 0, 0
+    for b, (qs, p) in enumerate(pairs):
+        cells = -(-len(qs) // _CHUNK) * (len(p.pts) - 1) + len(qs)
+        if total + cells > cap and b > a:
+            blocks.append((a, b, total))
+            a, total = b, 0
+        total += cells
+    blocks.append((a, len(pairs), total))
+    for a, b, total in blocks:
+        if total > cap:  # one pair
+            qs, p = pairs[a]
+            yield p.nearest_many(qs, radius)
+        elif b > a:
+            yield from _pass_block(pairs[a:b], radius)
+
+
+def _pass_block(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
+    """nearest_pass on one block of pairs."""
+    sweeps, q_of = _distinct([qs for qs, _ in pairs])
+    paths, p_of = _distinct([p for _, p in pairs])
+    qs, tab = np.concatenate(sweeps), _segment_table(paths)
+    q_len = np.array([len(q) for q in sweeps])
+    t_len = np.array([len(p.pts) - 1 for p in paths])
+    q_at, t_at = np.cumsum(q_len) - q_len, np.cumsum(t_len) - t_len
+    n_runs = -(-q_len // _CHUNK)
+    r_at = np.cumsum(n_runs) - n_runs
+    # the coordinates of each run's queries as one row of _CHUNK, padded
+    # with nan, which no box holds, and the runs' boxes
+    runs = np.full((2, n_runs.sum() * _CHUNK), np.nan)
+    runs[:, np.arange(len(qs)) + np.repeat(_CHUNK * r_at - q_at, q_len)] = qs.T
+    runs = runs.reshape(2, -1, _CHUNK)
+    r_lo, r_hi = np.fmin.reduce(runs, axis=2), np.fmax.reduce(runs, axis=2)
+    pad = radius + _BOX_SLACK
+    s_lo, s_hi = (tab[:, _LO] - pad).T, (tab[:, _HI] + pad).T
+    # per pair: query count, first run, first segment, segment count
+    pn, pr, ps, pns = q_len[q_of], r_at[q_of], t_at[p_of], t_len[p_of]
+    ends = np.cumsum(pn)
+    params, dists = np.full(ends[-1], np.nan), np.full(ends[-1], np.inf)
+    # the (pair, run, segment) cells whose boxes meet
+    n1 = n_runs[q_of] * pns
+    pair = np.repeat(np.arange(len(pairs)), n1)
+    local = np.arange(len(pair)) - np.repeat(np.cumsum(n1) - n1, n1)
+    run, seg = np.divmod(local, pns[pair])
+    run += pr[pair]
+    seg += ps[pair]
+    lo, hi = s_lo[:, seg], s_hi[:, seg]
+    hit = np.flatnonzero((lo[0] <= r_hi[0, run]) & (r_lo[0, run] <= hi[0])
+                         & (lo[1] <= r_hi[1, run]) & (r_lo[1, run] <= hi[1]))
+    pair, run, seg = pair[hit], run[hit], seg[hit]
+    # each query of those runs in the segment's padded box
+    x, y = runs[0, run], runs[1, run]
+    lo, hi = lo[:, hit, None], hi[:, hit, None]
+    near = np.flatnonzero((lo[0] <= x) & (x <= hi[0])
+                          & (lo[1] <= y) & (y <= hi[1]))
+    cell, j = np.divmod(near, _CHUNK)
+    si = seg[cell]
+    rows = (ends - pn - _CHUNK * pr)[pair[cell]] + _CHUNK * run[cell] + j
+    _settle(rows, si, *_projection(x.ravel()[near], y.ravel()[near], tab, si),
+            tab, params, dists)
+    far = dists > radius
+    params[far], dists[far] = np.nan, np.inf
+    for r0, r1 in zip((ends - pn).tolist(), ends.tolist()):
+        yield params[r0:r1], dists[r0:r1]
+
+
+def _distinct(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items (by identity) in order of first use, and for
+    each of items its index among them."""
+    slot: dict[int, int] = {}
+    of = np.array([slot.setdefault(id(x), len(slot)) for x in items])
+    return list({id(x): x for x in items}.values()), of
+
+
+def _settle(rows: np.ndarray, si: np.ndarray, tloc: np.ndarray,
+            dist2: np.ndarray, tab: np.ndarray, params: np.ndarray,
+            dists: np.ndarray) -> None:
+    """Write into params and dists, at each of rows, the parameter and
+    distance of that row's pair at the least dist2, the lowest segment
+    on ties.  Every pair of those rows must be here."""
+    best2 = np.full(len(params), np.inf)
+    np.minimum.at(best2, rows, dist2)
+    k = np.flatnonzero(dist2 == best2[rows])
+    low = np.full(len(params), len(tab))
+    np.minimum.at(low, rows[k], si[k])
+    k = k[si[k] == low[rows[k]]]
+    seg = si[k]
+    params[rows[k]] = ((tab[seg, _C0] + tloc[k] * tab[seg, _SL])
+                       / tab[seg, _SCALE])
+    dists[rows[k]] = np.sqrt(dist2[k])
 
 
 def _pair_blocks(qs: np.ndarray, tab: np.ndarray, radius: float | None):
@@ -392,13 +480,17 @@ def _pair_blocks(qs: np.ndarray, tab: np.ndarray, radius: float | None):
 
 def _project(qs: np.ndarray, tab: np.ndarray, qi: np.ndarray, si: np.ndarray):
     """(qi, si, tloc, dist2) of the pairs (qs[qi], segment si)."""
-    q, seg = qs[qi], tab[si]
-    a, dk = seg[:, _P0], seg[:, _D]
-    rel = q - a
-    tloc = np.clip((rel[:, 0] * dk[:, 0] + rel[:, 1] * dk[:, 1]) / seg[:, _LEN2],
-                   0.0, 1.0)
-    e = q - (a + tloc[:, None] * dk)
-    return qi, si, tloc, e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+    return (qi, si, *_projection(qs[qi, 0], qs[qi, 1], tab, si))
+
+
+def _projection(x: np.ndarray, y: np.ndarray, tab: np.ndarray, si: np.ndarray):
+    """(tloc, dist2) of the points (x, y) on the segments si: the clamped
+    projection parameter and the squared distance."""
+    (ax, ay), (dx, dy) = tab[si, _P0].T, tab[si, _D].T
+    rx, ry = x - ax, y - ay
+    tloc = np.clip((rx * dx + ry * dy) / tab[si, _LEN2], 0.0, 1.0)
+    ex, ey = x - (ax + tloc * dx), y - (ay + tloc * dy)
+    return tloc, ex * ex + ey * ey
 
 
 def _near_pairs(qs: np.ndarray, tab: np.ndarray, radius: float):

@@ -19,7 +19,7 @@ from .geometry import (
     Polyline,
     SharedSegment,
     average_path,
-    nearest_on,
+    nearest_pass,
     shared_segments,
     sweep_points,
 )
@@ -318,6 +318,12 @@ class _Builder:
     box of every edge ever added, row n for edge e{n}, with `_live`
     marking the edges still alive; both are kept up to date on each add
     and merge instead of being rebuilt.
+
+    Each merge round (the raw edges first, then each merge's fresh
+    edges) finds the nearest points of all its candidate pairs in one
+    `nearest_pass`, from the sweeps `_add_edge` computes once per edge;
+    `shared_segments` then runs once per pair, in the order the pairs
+    were found.
     """
 
     def __init__(self, raw: RawNetwork, d_hat: float, sweep_step: float,
@@ -425,17 +431,18 @@ class _Builder:
         """Store the shared segments of every fresh edge with every live
         edge.  Only pairs whose boxes, padded by d_hat, overlap can share
         a segment, so one numpy comparison per fresh edge against the live
-        boxes selects the pairs to sweep; they are swept in `self.edges`
-        order, and a pair of two fresh edges once."""
+        boxes selects the pairs to sweep: for each fresh edge in turn, in
+        `self.edges` order, and a pair of two fresh edges once.  The
+        nearest points of every pair come from one nearest_pass."""
         boxes = self._boxes[:self._next_edge]
         pad = self.d_hat
         done: set[str] = set()
+        plan = []
         for i in fresh:
             bi = self.edges[i].bbox
             apart = ((bi[2] + pad < boxes[:, 0]) | (boxes[:, 2] + pad < bi[0])
                      | (bi[3] + pad < boxes[:, 1]) | (boxes[:, 3] + pad < bi[1]))
             done.add(i)
-            plan = []
             for n in np.flatnonzero(self._live[:self._next_edge] & ~apart).tolist():
                 j = f"e{n}"
                 if j not in done:
@@ -443,33 +450,14 @@ class _Builder:
                     roles = self._roles(*key)
                     if roles is not None:
                         plan.append((key, *roles))
-            nearest = self._nearest_batch(self.edges[i], plan)
-            for (key, subject, target), near in zip(plan, nearest):
-                found = self._best(subject, target, near)
-                if found is not None:
-                    self.pairs[key] = found
-                    self._pairs_of[key[0]].append(key)
-                    self._pairs_of[key[1]].append(key)
-
-    def _nearest_batch(self, fresh: _BEdge, plan: list) -> list:
-        """For each (key, subject, target) of the fresh edge's plan, in
-        order, the target's nearest points to the subject's sweep
-        (nearest_many with radius d_hat), from two kernel calls: the
-        fresh edge's sweep against every target it is the subject for,
-        and the sweeps of every other subject, concatenated, against the
-        fresh edge."""
-        targets = [t.path for _, s, t in plan if s is fresh]
-        subjects = [s.sweep[1] for _, s, t in plan if s is not fresh]
-        as_subject, as_target = iter(()), iter(())
-        if targets:
-            as_subject = zip(*nearest_on(targets, fresh.sweep[1], self.d_hat))
-        if subjects:
-            tb, dist = fresh.path.nearest_many(np.concatenate(subjects),
-                                               self.d_hat)
-            cuts = np.cumsum([len(q) for q in subjects[:-1]])
-            as_target = zip(np.split(tb, cuts), np.split(dist, cuts))
-        return [next(as_subject if s is fresh else as_target)
-                for _, s, _ in plan]
+        nearest = nearest_pass([(s.sweep[1], t.path) for _, s, t in plan],
+                               self.d_hat)
+        for (key, subject, target), near in zip(plan, nearest):
+            found = self._best(subject, target, near)
+            if found is not None:
+                self.pairs[key] = found
+                self._pairs_of[key[0]].append(key)
+                self._pairs_of[key[1]].append(key)
 
     def _pick(self) -> tuple[str, str] | None:
         """Longest shared extent first, ties to the larger key; a

@@ -7,18 +7,21 @@ extension module `scipy/optimize/_highspy/_core`.  The module is loaded
 from its file, without importing `scipy.optimize`: that package's init
 also loads scipy.linalg, scipy.sparse, scipy.special and more, which
 took about 0.65 s of a 0.9 s solver process on the acceptance feed,
-where HiGHS itself solves in about 0.012 s.  The model goes to HiGHS as
-one column-wise `HighsLp` in `read_lp`'s column order, built from numpy
-arrays (the bindings' array setters import numpy in any case); the
-process imports none of scipy's Python modules.
+where HiGHS itself solves in about 0.012 s.  `read_lp` checks the dialect
+and gives the column names; HiGHS then reads the same file with its own
+LP reader, which must give the columns in `read_lp`'s order (HiGHS could
+pick another of tied optima otherwise).  The solution comes back as a
+list, so the process imports neither numpy nor any of scipy's Python
+modules.
 
 Usage: python3 -m transitmap.lp_solve <model.lp> <solution.out>
 
 Exit codes follow the external-solver contract: 0 solved, 2 infeasible,
 anything else is a failure.  A model file that is missing, unreadable or
 in any other dialect, an unwritable solution path, HiGHS bindings that
-cannot be found, and a solve that ends in any status but optimal or
-infeasible exit with 3 after one `error:` line on stderr.
+cannot be found, a file HiGHS reads into other columns, and a solve
+that ends in any status but optimal or infeasible exit with 3 after one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-
-import numpy as np
+import tempfile
 
 from .errors import SchemaViolation, SolverFailure
-from .ilp_model import IlpModel, read_lp
+from .ilp_model import read_lp
 
 _CORE = "scipy.optimize._highspy._core"
 
@@ -64,49 +66,35 @@ def _highs():
                         f"not found in {found}; scipy>=1.17 ships them")
 
 
-def _highs_lp(h, model: IlpModel, names: list[str]):
-    """The model as one column-wise HighsLp: repeated (row, column) terms
-    summed, rows bounded by their relation, every column an integer in
-    [0, 1]."""
-    cons = model.constraints
-    m, n = len(cons), len(names)
-    index = {name: j for j, name in enumerate(names)}
-    rows = np.repeat(np.arange(m), [len(con.terms) for con in cons])
-    cols = np.array([index[var] for con in cons for _, var in con.terms],
-                    dtype=np.int64)
-    coefs = np.array([coef for con in cons for coef, _ in con.terms],
-                     dtype=float)
-    # one cell per (column, row) in column-major order
-    cells, at = np.unique(cols * m + rows, return_inverse=True)
-
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(cells, np.arange(n + 1) * m)
-    lp.a_matrix_.index_ = cells % m
-    lp.a_matrix_.value_ = np.bincount(at, weights=coefs, minlength=len(cells))
-    lp.col_cost_ = np.array([model.variables[name].objective
-                             for name in names])
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.ones(n)
-    lp.row_lower_ = np.array([-np.inf if con.relation == "<=" else con.rhs
-                              for con in cons])
-    lp.row_upper_ = np.array([np.inf if con.relation == ">=" else con.rhs
-                              for con in cons])
-    lp.integrality_ = [h.HighsVarType.kInteger] * n
-    return lp
+def _read_model(h, highs, model_path) -> None:
+    """Load the model file into highs with HiGHS's own LP reader.  HiGHS
+    picks its reader by the file's suffix, so a path without `.lp` is
+    read through a `.lp`-named link to it."""
+    path = str(model_path)
+    if path.endswith(".lp"):
+        status = highs.readModel(path)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            link = os.path.join(tmp, "model.lp")
+            os.symlink(os.path.abspath(path), link)
+            status = highs.readModel(link)
+    # kWarning reports a repeated term, which HiGHS sums as read_lp does
+    if status == h.HighsStatus.kError:
+        raise SolverFailure(f"HiGHS cannot read {path}")
 
 
 def solve_lp_file(model_path: str, out_path: str) -> int:
-    model = read_lp(model_path)
-    names = list(model.variables)
+    names = list(read_lp(model_path).variables)
     lines = []
     if names:
         h = _highs()
         highs = h._Highs()
         highs.setOptionValue("log_to_console", False)
-        highs.passModel(_highs_lp(h, model, names))
+        _read_model(h, highs, model_path)
+        cols = [highs.getColName(j)[1] for j in range(highs.getNumCol())]
+        if cols != names:
+            raise SolverFailure("HiGHS read the columns in another order "
+                                "than read_lp")
         highs.run()
         status = highs.getModelStatus()
         if status == h.HighsModelStatus.kInfeasible:

@@ -8,6 +8,7 @@ written directly in this file.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -572,7 +573,19 @@ def test_polyline_reuses_segment_lengths_only_without_drops():
         assert np.array_equal(p._cum, np.concatenate(([0.0], np.cumsum(seg))))
 
 
-def test_nearest_on_rows_equal_nearest_many():
+def _pass_matches_nearest_many(pairs, radius):
+    """nearest_pass over pairs of (qs, polyline) equals each polyline's
+    nearest_many(qs, radius), bit for bit; returns the pass's results."""
+    got = list(geometry.nearest_pass(pairs, radius))
+    assert len(got) == len(pairs)
+    for (qs, p), (tb, dist) in zip(pairs, got):
+        exp_tb, exp_dist = p.nearest_many(qs, radius)
+        assert np.array_equal(tb, exp_tb, equal_nan=True)
+        assert np.array_equal(dist, exp_dist)
+    return got
+
+
+def test_nearest_pass_equals_nearest_many_per_pair():
     rng = np.random.default_rng(77)
     for _ in range(40):
         base = smooth_polyline(rng, n_pts=int(rng.integers(2, 60)),
@@ -580,15 +593,70 @@ def test_nearest_on_rows_equal_nearest_many():
         paths = [wiggle_offset(rng, base, float(rng.uniform(-40, 40)),
                                noise=float(rng.uniform(0, 10)))
                  for _ in range(int(rng.integers(1, 6)))]
-        paths.append(base)
-        qs = base.param_points(np.linspace(0, 1, int(rng.integers(1, 300))))
-        radius = float(rng.uniform(1.0, 40.0))
-        tb, dist = geometry.nearest_on(paths, qs, radius)
-        assert tb.shape == dist.shape == (len(paths), len(qs))
-        for p, row_tb, row_dist in zip(paths, tb, dist):
-            exp_tb, exp_dist = p.nearest_many(qs, radius)
-            assert np.array_equal(row_tb, exp_tb, equal_nan=True)
-            assert np.array_equal(row_dist, exp_dist)
+        paths += [base, Polyline([base.start, base.end])]  # one segment
+        sweeps = [p.param_points(np.linspace(0, 1, int(rng.integers(0, 300))))
+                  for p in paths]
+        # random pairs: a target in many pairs, sweeps against themselves
+        pairs = [(sweeps[i], paths[j]) for i, j in
+                 rng.integers(len(paths), size=(int(rng.integers(1, 30)), 2))]
+        _pass_matches_nearest_many(pairs, float(rng.uniform(1.0, 40.0)))
+
+
+def test_nearest_pass_ties_radius_and_far_queries():
+    v = Polyline([(-10.0, 10.0), (0.0, 0.0), (10.0, 10.0)])
+    line = Polyline([(0.0, 0.0), (100.0, 0.0)])
+    far = Polyline([(1000.0, 1000.0), (1100.0, 1000.0)])
+    qs = np.array([[0.0, 5.0],         # 12.5 squared from both legs of v
+                   [50.0, 25.0],       # exactly d_hat from line
+                   [-25.0, 0.0],       # exactly d_hat from line's end
+                   [50.0, 25.0 + 1e-9],
+                   [500.0, 500.0]])
+    # a pair of more cells than a block holds, between two small ones
+    long = Polyline(np.stack([np.linspace(0.0, 1e4, 20001), np.zeros(20001)], 1))
+    assert 20000 * 3 > geometry._BLOCK_CELLS // geometry._CHUNK
+    got = _pass_matches_nearest_many(
+        [(qs, v), (qs, line), (qs, far), (qs[:1], v), (qs[3:], line),
+         (qs * 10, long), (qs, v)], 25.0)
+    (tv, dv), (tl, dl), (tf, df) = got[:3]
+    assert tv[0] == 0.375 and dv[0] ** 2 == pytest.approx(12.5)  # first leg
+    assert list(dl[1:3]) == [25.0, 25.0] and list(tl[1:3]) == [0.5, 0.0]
+    assert np.isnan(tl[3:]).all() and np.isinf(dl[3:]).all()
+    assert np.isnan(tf).all() and np.isinf(df).all()  # boxes do not meet
+
+
+def test_nearest_pass_blocks_bound_memory_and_match_split_calls():
+    # 3000 pairs over 40 polylines, 5 * 10^7 (query, segment) cells in
+    # all; the results of one pass are hashed as they come, so only the
+    # pass itself holds memory.
+    rng = np.random.default_rng(31)
+    base = smooth_polyline(rng, n_pts=120, step=10.0, max_turn=0.05)
+    paths = [wiggle_offset(rng, base, float(rng.uniform(-30, 30)), noise=2.0)
+             for _ in range(40)]
+    sweeps = [p.param_points(np.linspace(0, 1, 240)) for p in paths]
+    pairs = [(sweeps[i], paths[j])
+             for i, j in rng.integers(len(paths), size=(3000, 2))]
+    assert sum(len(q) * (len(p.pts) - 1) for q, p in pairs) > 5e7
+
+    def digest(results) -> str:
+        h = hashlib.sha256()
+        for tb, dist in results:
+            h.update(tb.tobytes())
+            h.update(dist.tobytes())
+        return h.hexdigest()
+
+    tracemalloc.start()
+    try:
+        whole = digest(geometry.nearest_pass(pairs, 25.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    split = digest(r for i in range(0, len(pairs), 700)
+                   for r in geometry.nearest_pass(pairs[i:i + 700], 25.0))
+    assert whole == split
+    one = digest(r for pair in pairs[:50]
+                 for r in geometry.nearest_pass([pair], 25.0))
+    assert one == digest(geometry.nearest_pass(pairs[:50], 25.0))
 
 
 def test_shared_segments_runs_match_loop_oracle_on_random_pairs():

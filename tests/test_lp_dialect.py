@@ -112,21 +112,48 @@ def test_mutated_lp_is_read_or_rejected(case):
     assert code == 3 if rejected else code in (0, 2)
 
 
-def test_solver_child_loads_no_graph_or_scipy_package_modules():
+def test_solver_child_loads_no_graph_or_scipy_package_modules(tmp_path):
     # Every external solve starts `python -m transitmap.lp_solve`; the
     # LP reader needs no line graph, feed or geometry code, and HiGHS's
     # bindings load without scipy's package inits, whose scipy.optimize
     # and scipy.sparse imports used to take most of the process's time.
-    code = ("import sys, transitmap.lp_solve as s; s._highs(); "
+    # HiGHS reads the model file itself and returns the solution as a
+    # list, so a solve loads no numpy either.
+    model, out = tmp_path / "model.lp", tmp_path / "solution.out"
+    model.write_text("Minimize\n obj: 1 x - 1 y\nSubject To\n"
+                     " c0: 1 x + 1 y >= 1\nBinary\n x y\nEnd\n")
+    code = ("import sys, transitmap.lp_solve as s; "
+            f"assert s.main([{str(model)!r}, {str(out)!r}]) == 0; "
             "print(*sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     loaded = proc.stdout.split()
-    assert "transitmap.lp_solve" in loaded
+    assert "transitmap.lp_solve" in loaded and lp_solve._CORE in loaded
+    assert out.read_text() == "x 0\ny 1\n"
     for name in ("line_graph", "gtfs", "geometry"):
         assert f"transitmap.{name}" not in loaded
-    for name in ("scipy", "scipy.optimize", "scipy.sparse"):
+    for name in ("scipy", "scipy.optimize", "scipy.sparse", "numpy"):
         assert name not in loaded
+
+
+def test_solver_exits_3_when_highs_reads_other_columns(tmp_path, capsys,
+                                                       monkeypatch):
+    # HiGHS could return another of tied optima for another column order,
+    # so an order that differs from read_lp's is an error, not a solve.
+    path, out = tmp_path / "model.lp", tmp_path / "solution.out"
+    path.write_text("Minimize\n obj: 1 x + 1 y\nSubject To\n"
+                    " c0: 1 x + 1 y >= 1\nBinary\n x y\nEnd\n")
+
+    def reversed_columns(p):
+        model = read_lp(p)
+        model.variables = dict(reversed(model.variables.items()))
+        return model
+
+    monkeypatch.setattr(lp_solve, "read_lp", reversed_columns)
+    assert lp_solve.main([str(path), str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def _both_solutions(path: Path) -> tuple:
@@ -154,13 +181,16 @@ def test_solver_writes_the_milp_reference_bytes(tmp_path, variant):
             assert ours[0] == 0 and ours == reference, f"seed {seed} {kwargs}"
 
 
-@pytest.mark.parametrize("objective, rows, code, solution", [
-    ("1 x", [" c0: 1 x + 1 x >= 2"], 0, "x 1\n"),
-    ("1 x + 1 y", [" c0: 1 x + 1 y >= 3"], 2, None),
-    ("1 x - 1 y", [], 0, "x 0\ny 1\n"),
-], ids=["repeated_variable", "infeasible", "no_constraints"])
-def test_solver_on_hand_made_models(tmp_path, objective, rows, code, solution):
-    path = tmp_path / "model.lp"
+@pytest.mark.parametrize("objective, rows, code, solution, name", [
+    ("1 x", [" c0: 1 x + 1 x >= 2"], 0, "x 1\n", "model.lp"),
+    ("1 x + 1 y", [" c0: 1 x + 1 y >= 3"], 2, None, "model.lp"),
+    ("1 x - 1 y", [], 0, "x 0\ny 1\n", "model.lp"),
+    # HiGHS picks its reader by suffix; a model named otherwise still solves
+    ("1 x - 1 y", [" c0: 1 x + 1 y <= 1"], 0, "x 0\ny 1\n", "model"),
+], ids=["repeated_variable", "infeasible", "no_constraints", "no_lp_suffix"])
+def test_solver_on_hand_made_models(tmp_path, objective, rows, code, solution,
+                                    name):
+    path = tmp_path / name
     names = [token for token in objective.split() if token.isidentifier()]
     path.write_text("\n".join(["Minimize", f" obj: {objective}",
                                "Subject To", *rows, "Binary",
