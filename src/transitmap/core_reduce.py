@@ -26,7 +26,8 @@ expensive elsewhere; nodes whose weights violate that are left alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,23 +62,13 @@ class ChainContraction:
     must be flipped to match the canonical direction of the original
     edge."""
 
+    kind: ClassVar[str] = "chain_contraction"
     node: str
     edge_a: str
     edge_b: str
     merged_edge: str
     reversed_a: bool
     reversed_b: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "chain_contraction",
-            "node": self.node,
-            "edge_a": self.edge_a,
-            "edge_b": self.edge_b,
-            "merged_edge": self.merged_edge,
-            "reversed_a": self.reversed_a,
-            "reversed_b": self.reversed_b,
-        }
 
 
 @dataclass(frozen=True)
@@ -89,32 +80,19 @@ class BundleCollapse:
     reverse there to stay geometrically consistent with the carriers'
     canonical directions."""
 
+    kind: ClassVar[str] = "bundle_collapse"
     members: tuple[str, ...]
     collapsed: str
     reversal: tuple[tuple[str, bool], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bundle_collapse",
-            "members": list(self.members),
-            "collapsed": self.collapsed,
-            "reversal": {eid: flag for eid, flag in self.reversal},
-        }
 
 
 @dataclass(frozen=True)
 class TerminusEdgeRemoval:
     """An edge whose lines all terminate at both endpoints was removed."""
 
+    kind: ClassVar[str] = "terminus_edge_removal"
     edge: str
     lines: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "terminus_edge_removal",
-            "edge": self.edge,
-            "lines": list(self.lines),
-        }
 
 
 @dataclass(frozen=True)
@@ -124,19 +102,11 @@ class EdgeCut:
     half_a keeps the original a endpoint, half_b the original b
     endpoint; each ends at its own fresh node at the cut point."""
 
+    kind: ClassVar[str] = "edge_cut"
     edge: str
     line: str
     half_a: str
     half_b: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "edge_cut",
-            "edge": self.edge,
-            "line": self.line,
-            "half_a": self.half_a,
-            "half_b": self.half_b,
-        }
 
 
 @dataclass(frozen=True)
@@ -146,17 +116,10 @@ class TerminusDetach:
     The edge keeps its id, lines, and path, so solved orderings carry
     over without translation."""
 
+    kind: ClassVar[str] = "terminus_detach"
     edge: str
     node: str
     fresh_node: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "terminus_detach",
-            "edge": self.edge,
-            "node": self.node,
-            "fresh_node": self.fresh_node,
-        }
 
 
 _Action = (
@@ -178,7 +141,21 @@ class ReductionMap:
         self.actions.append(action)
 
     def to_dict(self) -> dict:
-        return {"actions": [a.to_dict() for a in self.actions]}
+        """The record as JSON-ready data: per action its kind and its
+        fields, tuples as lists and a bundle's reversal as an edge ->
+        flag object."""
+        actions = []
+        for action in self.actions:
+            entry = {"kind": action.kind}
+            for f in fields(action):
+                value = getattr(action, f.name)
+                if f.name == "reversal":
+                    value = dict(value)
+                elif isinstance(value, tuple):
+                    value = list(value)
+                entry[f.name] = value
+            actions.append(entry)
+        return {"actions": actions}
 
 
 class _IdMaker:
@@ -212,7 +189,6 @@ def _terminates(g: LineGraph, line: str, node_id: str) -> bool:
 def _contract_chains(
     nodes: dict[str, LGNode],
     edges: dict[str, LGEdge],
-    lines: dict[str, TransitLine],
     weights: WeightPolicy,
     new_edge_id: _IdMaker,
     rmap: ReductionMap,
@@ -222,42 +198,47 @@ def _contract_chains(
     Skips nodes where the move could raise the objective (penalty below
     the global maximum a displaced event might land on), nodes whose
     contraction would create a self-loop, and nodes missing from the
-    weight table."""
+    weight table.
+
+    One sweep over the node ids in order reaches the fixed point.  The
+    merged edge carries the lines of the two it replaces, so a
+    contraction leaves every other node's degree and line sets as they
+    were and can make no node a candidate; at most it gives a neighbour
+    two edges to one node, which the self-loop guard then refuses.  The
+    sweep thus contracts the nodes that rescanning from the smallest id
+    after every contraction would, in the same order."""
     max_split = weights.max_split_cross()
     max_sep = weights.max_separation()
+    incident: dict[str, list[str]] = {v: [] for v in nodes}
+    for eid, e in edges.items():
+        incident[e.a].append(eid)
+        incident[e.b].append(eid)
     did = False
-    while True:
-        cur = LineGraph(nodes, edges, lines)
-        pick = None
-        for v in sorted(nodes):
-            if cur.degree(v) != 2:
-                continue
-            ea_id, eb_id = sorted(cur.incident(v))
-            ea, eb = edges[ea_id], edges[eb_id]
-            if ea.lines != eb.lines:
-                continue
-            u, w = ea.other(v), eb.other(v)
-            if u == w:
-                continue
-            try:
-                nw = weights.for_node(v)
-            except KeyError:
-                continue
-            if nw.same_cross < max_split or nw.separation < max_sep:
-                continue
-            pick = (v, ea_id, eb_id, u, w)
-            break
-        if pick is None:
-            return did
-        v, ea_id, eb_id, u, w = pick
-        ea, eb = edges.pop(ea_id), edges.pop(eb_id)
-        nodes.pop(v)
+    for v in sorted(nodes):
+        if len(incident[v]) != 2:
+            continue
+        ea_id, eb_id = sorted(incident[v])
+        ea, eb = edges[ea_id], edges[eb_id]
+        if ea.lines != eb.lines:
+            continue
+        u, w = ea.other(v), eb.other(v)
+        if u == w:
+            continue
+        try:
+            nw = weights.for_node(v)
+        except KeyError:
+            continue
+        if nw.same_cross < max_split or nw.separation < max_sep:
+            continue
+        del edges[ea_id], edges[eb_id], nodes[v]
         pa = ea.path.pts if ea.b == v else ea.path.reversed().pts
         pb = eb.path.pts if eb.a == v else eb.path.reversed().pts
         mid = new_edge_id()
         edges[mid] = LGEdge(
             id=mid, a=u, b=w, lines=ea.lines, path=Polyline(np.vstack([pa, pb]))
         )
+        incident[u][incident[u].index(ea_id)] = mid
+        incident[w][incident[w].index(eb_id)] = mid
         rmap.record(
             ChainContraction(
                 node=v,
@@ -269,6 +250,7 @@ def _contract_chains(
             )
         )
         did = True
+    return did
 
 
 def _orientation_flags(g: LineGraph, carrier: tuple[str, ...]) -> dict[str, bool]:
@@ -411,7 +393,7 @@ def prune(
     new_edge_id = _IdMaker("m", set(edges))
     changed = True
     while changed:
-        changed = _contract_chains(nodes, edges, lines, weights, new_edge_id, rmap)
+        changed = _contract_chains(nodes, edges, weights, new_edge_id, rmap)
         if collapse_bundles:
             changed = _collapse_bundles(nodes, edges, lines, weight, rmap) or changed
         changed = _drop_terminus_edges(nodes, edges, lines, rmap) or changed
@@ -474,6 +456,38 @@ def _events(g: LineGraph) -> str:
     return kind
 
 
+def _detach_termini(
+    nodes: dict[str, LGNode],
+    edges: dict[str, LGEdge],
+    lines: dict[str, TransitLine],
+    new_node_id: _IdMaker,
+    actions: list[_Action],
+) -> None:
+    """Re-point every edge whose lines all terminate at an endpoint of
+    degree above one to a fresh dangling node there.
+
+    One pass over the edge ids, end a before end b, finds every detach.
+    An edge leaves node v only when no other edge at v shares one of its
+    lines, so whether the lines of v's other edges end at v is the same
+    before and after, and v's degree only drops: a detach can make no
+    end a candidate, and the pass detaches the ends that rescanning from
+    the first edge after every detach would, in the same order."""
+    cur = LineGraph(nodes, edges, lines)
+    degree = {v: cur.degree(v) for v in nodes}
+    for eid in sorted(edges):
+        e = edges[eid]
+        for v in (e.a, e.b):
+            if degree[v] <= 1:
+                continue
+            if not all(_terminates(cur, lid, v) for lid in e.lines):
+                continue
+            fresh = new_node_id()
+            nodes[fresh] = LGNode(id=fresh, kind="aux", x=nodes[v].x, y=nodes[v].y)
+            e = edges[eid] = replace(e, a=fresh) if v == e.a else replace(e, b=fresh)
+            degree[v] -= 1
+            actions.append(TerminusDetach(edge=eid, node=v, fresh_node=fresh))
+
+
 def split_components(
     core: LineGraph, reduction: ReductionMap | None = None
 ) -> list[LineGraph]:
@@ -516,33 +530,7 @@ def split_components(
         edges[hb] = LGEdge(id=hb, a=nb, b=e.b, lines=e.lines, path=e.path.sub(0.5, 1.0))
         actions.append(EdgeCut(edge=eid, line=e.lines[0], half_a=ha, half_b=hb))
 
-    changed = True
-    while changed:
-        changed = False
-        cur = LineGraph(nodes, edges, core.lines)
-        for eid in sorted(edges):
-            e = edges[eid]
-            for v in (e.a, e.b):
-                if cur.degree(v) <= 1:
-                    continue
-                if not all(_terminates(cur, lid, v) for lid in e.lines):
-                    continue
-                fresh = new_node_id()
-                old = nodes[v]
-                nodes[fresh] = LGNode(id=fresh, kind="aux", x=old.x, y=old.y)
-                if v == e.a:
-                    edges[eid] = LGEdge(
-                        id=eid, a=fresh, b=e.b, lines=e.lines, path=e.path
-                    )
-                else:
-                    edges[eid] = LGEdge(
-                        id=eid, a=e.a, b=fresh, lines=e.lines, path=e.path
-                    )
-                actions.append(TerminusDetach(edge=eid, node=v, fresh_node=fresh))
-                changed = True
-                break
-            if changed:
-                break
+    _detach_termini(nodes, edges, core.lines, new_node_id, actions)
 
     fin = LineGraph(nodes, edges, core.lines, core.line_weight)
     comps: list[LineGraph] = []

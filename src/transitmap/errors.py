@@ -1,7 +1,7 @@
 """Exception hierarchy for the transitmap pipeline.
 
 Every stage raises a subclass of TransitMapError so the CLI can map
-failures to stable exit codes (see cli.EXIT_CODES).
+failures to stable exit codes (see cli._EXIT_BY_ERROR).
 """
 
 from __future__ import annotations

@@ -560,7 +560,7 @@ def shared_segments(
     sweep_points(a, dt); a caller sweeping a against many polylines
     computes it once.  nearest, when given, must be
     b.nearest_many(sweep points, d_hat); a caller computes it for many
-    pairs in one kernel call (nearest_on).
+    pairs in one kernel call (nearest_pass).
     """
     ts, pts = sweep_points(a, dt) if sweep is None else sweep
     tb, dist = b.nearest_many(pts, radius=d_hat) if nearest is None else nearest

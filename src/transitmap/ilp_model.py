@@ -117,9 +117,10 @@ class WeightPolicy:
 
     def __init__(self, node_weights: dict[str, NodeWeights]) -> None:
         for nid, nw in node_weights.items():
-            if min(nw.same_cross, nw.split_cross, nw.separation) <= 0:
+            if not all(0 < v < math.inf
+                       for v in (nw.same_cross, nw.split_cross, nw.separation)):
                 raise PreconditionViolated(
-                    f"node {nid!r} has a non-positive event weight"
+                    f"node {nid!r} has a non-positive or non-finite event weight"
                 )
         self._node = dict(node_weights)
 

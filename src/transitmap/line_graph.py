@@ -143,6 +143,8 @@ class LineGraph:
                 raise SchemaViolation(f"node key {nid!r} does not match id {node.id!r}")
             if node.kind not in NODE_KINDS:
                 raise SchemaViolation(f"node {nid!r} has unknown kind {node.kind!r}")
+            if not (math.isfinite(node.x) and math.isfinite(node.y)):
+                raise SchemaViolation(f"node {nid!r} has a non-finite coordinate")
         for eid, e in self.edges.items():
             if e.id != eid:
                 raise SchemaViolation(f"edge key {eid!r} does not match id {e.id!r}")

@@ -53,12 +53,13 @@ class RenderStyle:
     curve: str = "cubic-curve"
 
     def __post_init__(self) -> None:
-        if self.line_width <= 0:
-            raise PreconditionViolated("line width must be positive")
-        if self.max_expansion is not None and self.max_expansion <= 0:
-            raise PreconditionViolated("max expansion must be positive")
-        if self.buffer_radius is not None and self.buffer_radius <= 0:
-            raise PreconditionViolated("buffer radius must be positive")
+        # written so that NaN, which compares False, fails each test
+        if not 0 < self.line_width < math.inf:
+            raise PreconditionViolated("line width must be positive and finite")
+        if self.max_expansion is not None and not 0 < self.max_expansion < math.inf:
+            raise PreconditionViolated("max expansion must be positive and finite")
+        if self.buffer_radius is not None and not 0 < self.buffer_radius < math.inf:
+            raise PreconditionViolated("buffer radius must be positive and finite")
         if self.curve not in _CURVE_KINDS:
             raise SchemaViolation(
                 f"unknown curve kind {self.curve!r}; expected one of "

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: plain, slow
-versions of what the package computes in bulk, the earlier scipy.optimize
-path that the bundled solver must match byte for byte, and measurements
-of its output that the pipeline itself never needs.
+versions of what the package computes in bulk or in one sweep, the
+earlier scipy.optimize path that the bundled solver must match byte for
+byte, and measurements of its output that the pipeline itself never
+needs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from transitmap.core_reduce import ChainContraction, TerminusDetach, _terminates
 from transitmap.geometry import _EPS, Polyline, SharedSegment, sweep_points
 from transitmap.ilp_model import read_lp
+from transitmap.line_graph import LGEdge, LGNode, LineGraph
 
 
 def count_proper_intersections(a_pts: np.ndarray, b_pts: np.ndarray) -> int:
@@ -160,3 +163,76 @@ def milp_solve_lp_file(model_path, out_path) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     return 0
+
+
+def contract_chains_by_rescan(nodes, edges, weights, new_edge_id, rmap) -> bool:
+    """core_reduce._contract_chains as a loop that rebuilds the graph and
+    rescans every node from the smallest id after each contraction."""
+    max_split = weights.max_split_cross()
+    max_sep = weights.max_separation()
+    did = False
+    while True:
+        cur = LineGraph(nodes, edges, {})
+        pick = None
+        for v in sorted(nodes):
+            if cur.degree(v) != 2:
+                continue
+            ea_id, eb_id = sorted(cur.incident(v))
+            ea, eb = edges[ea_id], edges[eb_id]
+            if ea.lines != eb.lines:
+                continue
+            u, w = ea.other(v), eb.other(v)
+            if u == w:
+                continue
+            try:
+                nw = weights.for_node(v)
+            except KeyError:
+                continue
+            if nw.same_cross < max_split or nw.separation < max_sep:
+                continue
+            pick = (v, ea_id, eb_id, u, w)
+            break
+        if pick is None:
+            return did
+        v, ea_id, eb_id, u, w = pick
+        ea, eb = edges.pop(ea_id), edges.pop(eb_id)
+        nodes.pop(v)
+        pa = ea.path.pts if ea.b == v else ea.path.reversed().pts
+        pb = eb.path.pts if eb.a == v else eb.path.reversed().pts
+        mid = new_edge_id()
+        edges[mid] = LGEdge(
+            id=mid, a=u, b=w, lines=ea.lines, path=Polyline(np.vstack([pa, pb])))
+        rmap.record(ChainContraction(
+            node=v, edge_a=ea_id, edge_b=eb_id, merged_edge=mid,
+            reversed_a=ea.b != v, reversed_b=eb.a != v))
+        did = True
+
+
+def detach_termini_by_rescan(nodes, edges, lines, new_node_id, actions) -> None:
+    """core_reduce._detach_termini as a loop that rebuilds the graph and
+    rescans from the first edge after each detach."""
+    changed = True
+    while changed:
+        changed = False
+        cur = LineGraph(nodes, edges, lines)
+        for eid in sorted(edges):
+            e = edges[eid]
+            for v in (e.a, e.b):
+                if cur.degree(v) <= 1:
+                    continue
+                if not all(_terminates(cur, lid, v) for lid in e.lines):
+                    continue
+                fresh = new_node_id()
+                old = nodes[v]
+                nodes[fresh] = LGNode(id=fresh, kind="aux", x=old.x, y=old.y)
+                if v == e.a:
+                    edges[eid] = LGEdge(
+                        id=eid, a=fresh, b=e.b, lines=e.lines, path=e.path)
+                else:
+                    edges[eid] = LGEdge(
+                        id=eid, a=e.a, b=fresh, lines=e.lines, path=e.path)
+                actions.append(TerminusDetach(edge=eid, node=v, fresh_node=fresh))
+                changed = True
+                break
+            if changed:
+                break

@@ -20,6 +20,7 @@ from synth import (
     crossing_separation_trade_graph,
     grid_feed_tables,
     grid_route_line_graph,
+    lattice_line_graph,
     make_graph,
     random_line_graph,
     separation_chain_graph,
@@ -142,6 +143,22 @@ def test_03_reduction_pipeline_preserves_the_optimum():
         ordering = optimize_pipeline(g, "I", w, backend="builtin").ordering
         assert evaluate(g, ordering, w).objective(False) == \
             expected.objective(False)
+
+    # Few small random graphs have a positive optimum; these lattices
+    # force crossings under I and separations under S through the
+    # reductions.
+    for seed in (228, 323, 661, 712, 798, 2094):
+        g = lattice_line_graph(np.random.default_rng(seed))
+        w = WeightPolicy.from_graph(g)
+        _, best_i = brute_force(g, w, include_separation=False)
+        _, best_s = brute_force(g, w, include_separation=True)
+        got_i = evaluate(
+            g, optimize_pipeline(g, "I", w, backend="builtin").ordering, w)
+        got_s = evaluate(
+            g, optimize_pipeline(g, "S", w, backend="builtin").ordering, w)
+        assert got_i.objective(False) == best_i.objective(False) > 0
+        assert got_s.objective(True) == best_s.objective(True)
+        assert got_s.separation_weight > 0
 
     g = seven_line_reduction_graph()
     w = WeightPolicy.from_graph(g)

@@ -147,6 +147,24 @@ def test_render_reproduces_the_golden_svg(tmp_path):
     assert out.read_bytes() == (DATA / "golden_map.svg").read_bytes()
 
 
+@pytest.mark.parametrize("coord", ["x", "y"])
+def test_non_finite_node_coordinate_exits_4(coord, feed_dir, tmp_path, capsys):
+    # json reads NaN, and a NaN node passes the distance test against
+    # its edges' path ends, since every comparison with NaN is False
+    graph, ordering = tmp_path / "g.json", tmp_path / "o.json"
+    assert run(["extract", feed_dir, graph]) == 0
+    assert run(["optimize", graph, ordering]) == 0
+    doc = json.loads(graph.read_text())
+    next(n for n in doc["nodes"] if n["id"] == "A")[coord] = float("nan")
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["optimize", graph, tmp_path / "o2.json"]) == 4
+    assert run(["render", graph, ordering, tmp_path / "map.svg"]) == 4
+    assert capsys.readouterr().err.count("non-finite coordinate") == 2
+    assert not (tmp_path / "o2.json").exists()
+    assert not (tmp_path / "map.svg").exists()
+
+
 def test_render_unknown_edge_exits_4(tmp_path, capsys):
     g = separation_chain_graph()
     graph = tmp_path / "g.json"

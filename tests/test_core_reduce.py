@@ -3,15 +3,19 @@ orientation fixups through unfold, and random-instance optimum
 preservation against the exhaustive solver."""
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from transitmap import core_reduce
 from transitmap.core_reduce import (
     BundleCollapse,
     ChainContraction,
+    EdgeCut,
     ReductionMap,
+    TerminusDetach,
     TerminusEdgeRemoval,
     _events,
     _pieces,
@@ -20,11 +24,19 @@ from transitmap.core_reduce import (
     unfold,
 )
 from transitmap.errors import IncompleteSolution, MalformedOrdering
-from transitmap.ilp_model import Ordering, WeightPolicy, compile_event_sites
+from transitmap.ilp_model import (
+    NodeWeights,
+    Ordering,
+    WeightPolicy,
+    compile_event_sites,
+)
 from transitmap.optimize import brute_force, evaluate, solve
+from oracles import contract_chains_by_rescan, detach_termini_by_rescan
 from synth import (
     crossing_separation_trade_graph,
     disjoint_union,
+    grid_route_line_graph,
+    lattice_line_graph,
     make_graph,
     parting_pieces_graph,
     random_line_graph,
@@ -33,7 +45,7 @@ from synth import (
 
 
 def kinds(rmap):
-    return [a.to_dict()["kind"] for a in rmap.actions]
+    return [a["kind"] for a in rmap.to_dict()["actions"]]
 
 
 # ── chain contraction ───────────────────────────────────────────────
@@ -429,6 +441,126 @@ def test_reduction_map_round_trips_to_json():
     text = json.dumps(rmap.to_dict(), sort_keys=True)
     assert json.loads(text) == rmap.to_dict()
     assert json.loads(text)["actions"][1]["members"] == ["la", "lb"]
+
+
+def test_reduction_map_to_dict_lists_each_action_field():
+    rmap = ReductionMap([
+        ChainContraction(node="v", edge_a="e1", edge_b="e2", merged_edge="m0",
+                         reversed_a=False, reversed_b=True),
+        BundleCollapse(members=("la", "lb"), collapsed="la+lb",
+                       reversal=(("e1", False), ("m0", True))),
+        TerminusEdgeRemoval(edge="e3", lines=("l1", "l2")),
+        EdgeCut(edge="e4", line="l1", half_a="c0", half_b="c1"),
+        TerminusDetach(edge="e5", node="n1", fresh_node="q0"),
+    ])
+    assert rmap.to_dict() == {"actions": [
+        {"kind": "chain_contraction", "node": "v", "edge_a": "e1",
+         "edge_b": "e2", "merged_edge": "m0", "reversed_a": False,
+         "reversed_b": True},
+        {"kind": "bundle_collapse", "members": ["la", "lb"],
+         "collapsed": "la+lb", "reversal": {"e1": False, "m0": True}},
+        {"kind": "terminus_edge_removal", "edge": "e3",
+         "lines": ["l1", "l2"]},
+        {"kind": "edge_cut", "edge": "e4", "line": "l1", "half_a": "c0",
+         "half_b": "c1"},
+        {"kind": "terminus_detach", "edge": "e5", "node": "n1",
+         "fresh_node": "q0"},
+    ]}
+
+
+# ── one sweep against the rescan loops ──────────────────────────────
+
+def _sweep_family():
+    """Graphs with cascading contractions (chains, lattice corridors),
+    contractions that leave a neighbour two edges to one node (rings),
+    each under the default weights and under random weights that block
+    some degree-2 nodes or leave them out of the table."""
+    rng = np.random.default_rng(6180)
+    graphs = [seven_line_reduction_graph()]
+    for _ in range(40):
+        graphs.append(random_line_graph(
+            rng, n_nodes=int(rng.integers(5, 13)),
+            n_lines=int(rng.integers(1, 6))))
+        graphs.append(lattice_line_graph(
+            rng, size=int(rng.integers(2, 5)),
+            n_lines=int(rng.integers(1, 7))))
+    for _ in range(6):
+        graphs.append(grid_route_line_graph(
+            rng, cols=7, rows=5, n_routes=int(rng.integers(3, 8)),
+            trunk_lines=2, trunk_len=3, max_per_edge=3, walk_hops=(4, 10)))
+    for n in range(3, 8):
+        # a ring line: contracting around the ring leaves two nodes with
+        # two edges to each other; odd rings get a spur
+        nodes = {f"n{i}": (1000.0 * math.cos(2 * math.pi * i / n),
+                           1000.0 * math.sin(2 * math.pi * i / n))
+                 for i in range(n)}
+        edges = []
+        for i in range(n):
+            ends = (f"n{i}", f"n{(i + 1) % n}")
+            if rng.random() < 0.5:
+                ends = ends[::-1]
+            edges.append((f"r{i}", *ends, ("l1", "l2")))
+        if n % 2:
+            nodes["t"] = (2000.0, 0.0)
+            edges.append(("s0", "n0", "t", ("l1",)))
+        graphs.append(make_graph(nodes=nodes, edges=edges))
+    for g in graphs:
+        yield g, WeightPolicy.from_graph(g)
+        table = {}
+        for nid in sorted(g.nodes):
+            draw = rng.random()
+            if draw < 0.1:
+                continue
+            table[nid] = NodeWeights(
+                same_cross=1.0 if draw < 0.25 else 4.0, split_cross=2.0,
+                separation=1.0 if draw > 0.85 else 3.0)
+        yield g, WeightPolicy(table)
+
+
+def _reduce(g, w, collapse):
+    core, rmap = prune(g, w, collapse_bundles=collapse)
+    comps = split_components(core, rmap)
+    return (core, json.dumps(rmap.to_dict(), sort_keys=True),
+            [(sorted(c.nodes), sorted(c.edges)) for c in comps])
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["I", "S"])
+def test_one_sweep_reductions_match_the_rescan_loops(collapse, monkeypatch):
+    # Contraction and detach each find their actions in one sweep; the
+    # loops that rebuild the graph and rescan after every change must
+    # record the same actions and give the same components.
+    seen = Counter()
+    for g, w in _sweep_family():
+        core, record, comps = _reduce(g, w, collapse)
+        with monkeypatch.context() as m:
+            m.setattr(core_reduce, "_contract_chains", contract_chains_by_rescan)
+            m.setattr(core_reduce, "_detach_termini", detach_termini_by_rescan)
+            _, want_record, want_comps = _reduce(g, w, collapse)
+        assert record == want_record
+        assert comps == want_comps
+        actions = json.loads(record)["actions"]
+        seen.update(a["kind"] for a in actions)
+        merged = set()
+        for a in actions:
+            if a["kind"] == "chain_contraction":
+                seen["cascade"] += bool({a["edge_a"], a["edge_b"]} & merged)
+                merged.add(a["merged_edge"])
+        for v in core.nodes:
+            pair = core.incident(v)
+            if len(pair) != 2:
+                continue
+            ea, eb = (core.edges[eid] for eid in pair)
+            if ea.lines != eb.lines:
+                continue
+            if ea.other(v) == eb.other(v):
+                seen["self-loop guard"] += bool(set(pair) & merged)
+            else:
+                seen["weight guard"] += 1
+    assert min(seen[k] for k in (
+        "chain_contraction", "terminus_edge_removal", "edge_cut",
+        "terminus_detach", "cascade", "self-loop guard",
+        "weight guard")) >= 3
+    assert seen["bundle_collapse"] >= 3 if collapse else not seen["bundle_collapse"]
 
 
 # ── optimum preservation ────────────────────────────────────────────

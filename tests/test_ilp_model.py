@@ -421,6 +421,14 @@ def test_weight_policy_from_graph_values():
         WeightPolicy({"v": NodeWeights(0.0, 1.0, 1.0)})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("slot", ["same_cross", "split_cross", "separation"])
+def test_weight_policy_rejects_non_finite_weights(slot, value):
+    weights = {"same_cross": 1.0, "split_cross": 1.0, "separation": 1.0}
+    with pytest.raises(PreconditionViolated):
+        WeightPolicy({"v": NodeWeights(**(weights | {slot: value}))})
+
+
 def test_arrival_indicator_orientation():
     g = corridor_pair()
     e1, e2 = g.edges["e1"], g.edges["e2"]

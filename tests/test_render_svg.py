@@ -278,6 +278,17 @@ def test_render_style_validation():
         RenderStyle(curve="wiggly")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("knob", ["line_width", "max_expansion",
+                                  "buffer_radius"])
+def test_render_style_rejects_non_finite_values(knob, value):
+    # NaN compares False with zero, so a sign test alone lets it through
+    # to end as a non-finite polyline in the offset stage
+    with pytest.raises(PreconditionViolated):
+        RenderStyle(**{knob: value})
+
+
 def test_svg_structure_and_element_counts():
     g = double_y_graph()
     doc = render_map(g, identity_ordering(g))
