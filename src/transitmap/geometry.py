@@ -16,10 +16,17 @@ of nearby pairs.
   segment) cells, or one query against the segments near it when that
   alone is more (against every segment when there is no radius).
 - `nearest_pass`, for many (queries, polyline) pairs at once, as the
-  merge loop asks them in one round, packs whole pairs into blocks.  A
+  merge loop asks them in one round and the renderer for all band ends,
+  packs whole pairs into blocks.  A
   block builds one segment table for its distinct polylines and tests
   runs of _CHUNK consecutive queries by box before it tests each query,
   so one block of a few numpy passes serves a hundred small pairs.
+
+The renderer's other whole-map passes live here too: `offset_many`
+offsets many polylines by many deltas at once, a `PolylineStack` takes
+the frames of many polylines at once, and `cut_many` their sub-polylines.
+Each equals the per-polyline method it batches bit for bit (see their
+docstrings).
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -48,6 +55,10 @@ _BLOCK_CELLS = 1 << 18
 # tests each of them: 16 sweep points at the merge loop's 5 m steps span
 # 75 m.
 _CHUNK = 16
+# About the most points in one block of the renderer's passes,
+# offset_many and cut_many: their arrays then stay within a few MB for
+# any map.
+_PASS_ROWS = 1 << 14
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,19 +87,8 @@ class Polyline:
             raise DegenerateSegment(f"expected (N, 2) points, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise DegenerateSegment("non-finite coordinate in polyline")
-        seg = None
-        if len(pts) >= 2:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            keep = seg > _EPS
-            if not keep.all():
-                pts = pts[np.concatenate(([True], keep))]
-                seg = None
-        if len(pts) < 2:
-            raise DegenerateSegment("polyline collapsed below two distinct points")
-        self.pts = pts
+        self.pts, _, seg = _drop_near_duplicates(pts, [len(pts)])
         self.pts.setflags(write=False)
-        if seg is None:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
 
     # basic measures -------------------------------------------------
@@ -279,6 +279,111 @@ class Polyline:
         return f"Polyline({len(self.pts)} pts, {self.length:.1f} m)"
 
 
+# ── many polylines at once ──────────────────────────────────────────
+
+class PolylineStack:
+    """Many polylines end to end: their points, cumulative arc lengths
+    and lengths as single arrays, so that one pass of array operations
+    answers a query on all of them.  Each pass runs the elementwise
+    operations of the Polyline method it stands for, in the same order,
+    so each of its results has the same bits as that method's."""
+
+    def __init__(self, paths: list[Polyline]) -> None:
+        self.pts, self.first, n = _runs([p.pts for p in paths])
+        self.last = self.first + n - 1
+        self.cum = np.concatenate([p._cum for p in paths])
+        self.length = self.cum[self.last]
+        # complex numbers order by real part, then by imaginary part, so
+        # (path, arc length) keys sort in this order and one searchsorted
+        # searches each query's own path; k + 1j * s is exactly (k, s)
+        self._keys = np.repeat(np.arange(len(paths)), n) + 1j * self.cum
+
+    def _search(self, rows: np.ndarray, s: np.ndarray, side: str) -> np.ndarray:
+        """np.searchsorted(paths[rows[k]]._cum, s[k], side) for each k,
+        plus that path's first row."""
+        return np.searchsorted(self._keys, rows + 1j * s, side)
+
+    def frames(self, rows: np.ndarray, ts: np.ndarray):
+        """Arrays x, y, tx, ty: paths[rows[k]].frame_at(ts[k]) for each k.
+        The norm of each segment comes from dots, the kernel of
+        np.linalg.norm on one vector."""
+        s = np.minimum(np.maximum(ts, 0.0), 1.0) * self.length[rows]
+        idx = np.clip(self._search(rows, s, "right") - 1, self.first[rows],
+                      self.last[rows] - 1)
+        c0, span = self.cum[idx], self.cum[idx + 1] - self.cum[idx]
+        ok = span > _EPS
+        local = np.where(ok, (s - c0) / np.where(ok, span, 1.0), 0.0)
+        p0, p1 = self.pts[idx], self.pts[idx + 1]
+        x = p0[:, 0] + local * (p1[:, 0] - p0[:, 0])
+        y = p0[:, 1] + local * (p1[:, 1] - p0[:, 1])
+        d = p1 - p0
+        t = d / np.maximum(np.sqrt(dots(d, d)), _EPS)[:, None]
+        return x, y, t[:, 0], t[:, 1]
+
+    def cut(self, t0: np.ndarray, t1: np.ndarray) -> list[np.ndarray]:
+        """paths[k].sub(t0[k], t1[k]).pts for each path, near-duplicate
+        points dropped by Polyline's own _drop_near_duplicates, without
+        building the polylines; raises the DegenerateSegment that sub
+        raises."""
+        if np.any(t1 <= t0 + _EPS):
+            raise DegenerateSegment("empty parameter range")
+        rows = np.arange(len(self.first))
+        i0 = self._search(rows, t0 * self.length, "right")
+        i1 = self._search(rows, t1 * self.length, "left")
+        counts = i1 - i0 + 2
+        at = np.cumsum(counts) - counts
+        pts = np.empty((counts.sum(), 2))
+        # sub's ends are param_point's, which are frame_at's points
+        pts[at] = np.column_stack(self.frames(rows, t0)[:2])
+        pts[at + counts - 1] = np.column_stack(self.frames(rows, t1)[:2])
+        pts[_ranges(at + 1, i1 - i0)] = self.pts[_ranges(i0, i1 - i0)]
+        pts, counts, _ = _drop_near_duplicates(pts, counts)
+        return np.split(pts, np.cumsum(counts)[:-1])
+
+
+def cut_many(paths: list[Polyline], t0: np.ndarray,
+             t1: np.ndarray) -> list[np.ndarray]:
+    """paths[k].sub(t0[k], t1[k]).pts for each k, from PolylineStack.cut
+    over blocks of paths of at most _PASS_ROWS points: its keys and row
+    indices take several times the memory of the points it cuts."""
+    out: list[np.ndarray] = []
+    for block in _blocks([len(p.pts) for p in paths], _PASS_ROWS):
+        out += PolylineStack(paths[block]).cut(t0[block], t1[block])
+    return out
+
+
+def _runs(arrays: list[np.ndarray]):
+    """The arrays end to end, and the first row and row count of each."""
+    n = np.array([len(a) for a in arrays], dtype=int)
+    return np.concatenate(arrays), np.cumsum(n) - n, n
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.arange(starts[k], starts[k] + counts[k]) for each k, end to end."""
+    return (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
+
+
+def _drop_near_duplicates(pts: np.ndarray, counts):
+    """Each run of counts[k] consecutive rows of pts less the points within
+    _EPS of the point before them, in one pass; raises DegenerateSegment
+    when a run keeps fewer than two points.  Returns the rows kept, each
+    run's new count, and the length of each segment between consecutive
+    rows kept (one per run boundary too)."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    keep = seg > _EPS
+    if not keep.all():
+        first = np.cumsum(counts) - counts
+        keep = np.concatenate(([True], keep))
+        keep[first] = True
+        counts = np.add.reduceat(keep, first)
+        pts = pts[keep]
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if min(counts) < 2:
+        raise DegenerateSegment("polyline collapsed below two distinct points")
+    return pts, counts, seg
+
+
 # ── the nearest-segment kernel ──────────────────────────────────────
 
 # Columns of a segment table, one row per segment: start point, direction,
@@ -343,20 +448,27 @@ def nearest_pass(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
     reach the second test; a pair of more than that goes alone through
     nearest_many's own blocks."""
     cap = _BLOCK_CELLS // _CHUNK
-    blocks, a, total = [], 0, 0
-    for b, (qs, p) in enumerate(pairs):
-        cells = -(-len(qs) // _CHUNK) * (len(p.pts) - 1) + len(qs)
-        if total + cells > cap and b > a:
-            blocks.append((a, b, total))
-            a, total = b, 0
-        total += cells
-    blocks.append((a, len(pairs), total))
-    for a, b, total in blocks:
-        if total > cap:  # one pair
-            qs, p = pairs[a]
+    cells = [-(-len(qs) // _CHUNK) * (len(p.pts) - 1) + len(qs)
+             for qs, p in pairs]
+    for block in _blocks(cells, cap):
+        if sum(cells[block]) > cap:  # one pair
+            qs, p = pairs[block.start]
             yield p.nearest_many(qs, radius)
-        elif b > a:
-            yield from _pass_block(pairs[a:b], radius)
+        else:
+            yield from _pass_block(pairs[block], radius)
+
+
+def _blocks(sizes: list[int], cap: int):
+    """Consecutive slices of range(len(sizes)), in order, each of items
+    whose sizes sum to at most cap or of one item larger than cap."""
+    a, total = 0, 0
+    for b, size in enumerate(sizes):
+        if total + size > cap and b > a:
+            yield slice(a, b)
+            a, total = b, 0
+        total += size
+    if sizes:
+        yield slice(a, len(sizes))
 
 
 def _pass_block(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
@@ -590,64 +702,113 @@ def offset_polyline(p: Polyline, delta: float, miter_limit: float = 2.0) -> Poly
     """Offset p to the left of its travel direction by delta meters
     (negative = right).  Joins are mitered up to miter_limit, beveled
     beyond it; local loops from sharp inner corners are cleaned up.
-    All joins are computed in one array expression.
+    offset_many of the one polyline and offset.
     """
-    if abs(delta) < _EPS:
-        return Polyline(p.pts.copy())
-    pts = p.pts
-    seg = np.diff(pts, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1)
-    dirs = seg / seg_len[:, None]
-    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)  # left of travel
+    return offset_many([p], [[delta]], miter_limit)[0]
 
-    n1, n2 = normals[:-1], normals[1:]
-    mid = pts[1:-1]
+
+def offset_many(paths: list[Polyline], deltas: list[list[float]],
+                miter_limit: float = 2.0) -> list[Polyline]:
+    """Each of paths offset by each of its deltas (deltas[i] for paths[i]),
+    path by path, as offset_polyline offsets one path: a few array passes
+    for each block of paths whose offsets have at most about _PASS_ROWS
+    points in all (or for one path alone), whatever the block.
+
+    Each path's joins are computed once, as a base point, a vector and a
+    divisor for every point an offset of it has: the end points and both
+    points of a bevel are the vertex plus delta times one segment normal
+    over 1, which divides exactly, and a miter point is the vertex plus
+    delta times the sum of both normals over 1 + their dot product.  One
+    expression then scales the vectors of every offset by its delta, in
+    that order of operations.  An offset under _EPS is the path itself.
+    One window test (_local_crossings) finds the offsets with a local
+    loop, and only those go through the cut loop of _remove_local_loops.
+    Every step is elementwise, or a dots product, so each offset is the
+    same bits as one computed alone.
+    """
+    out: list[Polyline] = []
+    sizes = [len(p.pts) * len(ds) for p, ds in zip(paths, deltas)]
+    for block in _blocks(sizes, _PASS_ROWS):
+        out += _offset_block(paths[block], deltas[block], miter_limit)
+    return out
+
+
+def _offset_block(paths: list[Polyline], deltas: list[list[float]],
+                  miter_limit: float) -> list[Polyline]:
+    """offset_many on one block of paths."""
+    d = np.array([x for ds in deltas for x in ds], dtype=float)
+    of = np.repeat(np.arange(len(paths)), [len(ds) for ds in deltas])
+    out = [paths[i] for i in of.tolist()]
+    moved = np.flatnonzero(~(np.abs(d) < _EPS))
+    if not len(moved):
+        return out
+    pts, first, n = _runs([p.pts for p in paths])
+    last = first + n - 1
+    seg = np.diff(pts, axis=0)
+    seg[last[:-1]] = 1.0  # rows that span two paths: any non-zero row
+    dirs = seg / np.linalg.norm(seg, axis=1)[:, None]
+    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)  # left of travel
+    # each point's segment normals, after it and before it; a path's end
+    # points have only one
+    after = np.concatenate([normals, normals[-1:]])
+    after[last] = normals[last - 1]
+    joint = np.ones(len(pts), dtype=bool)
+    joint[first] = joint[last] = False
+    n1, n2 = normals[np.flatnonzero(joint) - 1], after[joint]
     dot = dots(n1, n2)
     with np.errstate(divide="ignore", invalid="ignore"):  # hairpins: dot = -1
         miter_ratio = np.where(dot < 1.0, np.sqrt(2.0 / (1.0 + dot)), 1.0)
-        miter = mid + delta * (n1 + n2) / (1.0 + dot)[:, None]
     # A full reversal or a join past the miter limit is squared off with
     # both segments' endpoint offsets; any other join is one miter point.
     bevel = (dot < -1.0 + 1e-6) | (miter_ratio > miter_limit)
-    joins = np.stack([np.where(bevel[:, None], mid + delta * n1, miter),
-                      mid + delta * n2], axis=1)
-    keep = np.stack([np.ones_like(bevel), bevel], axis=1)
-    out = np.concatenate([pts[:1] + delta * normals[:1], joins[keep],
-                          pts[-1:] + delta * normals[-1:]])
-    return Polyline(_remove_local_loops(out))
+    # two slots per point: the first always filled, the second by bevels
+    vec = np.stack([after, after], axis=1)
+    vec[joint, 0] = np.where(bevel[:, None], n1, n1 + n2)
+    div = np.ones((len(pts), 2))
+    div[joint, 0] = np.where(bevel, 1.0, 1.0 + dot)
+    used = np.zeros((len(pts), 2), dtype=bool)
+    used[:, 0] = True
+    used[np.flatnonzero(joint)[bevel], 1] = True
+    base = np.repeat(pts, 2, axis=0)[used.ravel()]
+    vec, div = vec[used], div[used]
+    rows = np.add.reduceat(used.sum(axis=1), first)
+    counts = rows[of[moved]]
+    r = _ranges((np.cumsum(rows) - rows)[of[moved]], counts)
+    raw = base[r] + np.repeat(d[moved], counts)[:, None] * vec[r] / div[r][:, None]
+    run = np.repeat(np.arange(len(counts)), counts)
+    loops = set(run[_local_crossings(raw, run)[0]].tolist())
+    starts = np.cumsum(counts) - counts
+    for j, (k, a, m) in enumerate(zip(moved.tolist(), starts.tolist(),
+                                      counts.tolist())):
+        run = raw[a:a + m]
+        out[k] = Polyline(_remove_local_loops(run) if j in loops else run)
+    return out
 
 
 _LOOP_WINDOW = 8
 
 
-def _first_local_crossing(pts: np.ndarray,
-                          start: int) -> tuple[int, int, np.ndarray] | None:
-    """First pair (i, j), in (i, j) order, of segments i >= start and
-    j = i + 2 ... i + _LOOP_WINDOW that cross properly, with their
-    crossing point; None when there is none.  One vectorised test over
-    every (window offset, i) pair."""
-    a0 = pts[start:-1]
-    r = np.diff(pts[start:], axis=0)
-    n = len(r)
-    if n < 3:
-        return None
-    i = np.arange(n - 2)[None, :]
-    j = i + np.arange(2, _LOOP_WINDOW + 1)[:, None]  # one row per offset
-    valid = j < n
-    j = np.minimum(j, n - 1)
-    ra, s = r[i], r[j]
-    q = a0[j] - a0[i]
-    denom = ra[..., 0] * s[..., 1] - ra[..., 1] * s[..., 0]
-    ok = valid & (np.abs(denom) >= _EPS)
-    denom = np.where(ok, denom, 1.0)
-    t = (q[..., 0] * s[..., 1] - q[..., 1] * s[..., 0]) / denom
-    u = (q[..., 0] * ra[..., 1] - q[..., 1] * ra[..., 0]) / denom
-    hit = ok & (_EPS < t) & (t < 1 - _EPS) & (_EPS < u) & (u < 1 - _EPS)
-    first = np.flatnonzero(hit.T)  # by segment i, then by offset
-    if not len(first):
-        return None
-    k, row = divmod(int(first[0]), len(hit))
-    return start + k, start + k + 2 + row, a0[k] + t[row, k] * r[k]
+def _local_crossings(pts: np.ndarray, run: np.ndarray):
+    """Arrays i, j, t over the pairs of segments i and j = i + 2 ... i +
+    _LOOP_WINDOW of pts that lie in one run (run[k] is the run of point
+    k) and cross properly, t being the crossing's parameter on segment
+    i.  One vectorised test per offset j - i, over all runs at once."""
+    seg_run = np.where(run[:-1] == run[1:], run[:-1], -1)
+    (x, y), (rx, ry) = pts[:-1].T, np.diff(pts, axis=0).T
+    hits = [np.zeros(0, dtype=int)] * 2 + [np.zeros(0)]
+    for off in range(2, min(_LOOP_WINDOW, len(rx) - 1) + 1):
+        i, j = slice(0, len(rx) - off), slice(off, None)
+        denom = rx[i] * ry[j] - ry[i] * rx[j]
+        ok = ((seg_run[i] == seg_run[j]) & (seg_run[i] >= 0)
+              & (np.abs(denom) >= _EPS))
+        denom = np.where(ok, denom, 1.0)
+        qx, qy = x[j] - x[i], y[j] - y[i]
+        t = (qx * ry[j] - qy * rx[j]) / denom
+        u = (qx * ry[i] - qy * rx[i]) / denom
+        k = np.flatnonzero(ok & (_EPS < t) & (t < 1 - _EPS)
+                           & (_EPS < u) & (u < 1 - _EPS))
+        hits = [np.concatenate(h) for h in zip(hits, (k, k + off, t[k]))]
+    return hits
 
 
 def _remove_local_loops(pts: np.ndarray) -> np.ndarray:
@@ -657,12 +818,17 @@ def _remove_local_loops(pts: np.ndarray) -> np.ndarray:
     point, which removes at least one point; the search then resumes at
     i - _LOOP_WINDOW, the first segment whose window reaches the cut, so
     no window of the result holds a crossing."""
-    i = 0
-    while (hit := _first_local_crossing(pts, i)) is not None:
-        i, j, x = hit
+    start = 0
+    while True:
+        i, j, t = _local_crossings(pts[start:], np.zeros(len(pts) - start,
+                                                         dtype=int))
+        if not len(i):
+            return pts
+        first = np.lexsort((j, i))[0]
+        i, j = start + int(i[first]), start + int(j[first])
+        x = pts[i] + t[first] * (pts[i + 1] - pts[i])
         pts = np.vstack([pts[: i + 1], [x], pts[j + 1:]])
-        i = max(0, i - _LOOP_WINDOW)
-    return pts
+        start = max(0, i - _LOOP_WINDOW)
 
 
 # ── averaging ───────────────────────────────────────────────────────

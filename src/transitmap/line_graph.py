@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonTermination, SchemaViolation
+from .errors import DegenerateSegment, NonTermination, SchemaViolation
 from .geometry import (
     Polyline,
     SharedSegment,
@@ -266,6 +266,11 @@ def load_line_graph(path) -> LineGraph:
             path = Polyline(pts)
         except (TypeError, IndexError, ValueError) as exc:
             raise SchemaViolation(f"{where}: bad path: {exc}") from exc
+        except DegenerateSegment:
+            if all(math.isfinite(c) for p in pts for c in p):
+                raise  # a path that collapses is a geometry failure
+            raise SchemaViolation(
+                f"{where}: non-finite coordinate in path") from None
         edges[eid] = LGEdge(
             id=eid,
             a=_req(item, "a", str, where),

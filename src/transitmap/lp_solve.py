@@ -1,5 +1,5 @@
 """Bundled MILP backend: reads a 0-1 program from an LP file in the
-dialect that `ilp_model.write_lp` writes, solves it with HiGHS, and
+dialect that `lp_dialect.write_lp` writes, solves it with HiGHS, and
 writes one `name 0|1` pair per line.
 
 HiGHS is reached through the Python bindings that scipy ships as the
@@ -34,7 +34,7 @@ import sys
 import tempfile
 
 from .errors import SchemaViolation, SolverFailure
-from .ilp_model import read_lp
+from .lp_dialect import read_lp
 
 _CORE = "scipy.optimize._highspy._core"
 

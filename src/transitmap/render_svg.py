@@ -1,6 +1,14 @@
 """Geographic map rendering in four stages: offset line bands, expanded
 node fronts, inner connection curves, and layered SVG assembly.
 
+The map is rendered in whole-map array passes, not item by item: one
+offset pass for all bands (offset_lines), node fronts stepped for all
+still-crowded nodes at once (expand_node_fronts), and one nearest-point
+pass and one cut for all band ends (render_map).  Each pass runs the
+arithmetic of the per-item computation it replaces, elementwise and in
+the same order of operations, so its results, and the SVG bytes, are
+the same bits; tests/oracles.py keeps the per-item path to check this.
+
 Orientation convention, shared with the event semantics: position 1 of
 an edge's ordering is the leftmost line when walking the edge's
 canonical path direction.  The band of the line at position p is the
@@ -24,7 +32,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionViolated, SchemaViolation
-from .geometry import Polyline, dots, offset_polyline
+from .geometry import (Polyline, PolylineStack, cut_many, dots, nearest_pass,
+                       offset_many)
 from .ilp_model import Ordering
 from .line_graph import LineGraph
 
@@ -82,16 +91,21 @@ def _offset_delta(n: int, p: int, w: float) -> float:
 def offset_lines(g: LineGraph, o: Ordering,
                  style: RenderStyle) -> dict[tuple[str, str], Polyline]:
     """Per (edge, line) band geometry: the edge path offset left by the
-    centered position formula."""
+    centered position formula.
+
+    One geometry.offset_many pass offsets every band of the map: it
+    takes each edge's normals and joins once, scales them by each
+    position's delta in one array expression, and sends only the bands
+    that its one window test finds a loop in through the loop cut.  Every
+    step is elementwise, so each band has the bits of offset_polyline on
+    that edge and delta alone."""
     o.validate_for(g)
-    out: dict[tuple[str, str], Polyline] = {}
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        n = len(e.lines)
-        for p, line in enumerate(o.lines_at(eid), start=1):
-            out[(eid, line)] = offset_polyline(
-                e.path, _offset_delta(n, p, style.line_width))
-    return out
+    eids = sorted(g.edges)
+    deltas = [[_offset_delta(len(g.edges[eid].lines), p, style.line_width)
+               for p in range(1, len(g.edges[eid].lines) + 1)] for eid in eids]
+    bands = offset_many([g.edges[eid].path for eid in eids], deltas)
+    return dict(zip(((eid, line) for eid in eids for line in o.lines_at(eid)),
+                    bands))
 
 
 # ── node fronts ─────────────────────────────────────────────────────
@@ -114,82 +128,55 @@ class NodeFront:
     normal: tuple[float, float]
 
 
-def _front_frame(g: LineGraph, node_id: str, edge_id: str,
-                 trim: float) -> tuple[float, float, float, float]:
-    """Center (x, y) and unit tangent (tx, ty) of edge_id's path where its
-    band ends at node_id, trim meters into the edge."""
-    e = g.edges[edge_id]
-    t_end = min(max(trim / e.path.length, 0.0), 1.0)
-    return e.path.frame_at(t_end if node_id == e.a else 1.0 - t_end)
-
-
-def _baseline(frame, n: int, w: float):
-    """Ends of the baseline of an n-line band at frame, left end first."""
-    x, y, tx, ty = frame
-    half = w * n / 2.0
-    lx, ly = -ty, tx
-    return (x + lx * half, y + ly * half), (x - lx * half, y - ly * half)
-
-
-def _make_front(g: LineGraph, node_id: str, edge_id: str, frame,
-                w: float) -> NodeFront:
-    e = g.edges[edge_id]
-    x, y, tx, ty = frame
-    lx, ly = -ty, tx
-    n = len(e.lines)
-    ports = tuple((x + lx * d, y + ly * d)
-                  for d in (_offset_delta(n, p, w) for p in range(1, n + 1)))
-    return NodeFront(
-        node=node_id,
-        edge=edge_id,
-        baseline=_baseline(frame, n, w),
-        ports=ports,
-        normal=(tx, ty) if node_id == e.a else (-tx, -ty),
-    )
-
-
-def _point_segment_distance(q, a, b) -> float:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    len2 = dx * dx + dy * dy
-    if len2 < 1e-18:
-        return math.hypot(q[0] - a[0], q[1] - a[1])
-    t = min(max(((q[0] - a[0]) * dx + (q[1] - a[1]) * dy) / len2, 0.0), 1.0)
-    return math.hypot(q[0] - (a[0] + t * dx), q[1] - (a[1] + t * dy))
-
-
-def _segments_cross(a0, a1, b0, b1) -> bool:
-    rx, ry = a1[0] - a0[0], a1[1] - a0[1]
-    sx, sy = b1[0] - b0[0], b1[1] - b0[1]
+def _crowded(seg_a: np.ndarray, seg_b: np.ndarray, w: float) -> np.ndarray:
+    """For each pair of segments seg_a[k], seg_b[k] (arrays of (end,
+    coordinate) rows), whether they cross or come closer than one line
+    width w, less 1e-9.  The crossing test and the four point-segment
+    distances run the scalar arithmetic of the per-pair test, operation
+    for operation, and the distances come from math.hypot (np.hypot can
+    differ in the last bit), so every answer is the scalar one."""
+    (a0x, a0y), (a1x, a1y) = seg_a[:, 0].T, seg_a[:, 1].T
+    (b0x, b0y), (b1x, b1y) = seg_b[:, 0].T, seg_b[:, 1].T
+    rx, ry, sx, sy = a1x - a0x, a1y - a0y, b1x - b0x, b1y - b0y
     denom = rx * sy - ry * sx
-    if abs(denom) < 1e-12:
-        return False
-    qx, qy = b0[0] - a0[0], b0[1] - a0[1]
+    ok = ~(np.abs(denom) < 1e-12)
+    denom = np.where(ok, denom, 1.0)
+    qx, qy = b0x - a0x, b0y - a0y
     t = (qx * sy - qy * sx) / denom
     u = (qx * ry - qy * rx) / denom
-    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+    cross = ok & (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)
+    # each end of one segment against the other segment
+    qx, qy = np.stack([a0x, a1x, b0x, b1x]), np.stack([a0y, a1y, b0y, b1y])
+    ax, ay = np.stack([b0x, b0x, a0x, a0x]), np.stack([b0y, b0y, a0y, a0y])
+    dx = np.stack([b1x, b1x, a1x, a1x]) - ax
+    dy = np.stack([b1y, b1y, a1y, a1y]) - ay
+    len2 = dx * dx + dy * dy
+    point = len2 < 1e-18
+    t = ((qx - ax) * dx + (qy - ay) * dy) / np.where(point, 1.0, len2)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ex = np.where(point, qx - ax, qx - (ax + t * dx))
+    ey = np.where(point, qy - ay, qy - (ay + t * dy))
+    dist = np.fromiter(map(math.hypot, ex.ravel().tolist(), ey.ravel().tolist()),
+                       float, ex.size).reshape(ex.shape)
+    gap = np.where(cross, 0.0, dist.min(axis=0))
+    return gap < w - 1e-9
 
 
-def _segment_distance(seg_a, seg_b) -> float:
-    """Distance between two segments given as pairs of (x, y) floats."""
-    a0, a1 = seg_a
-    b0, b1 = seg_b
-    if _segments_cross(a0, a1, b0, b1):
-        return 0.0
-    return min(
-        _point_segment_distance(a0, b0, b1),
-        _point_segment_distance(a1, b0, b1),
-        _point_segment_distance(b0, a0, a1),
-        _point_segment_distance(b1, a0, a1),
-    )
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """The rows of points rounded to 1e-9, sorted by x and then y, each
+    run of equal rows kept once: the rows np.unique(axis=0) returns, in
+    its order, without the import of numpy.ma that np.unique makes."""
+    pts = np.round(points, 9)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, tolerant of degenerate input."""
-    pts = np.unique(np.round(points, 9), axis=0)
+    pts = _unique_rows(points)
     if len(pts) <= 2:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order].tolist()
+    pts = pts.tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -213,42 +200,74 @@ def expand_node_fronts(
     """Trim bands back from every node until distinct edges' fronts are
     at least one line width apart, stepping half a line width at a time
     up to the style's maximum expansion, then build the fronts and the
-    node polygons (convex hull of the node and its front baselines)."""
+    node polygons (convex hull of the node and its front baselines).
+
+    All still-crowded nodes step together.  Each step takes the frames
+    of their fronts in one geometry.PolylineStack.frames pass, their
+    baselines in one array expression, and the crowding of every pair
+    of fronts at one of them in one _crowded pass; a node stops when no
+    pair is crowded or no crowded front can move.  Nodes do not interact,
+    and every value is computed with the scalar operations in their
+    order (frame_at's, the baseline's, the pair test's), so each node
+    ends at the trims, fronts and polygon of stepping it alone."""
     w = style.line_width
     buffer = style.resolved_buffer()
     max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
-    fronts_out: dict[tuple[str, str], NodeFront] = {}
-    polygons: dict[str, np.ndarray] = {}
-    for nid in sorted(g.nodes):
-        inc = g.incident(nid)
-        trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
-        while True:
-            at = {eid: _front_frame(g, nid, eid, trims[eid])
-                  for eid in inc}
-            baselines = {eid: _baseline(at[eid], len(g.edges[eid].lines), w)
-                         for eid in inc}
-            crowded: set[str] = set()
-            for e1, e2 in combinations(sorted(inc), 2):
-                gap = _segment_distance(baselines[e1], baselines[e2])
-                if gap < w - 1e-9:
-                    crowded.add(e1)
-                    crowded.add(e2)
-            if not crowded:
-                break
-            moved = False
-            for eid in sorted(crowded):
-                cap = min(max_exp, g.edges[eid].path.length)
-                if trims[eid] + 1e-9 < cap:
-                    trims[eid] = min(trims[eid] + w / 2.0, cap)
-                    moved = True
-            if not moved:
-                break
-        # The last check measured the fronts at the final trims.
-        pts = [g.nodes[nid].xy]
-        for eid in inc:
-            fronts_out[(nid, eid)] = _make_front(g, nid, eid, at[eid], w)
-            pts.extend(baselines[eid])
-        polygons[nid] = _convex_hull(np.array(pts))
+    eids, nids = sorted(g.edges), sorted(g.nodes)
+    # one front per (node, incident edge), node by node
+    keys = [(nid, eid) for nid in nids for eid in g.incident(nid)]
+    index = {key: k for k, key in enumerate(keys)}
+    pairs = np.array([(index[(nid, e1)], index[(nid, e2)]) for nid in nids
+                      for e1, e2 in combinations(sorted(g.incident(nid)), 2)],
+                     dtype=int).reshape(-1, 2)
+    degree = np.array([g.degree(nid) for nid in nids], dtype=int)
+    node, node_first = np.repeat(np.arange(len(nids)), degree), np.cumsum(degree) - degree
+    col = {eid: j for j, eid in enumerate(eids)}
+    edge = np.array([col[eid] for _, eid in keys], dtype=int)
+    from_a = np.array([nid == g.edges[eid].a for nid, eid in keys], dtype=bool)
+    n = np.array([len(g.edges[eid].lines) for _, eid in keys], dtype=int)
+    first = np.cumsum(n) - n  # of each front's ports
+    length = np.array([g.edges[eid].path.length for _, eid in keys])
+    stack = PolylineStack([g.edges[eid].path for eid in eids]) if eids else None
+    trims = np.minimum(buffer, length)
+    cap = np.minimum(max_exp, length)
+    half = w * n / 2.0
+    frame = np.empty((4, len(keys)))  # x, y, tx, ty
+    base = np.empty((len(keys), 2, 2))  # baseline ends, left first
+    active = np.full(len(nids), bool(keys))
+    while active.any():
+        f = np.flatnonzero(active[node])
+        t_end = np.minimum(np.maximum(trims[f] / length[f], 0.0), 1.0)
+        frame[:, f] = stack.frames(edge[f], np.where(from_a[f], t_end,
+                                                     1.0 - t_end))
+        x, y, tx, ty = frame[:, f]
+        lx, ly, h = -ty, tx, half[f]
+        base[f, 0] = np.column_stack((x + lx * h, y + ly * h))
+        base[f, 1] = np.column_stack((x - lx * h, y - ly * h))
+        p = pairs[active[node[pairs[:, 0]]]]
+        crowded = np.zeros(len(keys), dtype=bool)
+        crowded[p[_crowded(base[p[:, 0]], base[p[:, 1]], w)].ravel()] = True
+        grow = crowded & (trims + 1e-9 < cap)
+        trims[grow] = np.minimum(trims[grow] + w / 2.0, cap[grow])
+        active[:] = False
+        active[node[grow]] = True
+    # the last step of each node measured its fronts at its final trims;
+    # port i of a front is its point offset by _offset_delta(n, i + 1, w)
+    k = np.repeat(np.arange(len(keys)), n)
+    d = w * ((n[k] + 1) / 2.0 - (np.arange(len(k)) - np.repeat(first, n) + 1))
+    x, y, tx, ty = frame[:, k]
+    ports = list(zip((x + -ty * d).tolist(), (y + tx * d).tolist()))
+    x, y, tx, ty = frame.tolist()
+    fronts_out = {
+        (nid, eid): NodeFront(
+            node=nid, edge=eid, baseline=(tuple(b0), tuple(b1)),
+            ports=tuple(ports[a:a + m]),
+            normal=(tx[i], ty[i]) if at_a else (-tx[i], -ty[i]))
+        for i, ((nid, eid), (b0, b1), a, m, at_a) in enumerate(zip(
+            keys, base.tolist(), first.tolist(), n.tolist(), from_a.tolist()))}
+    polygons = {nid: _convex_hull(np.concatenate(
+                    ([g.nodes[nid].xy], base[a:a + m].reshape(-1, 2))))
+                for nid, a, m in zip(nids, node_first.tolist(), degree.tolist())}
     return fronts_out, polygons
 
 
@@ -329,6 +348,48 @@ def _safe_id(raw: str) -> str:
     return "".join(c if c.isalnum() or c in "_-" else "_" for c in raw)
 
 
+def _band_cuts(g: LineGraph, o: Ordering,
+               offsets: dict[tuple[str, str], Polyline],
+               fronts: dict[tuple[str, str], NodeFront],
+               radius: float) -> dict[tuple[str, str], np.ndarray]:
+    """The drawn part of each band, by (edge, line) in drawing order: the
+    band between its points nearest to its ports on the two fronts, for
+    each band not trimmed away (at most 1e-6 of it left), which the node
+    polygons cover.
+
+    One geometry.nearest_pass finds the nearest points of all bands'
+    port pairs, each equal to the band's unbounded nearest_many for a
+    port within radius of its band; a port lies on its band up to
+    rounding unless a loop cut or bevel moved the band, and any port
+    farther than radius takes the unbounded nearest_many.  One
+    geometry.cut_many pass then cuts all drawn bands, equal to their
+    Polyline.sub points."""
+    keys, ends, bands = [], [], []
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        ports_a, ports_b = fronts[(e.a, eid)].ports, fronts[(e.b, eid)].ports
+        for line in sorted(e.lines):
+            i = o.position(eid, line) - 1
+            keys.append((eid, line))
+            ends += [ports_a[i], ports_b[i]]
+            bands.append(offsets[(eid, line)])
+    if not keys:
+        return {}
+    # one pair per port: a pair's queries share one box test, and the two
+    # ends of a band are far apart
+    ends = np.array(ends)
+    pairs = [(ends[k:k + 1], bands[k // 2]) for k in range(len(ends))]
+    ts = np.concatenate([t for t, _ in nearest_pass(pairs, radius)])
+    for k in np.flatnonzero(np.isnan(ts)).tolist():
+        ts[k] = bands[k // 2].nearest_many(ends[k:k + 1])[0][0]
+    t0, t1 = ts[0::2], ts[1::2]
+    drawn = np.flatnonzero(~(t1 - t0 <= 1e-6))
+    if not len(drawn):
+        return {}
+    cuts = cut_many([bands[k] for k in drawn.tolist()], t0[drawn], t1[drawn])
+    return dict(zip((keys[k] for k in drawn.tolist()), cuts))
+
+
 def _label_direction(g: LineGraph, nid: str) -> np.ndarray:
     """Unit direction pointing away from the node's busiest sides: the
     first of 16 compass directions whose largest dot product with an
@@ -353,7 +414,14 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
 
     Layers, in paint order: line bands, inner connections, station
     polygons, station labels.  Element order and coordinate formatting
-    are deterministic, so identical inputs produce identical bytes."""
+    are deterministic, so identical inputs produce identical bytes.
+
+    Every band is trimmed to its two ports in one pass (_band_cuts): one
+    nearest_pass over all band ends and one cut_many over all drawn
+    bands.  Each result is that of the band's own nearest_many and
+    sub, whose elementwise operations the passes run in the same order,
+    so the drawn bands, and the bytes, are those of trimming band by
+    band."""
     style = style or RenderStyle()
     o.validate_for(g)
     w = style.line_width
@@ -362,19 +430,12 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
     fronts, polygons = expand_node_fronts(g, style)
     conns = inner_connections(g, o, fronts, style)
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for e in g.edges.values():
-        x0, y0, x1, y1 = e.path.bbox()
-        xs += [x0, x1]
-        ys += [y0, y1]
-    for hull in polygons.values():
-        xs += hull[:, 0].tolist()
-        ys += hull[:, 1].tolist()
-    if xs:
+    if g.nodes or g.edges:
+        xy = np.concatenate([e.path.pts for e in g.edges.values()]
+                            + list(polygons.values()))
         margin = buffer + w * (g.max_lines_per_edge + 1)
-        min_x, max_x = min(xs) - margin, max(xs) + margin
-        min_y, max_y = min(ys) - margin, max(ys) + margin
+        min_x, min_y = (xy.min(axis=0) - margin).tolist()
+        max_x, max_y = (xy.max(axis=0) + margin).tolist()
         width, height = max_x - min_x, max_y - min_y
     else:
         min_x = min_y = 0.0
@@ -397,21 +458,11 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
         '  <g id="line-bands">',
     ]
 
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        front_a, front_b = fronts[(e.a, eid)], fronts[(e.b, eid)]
-        for line in sorted(e.lines):
-            band = offsets[(eid, line)]
-            pos = o.position(eid, line)
-            ends = np.array([front_a.ports[pos - 1], front_b.ports[pos - 1]])
-            t0, t1 = band.nearest_many(ends)[0].tolist()
-            if t1 - t0 <= 1e-6:
-                continue  # fully trimmed: the node polygons cover it
-            d = polyline_path(band.sub(t0, t1).pts)
-            lines_out.append(
-                f'    <path id="band-{_safe_id(eid)}-{_safe_id(line)}" '
-                f'fill="none" stroke="{g.lines[line].color}" '
-                f'stroke-width="{_fmt(w)}" d="{d}"/>')
+    for (eid, line), pts in _band_cuts(g, o, offsets, fronts, w).items():
+        lines_out.append(
+            f'    <path id="band-{_safe_id(eid)}-{_safe_id(line)}" '
+            f'fill="none" stroke="{g.lines[line].color}" '
+            f'stroke-width="{_fmt(w)}" d="{polyline_path(pts)}"/>')
     lines_out.append("  </g>")
 
     lines_out.append('  <g id="inner-connections">')

@@ -1,22 +1,32 @@
 """Reference implementations that only the tests use: plain, slow
-versions of what the package computes in bulk or in one sweep, the
-earlier scipy.optimize path that the bundled solver must match byte for
-byte, and measurements of its output that the pipeline itself never
-needs.
+versions of what the package computes in bulk or in one sweep (among
+them the per-band and per-node render path that the whole-map passes of
+render_svg replace), the earlier scipy.optimize path that the bundled
+solver must match byte for byte, and measurements of its output that the
+pipeline itself never needs.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from transitmap.core_reduce import ChainContraction, TerminusDetach, _terminates
-from transitmap.geometry import _EPS, Polyline, SharedSegment, sweep_points
-from transitmap.ilp_model import read_lp
+from transitmap.geometry import (
+    _EPS,
+    Polyline,
+    SharedSegment,
+    _remove_local_loops,
+    dots,
+    sweep_points,
+)
+from transitmap.lp_dialect import read_lp
 from transitmap.line_graph import LGEdge, LGNode, LineGraph
+from transitmap.render_svg import NodeFront, _offset_delta
 
 
 def count_proper_intersections(a_pts: np.ndarray, b_pts: np.ndarray) -> int:
@@ -236,3 +246,178 @@ def detach_termini_by_rescan(nodes, edges, lines, new_node_id, actions) -> None:
                 break
             if changed:
                 break
+
+
+# ── the per-item render path ────────────────────────────────────────
+
+
+def offset_polyline_per_band(p: Polyline, delta: float,
+                             miter_limit: float = 2.0) -> Polyline:
+    """geometry.offset_polyline as one array expression per polyline, the
+    loop cleanup run on every polyline."""
+    if abs(delta) < _EPS:
+        return Polyline(p.pts.copy())
+    pts = p.pts
+    seg = np.diff(pts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    dirs = seg / seg_len[:, None]
+    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    n1, n2 = normals[:-1], normals[1:]
+    mid = pts[1:-1]
+    dot = dots(n1, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miter_ratio = np.where(dot < 1.0, np.sqrt(2.0 / (1.0 + dot)), 1.0)
+        miter = mid + delta * (n1 + n2) / (1.0 + dot)[:, None]
+    bevel = (dot < -1.0 + 1e-6) | (miter_ratio > miter_limit)
+    joins = np.stack([np.where(bevel[:, None], mid + delta * n1, miter),
+                      mid + delta * n2], axis=1)
+    keep = np.stack([np.ones_like(bevel), bevel], axis=1)
+    out = np.concatenate([pts[:1] + delta * normals[:1], joins[keep],
+                          pts[-1:] + delta * normals[-1:]])
+    return Polyline(_remove_local_loops(out))
+
+
+def offset_lines_per_band(g, o, style) -> dict:
+    """render_svg.offset_lines with one offset_polyline call per band."""
+    out = {}
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        n = len(e.lines)
+        for p, line in enumerate(o.lines_at(eid), start=1):
+            out[(eid, line)] = offset_polyline_per_band(
+                e.path, _offset_delta(n, p, style.line_width))
+    return out
+
+
+def _front_frame(g, node_id, edge_id, trim):
+    e = g.edges[edge_id]
+    t_end = min(max(trim / e.path.length, 0.0), 1.0)
+    return e.path.frame_at(t_end if node_id == e.a else 1.0 - t_end)
+
+
+def _baseline(frame, n, w):
+    x, y, tx, ty = frame
+    half = w * n / 2.0
+    lx, ly = -ty, tx
+    return (x + lx * half, y + ly * half), (x - lx * half, y - ly * half)
+
+
+def _make_front(g, node_id, edge_id, frame, w) -> NodeFront:
+    e = g.edges[edge_id]
+    x, y, tx, ty = frame
+    lx, ly = -ty, tx
+    n = len(e.lines)
+    ports = tuple((x + lx * d, y + ly * d)
+                  for d in (_offset_delta(n, p, w) for p in range(1, n + 1)))
+    return NodeFront(node=node_id, edge=edge_id,
+                     baseline=_baseline(frame, n, w), ports=ports,
+                     normal=(tx, ty) if node_id == e.a else (-tx, -ty))
+
+
+def _point_segment_distance(q, a, b) -> float:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    len2 = dx * dx + dy * dy
+    if len2 < 1e-18:
+        return math.hypot(q[0] - a[0], q[1] - a[1])
+    t = min(max(((q[0] - a[0]) * dx + (q[1] - a[1]) * dy) / len2, 0.0), 1.0)
+    return math.hypot(q[0] - (a[0] + t * dx), q[1] - (a[1] + t * dy))
+
+
+def _segments_cross(a0, a1, b0, b1) -> bool:
+    rx, ry = a1[0] - a0[0], a1[1] - a0[1]
+    sx, sy = b1[0] - b0[0], b1[1] - b0[1]
+    denom = rx * sy - ry * sx
+    if abs(denom) < 1e-12:
+        return False
+    qx, qy = b0[0] - a0[0], b0[1] - a0[1]
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
+    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+
+
+def segment_distance(seg_a, seg_b) -> float:
+    """Distance between two segments given as pairs of (x, y) floats."""
+    a0, a1 = seg_a
+    b0, b1 = seg_b
+    if _segments_cross(a0, a1, b0, b1):
+        return 0.0
+    return min(_point_segment_distance(a0, b0, b1),
+               _point_segment_distance(a1, b0, b1),
+               _point_segment_distance(b0, a0, a1),
+               _point_segment_distance(b1, a0, a1))
+
+
+def convex_hull_by_unique(points: np.ndarray) -> np.ndarray:
+    """render_svg._convex_hull with its rows deduplicated by np.unique."""
+    pts = np.unique(np.round(points, 9), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def expand_node_fronts_per_node(g, style):
+    """render_svg.expand_node_fronts stepping one node at a time, its
+    fronts from scalar frame_at calls."""
+    w = style.line_width
+    buffer = style.resolved_buffer()
+    max_exp = style.resolved_max_expansion(g.max_lines_per_edge)
+    fronts_out, polygons = {}, {}
+    for nid in sorted(g.nodes):
+        inc = g.incident(nid)
+        trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
+        while True:
+            at = {eid: _front_frame(g, nid, eid, trims[eid]) for eid in inc}
+            baselines = {eid: _baseline(at[eid], len(g.edges[eid].lines), w)
+                         for eid in inc}
+            crowded = set()
+            for e1, e2 in combinations(sorted(inc), 2):
+                if segment_distance(baselines[e1], baselines[e2]) < w - 1e-9:
+                    crowded.update((e1, e2))
+            if not crowded:
+                break
+            moved = False
+            for eid in sorted(crowded):
+                cap = min(max_exp, g.edges[eid].path.length)
+                if trims[eid] + 1e-9 < cap:
+                    trims[eid] = min(trims[eid] + w / 2.0, cap)
+                    moved = True
+            if not moved:
+                break
+        pts = [g.nodes[nid].xy]
+        for eid in inc:
+            fronts_out[(nid, eid)] = _make_front(g, nid, eid, at[eid], w)
+            pts.extend(baselines[eid])
+        polygons[nid] = convex_hull_by_unique(np.array(pts))
+    return fronts_out, polygons
+
+
+def band_cuts_per_band(g, o, offsets, fronts, radius=None) -> dict:
+    """render_svg._band_cuts with one nearest_many and one sub per band:
+    each band not trimmed away, cut between the parameters nearest its
+    two ports.  radius is not used."""
+    out = {}
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        for line in sorted(e.lines):
+            band = offsets[(eid, line)]
+            pos = o.position(eid, line)
+            ends = np.array([fronts[(e.a, eid)].ports[pos - 1],
+                             fronts[(e.b, eid)].ports[pos - 1]])
+            t0, t1 = band.nearest_many(ends)[0].tolist()
+            if t1 - t0 > 1e-6:
+                out[(eid, line)] = band.sub(t0, t1).pts
+    return out

@@ -615,3 +615,28 @@ def grid_route_line_graph(rng: np.random.Generator, *, cols: int, rows: int,
     return make_graph(
         nodes={sid: xy for sid, xy in stations.items() if sid in used},
         edges=edges)
+
+
+def bent_grid_line_graph(rng: np.random.Generator, *, cols: int = 7,
+                         rows: int = 6, n_routes: int = 10):
+    """grid_route_line_graph with every edge bent: a random mix of smooth
+    bows and sharp zigzags (joins past the miter limit and inner-corner
+    loops) between the same end stations, up to five lines an edge."""
+    g = grid_route_line_graph(rng, cols=cols, rows=rows, n_routes=n_routes,
+                              trunk_lines=5, trunk_len=4, max_per_edge=5)
+    edges = []
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        a, b = e.path.pts[0], e.path.pts[-1]
+        u = b - a
+        normal = np.array([-u[1], u[0]]) / float(np.linalg.norm(u))
+        if rng.random() < 0.5:
+            s = np.linspace(0.0, 1.0, int(rng.integers(3, 40)))[1:-1]
+            side = float(rng.uniform(-60.0, 60.0)) * np.sin(math.pi * s)
+        else:
+            s = np.linspace(0.0, 1.0, int(rng.integers(20, 160)))[1:-1]
+            side = float(rng.uniform(4.0, 25.0)) * (np.arange(len(s)) % 2)
+        mid = a + s[:, None] * u + side[:, None] * normal
+        edges.append((eid, e.a, e.b, e.lines, np.vstack([a, mid, b])))
+    return make_graph(nodes={nid: (n.x, n.y) for nid, n in g.nodes.items()},
+                      edges=edges)

@@ -165,6 +165,26 @@ def test_non_finite_node_coordinate_exits_4(coord, feed_dir, tmp_path, capsys):
     assert not (tmp_path / "map.svg").exists()
 
 
+@pytest.mark.parametrize("coord", ["x", "y"])
+def test_non_finite_path_point_exits_4(coord, feed_dir, tmp_path, capsys):
+    # a NaN interior path point is a schema error like a NaN node, not a
+    # geometry failure of the Polyline built from it
+    graph, ordering = tmp_path / "g.json", tmp_path / "o.json"
+    assert run(["extract", feed_dir, graph]) == 0
+    assert run(["optimize", graph, ordering]) == 0
+    doc = json.loads(graph.read_text())
+    path = doc["edges"][0]["path"]
+    path.insert(1, list(path[0]))
+    path[1][0 if coord == "x" else 1] = float("nan")
+    graph.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["optimize", graph, tmp_path / "o2.json"]) == 4
+    assert run(["render", graph, ordering, tmp_path / "map.svg"]) == 4
+    assert capsys.readouterr().err.count("non-finite coordinate") == 2
+    assert not (tmp_path / "o2.json").exists()
+    assert not (tmp_path / "map.svg").exists()
+
+
 def test_render_unknown_edge_exits_4(tmp_path, capsys):
     g = separation_chain_graph()
     graph = tmp_path / "g.json"

@@ -409,15 +409,10 @@ def _remove_local_loops_oracle(pts):
 
 def test_loop_cleanup_matches_scalar_oracle_on_noisy_polylines(monkeypatch):
     # Sharp random walks and jittered zigzags leave many loops at these
-    # offsets; the cleanup must cut exactly where the pairwise scan does.
-    seen = []
-    real = geometry._remove_local_loops
-
-    def spy(pts):
-        seen.append((pts, real(pts)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(geometry, "_remove_local_loops", spy)
+    # offsets; the cleanup must cut exactly where the pairwise scan does,
+    # for one polyline alone and for all of them in offset_many, where
+    # one window test per block picks the offsets that have a loop (in
+    # blocks as large as the map's and, below, of at most 64 points).
     rng = np.random.default_rng(404)
     shapes = [smooth_polyline(rng, n_pts=int(rng.integers(5, 80)),
                               step=float(rng.uniform(3, 30)), max_turn=2.5)
@@ -427,24 +422,39 @@ def test_loop_cleanup_matches_scalar_oracle_on_noisy_polylines(monkeypatch):
         x = np.cumsum(rng.uniform(2, 15, size=n))
         y = np.where(np.arange(n) % 2 == 1, 20.0, 0.0) + rng.normal(0, 4, size=n)
         shapes.append(Polyline(np.stack([x, y], axis=1)))
+    deltas = (2.0, -2.0, 8.0, -8.0)
+    batch = iter(geometry.offset_many(shapes, [deltas] * len(shapes)))
+    monkeypatch.setattr(geometry, "_PASS_ROWS", 64)
+    small = iter(geometry.offset_many(shapes, [deltas] * len(shapes)))
+    # the window test sends an offset through the cleanup exactly when
+    # the cleanup cuts it, and sends the joins it computed
+    seen = []
+    real = geometry._remove_local_loops
+    monkeypatch.setattr(geometry, "_remove_local_loops",
+                        lambda pts: seen.append(pts) or real(pts))
     cuts = 0
     for p in shapes:
-        for delta in (2.0, -2.0, 8.0, -8.0):
+        for delta in deltas:
+            raw = _offset_joins_oracle(p, delta)
+            cleaned = _remove_local_loops_oracle(raw)
+            assert np.array_equal(real(raw), cleaned)
+            exp = Polyline(cleaned).pts
             seen.clear()
-            got = offset_polyline(p, delta).pts
-            ((raw, cleaned),) = seen
-            exp = _remove_local_loops_oracle(raw)
-            assert np.array_equal(cleaned, exp)
-            assert np.array_equal(got, Polyline(exp).pts)
-            cuts += len(raw) > len(exp)
+            assert np.array_equal(offset_polyline(p, delta).pts, exp)
+            if len(raw) > len(cleaned):
+                ((sent,),) = [seen]
+                assert np.array_equal(sent, raw)
+            else:
+                assert not seen
+            assert np.array_equal(next(batch).pts, exp)
+            assert np.array_equal(next(small).pts, exp)
+            cuts += len(raw) > len(cleaned)
     assert cuts > 100  # the family must actually exercise the cleanup
 
 
-def _offset_polyline_oracle(p, delta, miter_limit=2.0):
-    """Scalar reference for offset_polyline: one miter or bevel join per
-    interior vertex in a Python loop."""
-    if abs(delta) < _EPS:
-        return Polyline(p.pts.copy())
+def _offset_joins_oracle(p, delta, miter_limit=2.0):
+    """The joins of offset_polyline before the loop cleanup: one miter
+    or bevel join per interior vertex in a Python loop."""
     pts = p.pts
     seg = np.diff(pts, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
@@ -465,7 +475,16 @@ def _offset_polyline_oracle(p, delta, miter_limit=2.0):
         else:
             out.append(pts[i] + delta * (n1 + n2) / (1.0 + dot))
     out.append(pts[-1] + delta * normals[-1])
-    return Polyline(_remove_local_loops_oracle(np.asarray(out)))
+    return np.asarray(out)
+
+
+def _offset_polyline_oracle(p, delta, miter_limit=2.0):
+    """Scalar reference for offset_polyline: one miter or bevel join per
+    interior vertex in a Python loop."""
+    if abs(delta) < _EPS:
+        return Polyline(p.pts.copy())
+    raw = _offset_joins_oracle(p, delta, miter_limit)
+    return Polyline(_remove_local_loops_oracle(raw))
 
 
 def test_offset_matches_scalar_oracle_bit_for_bit():
@@ -521,6 +540,51 @@ def test_frame_at_matches_param_point_and_a_tangent_oracle():
             d = p.pts[i + 1] - p.pts[i]
             assert np.array_equal([tx, ty], d / max(np.linalg.norm(d), _EPS))
             assert np.array_equal([tx, ty], p.tangent_at(t))
+
+
+def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
+    # one pass over many polylines gives frame_at's frames and sub's
+    # points bit for bit, with sub's near-duplicate points dropped; so
+    # does cut_many in blocks of at most 100 points
+    monkeypatch.setattr(geometry, "_PASS_ROWS", 100)
+    rng = np.random.default_rng(919)
+    paths = [smooth_polyline(rng, n_pts=int(rng.integers(2, 50)),
+                             step=float(rng.uniform(0.5, 50)), max_turn=1.5)
+             for _ in range(40)]
+    paths += [Polyline([(0, 0), (100, 0), (0, 0)]),
+              Polyline([(0, 0), (1e-8, 0), (5, 5)]),
+              Polyline([(0, 0), (3, 4)])]
+    stack = geometry.PolylineStack(paths)
+    rows, ts = [], []
+    for k, p in enumerate(paths):
+        mine = np.concatenate([[0.0, 1.0, 1e-12, 1.0 - 1e-12],
+                               rng.uniform(0, 1, 10), p._cum / p.length])
+        rows += [k] * len(mine)
+        ts += mine.tolist()
+    x, y, tx, ty = stack.frames(np.array(rows), np.array(ts))
+    for k, (row, t) in enumerate(zip(rows, ts)):
+        assert paths[row].frame_at(t) == (x[k], y[k], tx[k], ty[k])
+    dropped = 0
+    for _ in range(20):
+        t0 = rng.uniform(0.0, 0.5, len(paths))
+        t1 = t0 + rng.uniform(1e-6, 0.5, len(paths))
+        for k, p in enumerate(paths):
+            if rng.random() < 0.3 and len(p.pts) > 2:
+                # a cut end within _EPS of a vertex: sub drops a point
+                v = float(p._cum[1] / p.length)
+                t0[k], t1[k] = min(v - 1e-13, 0.5), 1.0
+        blocked = geometry.cut_many(paths, t0, t1)
+        for p, cut, other, a, b in zip(paths, stack.cut(t0, t1), blocked,
+                                       t0.tolist(), t1.tolist()):
+            want = p.sub(a, b).pts
+            assert np.array_equal(cut, want)
+            assert np.array_equal(other, want)
+            s0, s1 = a * p.length, b * p.length
+            dropped += len(want) < 2 + int(np.searchsorted(p._cum, s1, "left")
+                                           - np.searchsorted(p._cum, s0, "right"))
+    assert dropped > 20
+    with pytest.raises(DegenerateSegment):
+        stack.cut(np.full(len(paths), 0.5), np.full(len(paths), 0.5))
 
 
 # ── averaging ───────────────────────────────────────────────────────

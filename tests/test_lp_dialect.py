@@ -20,9 +20,8 @@ from transitmap.ilp_model import (
     build_baseline,
     build_improved,
     build_separation,
-    read_lp,
-    write_lp,
 )
+from transitmap.lp_dialect import read_lp, write_lp
 from oracles import milp_solve_lp_file
 from synth import random_line_graph
 
@@ -118,7 +117,8 @@ def test_solver_child_loads_no_graph_or_scipy_package_modules(tmp_path):
     # bindings load without scipy's package inits, whose scipy.optimize
     # and scipy.sparse imports used to take most of the process's time.
     # HiGHS reads the model file itself and returns the solution as a
-    # list, so a solve loads no numpy either.
+    # list, so a solve loads no numpy either.  The LP dialect is a module
+    # of its own, so the model builders in ilp_model are not compiled.
     model, out = tmp_path / "model.lp", tmp_path / "solution.out"
     model.write_text("Minimize\n obj: 1 x - 1 y\nSubject To\n"
                      " c0: 1 x + 1 y >= 1\nBinary\n x y\nEnd\n")
@@ -130,7 +130,7 @@ def test_solver_child_loads_no_graph_or_scipy_package_modules(tmp_path):
     loaded = proc.stdout.split()
     assert "transitmap.lp_solve" in loaded and lp_solve._CORE in loaded
     assert out.read_text() == "x 0\ny 1\n"
-    for name in ("line_graph", "gtfs", "geometry"):
+    for name in ("line_graph", "gtfs", "geometry", "ilp_model"):
         assert f"transitmap.{name}" not in loaded
     for name in ("scipy", "scipy.optimize", "scipy.sparse", "numpy"):
         assert name not in loaded

@@ -1,6 +1,9 @@
 """Rendering tests: band offsets, node fronts, inner connections, and
 the assembled SVG document."""
 
+import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 import hashlib
 from itertools import combinations, permutations, product
@@ -9,16 +12,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import count_proper_intersections, sample
+from oracles import (
+    band_cuts_per_band,
+    convex_hull_by_unique,
+    count_proper_intersections,
+    expand_node_fronts_per_node,
+    offset_lines_per_band,
+    sample,
+)
 from synth import (
+    bent_grid_line_graph,
     curved_line_graph,
     double_y_graph,
+    lattice_line_graph,
     make_graph,
+    random_line_graph,
     separation_chain_graph,
     seven_line_reduction_graph,
 )
+from transitmap import geometry, render_svg
 from transitmap.errors import PreconditionViolated, SchemaViolation
 from transitmap.ilp_model import Ordering
+from transitmap.line_graph import save_line_graph
 from transitmap.optimize import WeightPolicy, evaluate
 from transitmap.render_svg import (
     RenderStyle,
@@ -380,3 +395,179 @@ def test_batched_coordinate_formatter_matches_fmt():
     xy = values.reshape(-1, 2)
     got = _fill(" L ".join(["%.2f %.2f"] * len(xy)), xy)
     assert got == " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in xy.tolist())
+
+
+def test_bent_grid_svg_bytes_are_stable():
+    # A larger map: 42 stations and 170 bands on bowed and zigzag edges
+    # in a random ordering, pinned at the per-band renderer.
+    g, o = _bent_grid()
+    doc = render_map(g, o, RenderStyle())
+    assert doc.count('id="band-') == 170
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == \
+        "c2b8b8e198de39daffb542b77cb4a5d31259fc3ed23498ad8e23f0c6d00dbbc4"
+
+
+# ── the whole-map passes against the per-item path ──────────────────
+
+
+def _random_ordering(g, seed):
+    rng = np.random.default_rng(seed)
+    return Ordering({eid: tuple(rng.permutation(g.edges[eid].lines).tolist())
+                     for eid in sorted(g.edges)})
+
+
+def _bent_grid():
+    g = bent_grid_line_graph(np.random.default_rng(1923))
+    return g, _random_ordering(g, 7)
+
+
+def _curved():
+    g = curved_line_graph()
+    return g, Ordering({eid: tuple(reversed(e.lines)) if eid in ("t", "z")
+                        else e.lines for eid, e in g.edges.items()})
+
+
+def _short_edge_and_lone_station():
+    # a-b is shorter than the two buffer trims, so its bands are trimmed
+    # away; "lone" has no edge, so its hull is a single point
+    g = make_graph(
+        nodes={"a": (0.0, 0.0), "b": (5.0, 0.0), "c": (200.0, 10.0),
+               "d": (-150.0, 60.0), "e": (3.0, 180.0), "lone": (400.0, 400.0)},
+        edges=[("s", "a", "b", ("l1", "l2", "l3")),
+               ("t", "b", "c", ("l1", "l2")),
+               ("u", "d", "a", ("l1", "l3")),
+               ("v", "a", "e", ("l2", "l3")),
+               ("h", "c", "e", ("l2",), [(200.0, 10.0), (60.0, 90.0),
+                                         (150.0, 100.0), (3.0, 180.0)])])
+    return g, _random_ordering(g, 3)
+
+
+RENDER_CASES = {
+    "curved": _curved,
+    "short-edge": _short_edge_and_lone_station,
+    "bent-grid": _bent_grid,
+    **{f"random-{seed}": (lambda seed=seed: (lambda g: (
+        g, _random_ordering(g, seed)))(random_line_graph(
+            np.random.default_rng(seed), n_nodes=9, n_lines=5,
+            max_lines_per_edge=4)))
+       for seed in (11, 12, 13)},
+    **{f"lattice-{seed}": (lambda seed=seed: (lambda g: (
+        g, _random_ordering(g, seed)))(lattice_line_graph(
+            np.random.default_rng(seed), size=4, n_lines=7,
+            max_lines_per_edge=4)))
+       for seed in (21, 22)},
+}
+
+
+def _render_per_item(g, o, style, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(render_svg, "offset_lines", offset_lines_per_band)
+        m.setattr(render_svg, "expand_node_fronts", expand_node_fronts_per_node)
+        m.setattr(render_svg, "_band_cuts", band_cuts_per_band)
+        return render_map(g, o, style)
+
+
+@pytest.mark.parametrize("curve", ["cubic-curve", "arc", "straight"])
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_passes_match_the_per_item_path(case, curve, monkeypatch):
+    g, o = RENDER_CASES[case]()
+    style = RenderStyle(curve=curve)
+    bands = offset_lines(g, o, style)
+    want_bands = offset_lines_per_band(g, o, style)
+    assert list(bands) == list(want_bands)
+    for key, band in bands.items():
+        assert np.array_equal(band.pts, want_bands[key].pts), key
+        assert np.array_equal(band._cum, want_bands[key]._cum), key
+    fronts, polygons = expand_node_fronts(g, style)
+    want_fronts, want_polygons = expand_node_fronts_per_node(g, style)
+    assert list(fronts) == list(want_fronts)
+    assert fronts == want_fronts
+    assert list(polygons) == list(want_polygons)
+    for nid, hull in polygons.items():
+        assert np.array_equal(hull, want_polygons[nid]), nid
+    cuts = render_svg._band_cuts(g, o, bands, fronts, style.line_width)
+    want_cuts = band_cuts_per_band(g, o, want_bands, want_fronts)
+    assert list(cuts) == list(want_cuts)
+    for key, pts in cuts.items():
+        assert np.array_equal(pts, want_cuts[key]), key
+    assert render_map(g, o, style) == _render_per_item(g, o, style,
+                                                       monkeypatch)
+    if case == "short-edge":
+        assert set(bands) - set(cuts) >= {("s", "l1"), ("s", "l2"), ("s", "l3")}
+        assert len(polygons["lone"]) == 1
+
+
+def test_render_cases_exercise_loop_cuts_and_hairpins(monkeypatch):
+    # the oracle comparison above must meet bands whose offsets cut a
+    # local loop and bands around an exact hairpin
+    seen = []
+    real = geometry._remove_local_loops
+    monkeypatch.setattr(geometry, "_remove_local_loops",
+                        lambda pts: seen.append(len(pts)) or real(pts))
+    for case in ("curved", "bent-grid"):
+        g, o = RENDER_CASES[case]()
+        offset_lines(g, o, RenderStyle())
+    assert len(seen) >= 10
+    g, _ = _curved()
+    turn = np.diff(g.edges["h"].path.pts[:3], axis=0)
+    assert turn[0] @ turn[1] == -np.linalg.norm(turn[0]) * np.linalg.norm(turn[1])
+
+
+def test_band_ends_far_from_their_bands_take_the_unbounded_query():
+    # with a radius no port is within, every band end falls back to the
+    # unbounded nearest_many, with the same cuts
+    g, o = _curved()
+    style = RenderStyle()
+    bands = offset_lines(g, o, style)
+    fronts, _ = expand_node_fronts(g, style)
+    near = render_svg._band_cuts(g, o, bands, fronts, style.line_width)
+    far = render_svg._band_cuts(g, o, bands, fronts, 0.0)
+    assert list(near) == list(far)
+    for key in near:
+        assert np.array_equal(near[key], far[key])
+
+
+# ── convex hull ─────────────────────────────────────────────────────
+
+
+def test_hull_rows_match_np_unique():
+    # the lexsort and adjacent dedupe give np.unique(axis=0)'s rows in
+    # its order: exact duplicates, points that round together at 1e-9,
+    # collinear points, one point, and signed zeros
+    rng = np.random.default_rng(2026)
+    sets = [np.array([[3.0, 4.0]]), np.array([[0.0, 0.0], [-0.0, 0.0]]),
+            np.array([[-0.0, 1.0], [0.0, -0.0], [1e-12, -1e-12], [0.0, 1.0]]),
+            np.column_stack([np.linspace(0, 5, 9), np.linspace(0, 5, 9)]),
+            np.array([[1.0, 2.0]] * 4)]
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        pts += rng.choice([0.0, 1e-10, -1e-10, 0.3e-9, 0.7], size=(n, 2))
+        if rng.random() < 0.3:
+            pts = np.vstack([pts, pts[rng.integers(0, n, size=3)]])
+        if rng.random() < 0.3:
+            pts[:, 1] = 2.0 * pts[:, 0] + 1.0  # collinear
+        sets.append(pts)
+    for pts in sets:
+        rows = render_svg._unique_rows(pts)
+        want = np.unique(np.round(pts, 9), axis=0)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(render_svg._convex_hull(pts),
+                              convex_hull_by_unique(pts))
+
+
+def test_render_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma; the hull's own dedupe spares a render
+    # process that import
+    g = seven_line_reduction_graph()
+    graph, ordering = tmp_path / "g.json", tmp_path / "o.json"
+    save_line_graph(g, graph)
+    ordering.write_text(json.dumps(
+        {"orderings": {eid: list(e.lines) for eid, e in g.edges.items()}}))
+    code = ("import sys; from transitmap.cli import main; "
+            f"assert main(['render', {str(graph)!r}, {str(ordering)!r}, "
+            f"{str(tmp_path / 'map.svg')!r}]) == 0; print(*sys.modules)")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "transitmap.render_svg" in loaded
+    assert "numpy.ma" not in loaded
