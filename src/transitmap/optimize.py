@@ -1,9 +1,10 @@
-"""Solving layer: objective evaluation, exhaustive search, a built-in
-branch-and-bound, and a bridge to external MILP solvers.
+"""Solving layer: objective evaluation, one compiled objective read by
+two exact searches (exhaustive and a built-in branch-and-bound), and a
+bridge to external MILP solvers.
 
 All solvers share one source of truth for event semantics: the event
 sites compiled by ilp_model and the arrival-indicator convention defined
-there.  External solutions are decoded and re-priced by the evaluator;
+there.  Every ordering a solver returns is re-priced by the evaluator;
 any disagreement raises ObjectiveMismatch instead of returning silently
 wrong results.
 """
@@ -15,6 +16,7 @@ import math
 import shlex
 import subprocess
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,6 +165,82 @@ def identity_ordering(g: LineGraph) -> Ordering:
     return Ordering({eid: e.lines for eid, e in g.edges.items()})
 
 
+# ── compiled objective ──────────────────────────────────────────────
+
+# Objective values closer than this tie, and ties go to the first
+# ordering in lexicographic order: the searches add weights in
+# different orders, so equal sums may differ in their last bits.
+_TIE = 1e-9
+
+
+def _factors(g: LineGraph, sites: EventSites, include_separation: bool):
+    """The objective as factors over per-edge permutations, read by both
+    exact searches.  Returns the multi-line edges in id order, each as a
+    position column per line over its permutations in lexicographic
+    order; one split-cost vector per such edge; and one (weight, earlier
+    level, its indicator negated where the site fires on equal sides,
+    later level, its indicator) tuple per priced pair site, which fires
+    where its two indicators differ.  A level indexes the edges in id
+    order."""
+    cols = {}
+    for eid in sorted(g.edges):
+        lines = sorted(g.edges[eid].lines)
+        if len(lines) > 1:
+            # Lexicographic rows of line indices; argsort gives positions.
+            pos = np.argsort(list(itertools.permutations(range(len(lines)))),
+                             axis=1) + 1
+            cols[eid] = {line: pos[:, k] for k, line in enumerate(lines)}
+    level_of = {eid: i for i, eid in enumerate(cols)}
+    split_cost = [np.zeros(math.factorial(len(col))) for col in cols.values()]
+    for s in sites.split:
+        split_cost[level_of[s.edge]] += s.weight * _fires_split(g, s, cols)
+    rules = [(s, *_CONTINUATION) for s in sites.same_cont]
+    if include_separation:
+        rules += [(s, *_SEPARATION) for s in sites.separation]
+    pairs = []
+    for s, indicator, fires_on_equal in rules:
+        first, last = sorted((s.edge_a, s.edge_b), key=level_of.get)
+        pairs.append((s.weight, level_of[first],
+                      indicator(g, s, first, cols[first]) != fires_on_equal,
+                      level_of[last], indicator(g, s, last, cols[last])))
+    return cols, split_cost, pairs
+
+
+def _decode(g: LineGraph, cols, picks) -> Ordering:
+    """The ordering taking permutation picks[k] on level k of cols;
+    single-line edges keep their line."""
+    final = {eid: e.lines for eid, e in g.edges.items()}
+    for (eid, col), pick in zip(cols.items(), picks):
+        final[eid] = tuple(sorted(col, key=lambda line: col[line][pick]))
+    return Ordering(final)
+
+
+def _cost_tensor(split_cost, pairs) -> np.ndarray:
+    """The dense sum of the factors: one axis per level, one cell per
+    ordering."""
+    axes = np.ix_(*(np.arange(len(vec)) for vec in split_cost))
+    cost = np.zeros([len(vec) for vec in split_cost])
+    for vec, at in zip(split_cost, axes):
+        cost += vec[at]
+    for weight, first, earlier, last, later in pairs:
+        cost += weight * (earlier[axes[first]] != later[axes[last]])
+    return cost
+
+
+def _checked(g: LineGraph, ordering: Ordering, w: WeightPolicy,
+             sites: EventSites, include_separation: bool,
+             claimed: float) -> ObjectiveBreakdown:
+    """The evaluator's breakdown of ordering, which must price it at the
+    objective the search claimed."""
+    breakdown = evaluate(g, ordering, w, sites)
+    achieved = breakdown.objective(include_separation=include_separation)
+    if abs(claimed - achieved) > 1e-6:
+        raise ObjectiveMismatch(
+            f"solver objective {claimed} disagrees with evaluator "
+            f"objective {achieved}; orientation conventions are out of sync")
+    return breakdown
+
+
 # ── exhaustive search ───────────────────────────────────────────────
 
 def brute_force(g: LineGraph, w: WeightPolicy, budget: int = 10_000_000,
@@ -170,137 +248,66 @@ def brute_force(g: LineGraph, w: WeightPolicy, budget: int = 10_000_000,
                 sites: EventSites | None = None,
                 ) -> tuple[Ordering, ObjectiveBreakdown]:
     """Global minimum over the full product of per-edge permutations,
-    evaluated as one cost tensor; first minimum in lexicographic order
-    wins."""
+    evaluated as one cost tensor; the first ordering in lexicographic
+    order within _TIE of the minimum wins.  The budget is checked before
+    anything is built."""
+    if math.prod(math.factorial(len(e.lines))
+                 for e in g.edges.values()) > budget:
+        raise BudgetExceeded(
+            f"ordering space exceeds the enumeration budget of {budget}")
     if sites is None:
         sites = compile_event_sites(g, w)
-    axes = [eid for eid in sorted(g.edges) if len(g.edges[eid].lines) > 1]
-    perms = {eid: sorted(itertools.permutations(g.edges[eid].lines))
-             for eid in axes}
-    total = 1
-    for eid in axes:
-        total *= len(perms[eid])
-        if total > budget:
-            raise BudgetExceeded(
-                f"ordering space exceeds the enumeration budget of {budget}")
-
-    if not axes:
-        ordering = identity_ordering(g)
-        return ordering, evaluate(g, ordering, w, sites)
-
-    axis_of = {eid: i for i, eid in enumerate(axes)}
-    shape = tuple(len(perms[eid]) for eid in axes)
-    pos_tab = {
-        eid: [{line: i + 1 for i, line in enumerate(perm)}
-              for perm in perms[eid]]
-        for eid in axes
-    }
-    cost = np.zeros(shape)
-
-    def add_pair_table(eid1, eid2, weight, fire) -> None:
-        a1, a2 = axis_of[eid1], axis_of[eid2]
-        table = np.zeros((shape[a1], shape[a2]))
-        for i, p1 in enumerate(pos_tab[eid1]):
-            for j, p2 in enumerate(pos_tab[eid2]):
-                if fire(p1, p2):
-                    table[i, j] = weight
-        expand = [1] * len(shape)
-        expand[a1], expand[a2] = shape[a1], shape[a2]
-        if a1 > a2:
-            table = np.swapaxes(table, 0, 1)
-        np.add(cost, table.reshape(expand), out=cost)
-
-    for s in sites.same_cont:
-        e1, e2 = g.edges[s.edge_a], g.edges[s.edge_b]
-        add_pair_table(
-            s.edge_a, s.edge_b, s.weight,
-            lambda p1, p2, s=s, e1=e1, e2=e2: (
-                arrives_left(e1, s.node, p1[s.line_a], p1[s.line_b])
-                == arrives_left(e2, s.node, p2[s.line_a], p2[s.line_b])))
-    for s in sites.split:
-        e = g.edges[s.edge]
-        axis = axis_of[s.edge]
-        vec = np.zeros(shape[axis])
-        for i, p in enumerate(pos_tab[s.edge]):
-            left = arrives_left(e, s.node, p[s.line_a], p[s.line_b])
-            if left != s.a_clockwise_first:
-                vec[i] = s.weight
-        expand = [1] * len(shape)
-        expand[axis] = shape[axis]
-        cost += vec.reshape(expand)
-    if include_separation:
-        for s in sites.separation:
-            add_pair_table(
-                s.edge_a, s.edge_b, s.weight,
-                lambda p1, p2, s=s: (
-                    (abs(p1[s.line_a] - p1[s.line_b]) == 1)
-                    != (abs(p2[s.line_a] - p2[s.line_b]) == 1)))
-
-    flat = int(np.argmin(cost))
-    index = np.unravel_index(flat, shape)
-    chosen = {eid: perms[eid][index[axis_of[eid]]] for eid in axes}
-    for eid, e in g.edges.items():
-        chosen.setdefault(eid, e.lines)
-    ordering = Ordering(chosen)
-    return ordering, evaluate(g, ordering, w, sites)
+    cols, split_cost, pairs = _factors(g, sites, include_separation)
+    cost = _cost_tensor(split_cost, pairs)
+    picks = np.unravel_index(int(np.argmax(cost <= cost.min() + _TIE)),
+                             cost.shape)
+    ordering = _decode(g, cols, picks)
+    return ordering, _checked(g, ordering, w, sites, include_separation,
+                              float(cost[picks]))
 
 
 # ── built-in branch and bound ───────────────────────────────────────
 
 def _branch_and_bound(g: LineGraph, sites: EventSites,
-                      include_separation: bool) -> tuple[Ordering, float]:
-    """Depth-first search over per-edge permutations, edges in id order
-    and permutations in lexicographic order.  Each priced site becomes,
-    once, vectors over its edges' permutations, charged at its later
-    edge's level: a split site a cost vector, a pair site its two edges'
-    indicator vectors, firing where they compare as its rule says.  A
-    level prices all its permutations in one vector expression; a branch
-    is cut once its cost plus every later level's least split cost
-    reaches the best found.  That bound is admissible, so the first
-    optimum found is the lexicographically smallest, as in brute_force.
+                      include_separation: bool,
+                      timeout: float | None = None) -> tuple[Ordering, float]:
+    """Depth-first search over the levels of _factors, edges in id order
+    and permutations in lexicographic order.  A pair site is charged at
+    its later edge's level.  A level prices all its permutations in one
+    vector expression; a branch is cut once its cost plus every later
+    level's least split cost comes within _TIE of the best found.  That
+    bound is admissible, so the first optimum found is the
+    lexicographically smallest, as in brute_force.  Past timeout seconds
+    the search fails.
 
     A level that no priced pair site links to another is priced by its
     split cost alone, so it is settled up front on its first cheapest
     permutation and only the linked levels are searched.  The optima
     are a product of the settled picks and the linked levels' optima,
     so the lexicographically smallest one is the same."""
-    order = [eid for eid in sorted(g.edges) if len(g.edges[eid].lines) > 1]
-    level_of = {eid: i for i, eid in enumerate(order)}
-    cols, split_cost = {}, []
-    for eid in order:
-        lines = sorted(g.edges[eid].lines)
-        # Lexicographic rows of line indices; argsort gives line positions.
-        pos = np.argsort(list(itertools.permutations(range(len(lines)))),
-                         axis=1) + 1
-        cols[eid] = {line: pos[:, k] for k, line in enumerate(lines)}
-        split_cost.append(np.zeros(len(pos)))
-    for s in sites.split:
-        split_cost[level_of[s.edge]] += s.weight * _fires_split(g, s, cols)
-    rules = [(s, *_CONTINUATION) for s in sites.same_cont]
-    if include_separation:
-        rules += [(s, *_SEPARATION) for s in sites.separation]
+    cols, split_cost, pairs = _factors(g, sites, include_separation)
     # Per level: weights, the later edge's indicator rows, and per row
-    # the earlier edge's level and indicator, negated if the rule fires on
-    # equal sides, so a row fires where it differs from that at the pick.
-    charged = [([], [], []) for _ in order]
-    for s, indicator, fires_on_equal in rules:
-        first, last = sorted((s.edge_a, s.edge_b), key=level_of.get)
-        weights, rows, earlier = charged[level_of[last]]
-        weights.append(s.weight)
-        rows.append(indicator(g, s, last, cols[last]))
-        earlier.append((level_of[first],
-                        indicator(g, s, first, cols[first]) != fires_on_equal))
+    # the earlier edge's level and indicator, so a row fires where it
+    # differs from that at the pick.
+    charged = [([], [], []) for _ in cols]
+    for weight, first, earlier, last, later in pairs:
+        weights, rows, prior = charged[last]
+        weights.append(weight)
+        rows.append(later)
+        prior.append((first, earlier))
     charged = [(np.array(w), np.array(r), e) for w, r, e in charged]
-    linked = {level_of[eid] for s, _, _ in rules
-              for eid in (s.edge_a, s.edge_b)}
+    linked = {lv for _, first, _, last, _ in pairs for lv in (first, last)}
     search = sorted(linked)
-    picks = [int(np.argmin(cost)) for cost in split_cost]
+    picks = [int(np.argmax(cost <= cost.min() + _TIE)) for cost in split_cost]
     least = [float(cost.min()) for cost in split_cost]
     settled = sum(c for lv, c in enumerate(least) if lv not in linked)
     rest = np.cumsum([0.0] + [least[lv] for lv in search[::-1]])[::-1].tolist()
     best = [np.inf, None]
+    deadline = None if timeout is None else time.monotonic() + timeout
 
     def dfs(k: int, cur: float) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverFailure(f"solver timed out after {timeout} seconds")
         if k == len(search):
             best[:] = cur, picks[:]
             return
@@ -311,16 +318,12 @@ def _branch_and_bound(g: LineGraph, sites: EventSites,
             target = np.array([vec[picks[lv]] for lv, vec in earlier])
             cost = cost + weights @ (rows != target[:, None])
         for i, c in enumerate(cost.tolist()):
-            if cur + c + rest[k + 1] < best[0]:
+            if cur + c + rest[k + 1] < best[0] - _TIE:
                 picks[level] = i
                 dfs(k + 1, cur + c)
 
     dfs(0, 0.0)
-    final = {eid: e.lines for eid, e in g.edges.items()}
-    for eid, pick in zip(order, best[1]):
-        final[eid] = tuple(sorted(cols[eid],
-                                  key=lambda line: cols[eid][line][pick]))
-    return Ordering(final), float(best[0]) + settled
+    return _decode(g, cols, best[1]), float(best[0]) + settled
 
 
 # ── external bridge ─────────────────────────────────────────────────
@@ -418,21 +421,16 @@ def solve(g: LineGraph, variant: str, w: WeightPolicy,
         return ordering, evaluate(g, ordering, w, sites)
 
     if backend == "builtin":
-        ordering, claimed = _branch_and_bound(g, sites, include_separation)
+        ordering, claimed = _branch_and_bound(g, sites, include_separation,
+                                              timeout)
     else:
         if model is None:
             model = _BUILDERS[variant](g, w, sites)
         assignment = _run_external(model, backend, timeout)
         ordering = extract_ordering(model, assignment)
         claimed = _model_objective(model, assignment)
-
-    breakdown = evaluate(g, ordering, w, sites)
-    achieved = breakdown.objective(include_separation=include_separation)
-    if abs(claimed - achieved) > 1e-6:
-        raise ObjectiveMismatch(
-            f"solver objective {claimed} disagrees with evaluator "
-            f"objective {achieved}; orientation conventions are out of sync")
-    return ordering, breakdown
+    return ordering, _checked(g, ordering, w, sites, include_separation,
+                              claimed)
 
 
 # ── full pipeline ───────────────────────────────────────────────────

@@ -68,6 +68,13 @@ def small_graph_family(n_graphs=200, first_seed=20_000):
     return graphs
 
 
+def forced_event_lattices():
+    """Lattices whose exhaustive I optimum pays crossings and whose S
+    optimum pays a separation: few small random graphs force either."""
+    return [lattice_line_graph(np.random.default_rng(seed))
+            for seed in (228, 323, 661, 712, 798, 2094)]
+
+
 def lp_file_optimum(g, model, w, tmp_path, tag):
     """Round-trip a model through its LP file and the bundled MILP
     solver, then price the decoded ordering with the evaluator."""
@@ -100,17 +107,29 @@ def test_01_improved_model_matches_exhaustive_search():
     # must reproduce the same optima.
     graphs = small_graph_family()
     started = time.perf_counter()
+    positive = 0
     for g in graphs:
         w = WeightPolicy.from_graph(g)
         _, expected = brute_force(g, w, include_separation=False)
         _, got = solve(g, "I", w, backend="builtin")
         assert got.objective(False) == expected.objective(False)
+        positive += expected.objective(False) > 0
     assert time.perf_counter() - started < 60.0
+
+    # Only 3 of the 200 random graphs have a positive optimum.
+    lattices = forced_event_lattices()
+    for g in lattices:
+        w = WeightPolicy.from_graph(g)
+        _, expected = brute_force(g, w, include_separation=False)
+        _, got = solve(g, "I", w, backend="builtin")
+        assert got.objective(False) == expected.objective(False) > 0
+        positive += 1
+    assert positive >= 9
 
     external = os.environ.get("TRANSITMAP_SOLVER", "")
     if external and external != "builtin":
         backend = external[4:] if external.startswith("ext:") else external
-        for g in graphs:
+        for g in graphs + lattices:
             w = WeightPolicy.from_graph(g)
             _, expected = brute_force(g, w, include_separation=False)
             _, got = solve(g, "I", w, backend=backend)
@@ -122,13 +141,17 @@ def test_02_baseline_and_improved_models_agree_without_separation(tmp_path):
     # their LP optima must coincide exactly on every instance.  Each
     # model goes through its written LP file and the bundled MILP
     # solver rather than the combinatorial backend.
-    for i, g in enumerate(small_graph_family()):
+    # The lattices after the random graphs force crossings.
+    positive = 0
+    for i, g in enumerate(small_graph_family() + forced_event_lattices()):
         w = WeightPolicy.from_graph(g)
         via_baseline = lp_file_optimum(g, build_baseline(g, w), w,
                                        tmp_path, f"b{i}")
         via_improved = lp_file_optimum(g, build_improved(g, w), w,
                                        tmp_path, f"i{i}")
         assert via_baseline.objective(False) == via_improved.objective(False)
+        positive += via_improved.objective(False) > 0
+    assert positive >= 9
 
 
 def test_03_reduction_pipeline_preserves_the_optimum():
@@ -311,6 +334,16 @@ def test_07_separation_variant_reaches_the_separation_optimum():
     _, crossings_only = solve(g, "I", w, backend="builtin")
     assert (crossings_only.crossing_count,
             crossings_only.separation_count) == (1, 1)
+
+    # Lattices whose combined optimum pays a separation.
+    separating = 0
+    for g in forced_event_lattices():
+        w = WeightPolicy.from_graph(g)
+        _, expected = brute_force(g, w, include_separation=True)
+        _, got = solve(g, "S", w, backend="builtin")
+        assert got.objective(True) == expected.objective(True)
+        separating += expected.separation_weight > 0
+    assert separating == 6
 
 
 def test_08_shared_segment_detection_matches_analytic_and_fine_oracles():

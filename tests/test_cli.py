@@ -8,10 +8,12 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from synth import (
     basic_feed_tables,
+    grid_feed_tables,
     separation_chain_graph,
     seven_line_reduction_graph,
     write_gtfs,
@@ -407,6 +409,25 @@ def test_time_limit_stops_a_hung_external_solver(tmp_path, capsys):
     assert time.monotonic() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "timed out after 0.5 seconds" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_time_limit_stops_the_builtin_solver(tmp_path, capsys):
+    # The default solver does not finish the acceptance test-10 grid;
+    # its search checks the deadline and fails as an external solver
+    # call does.
+    tables = grid_feed_tables(np.random.default_rng(7015), cols=20, rows=16,
+                              walk_hops=(26, 36))
+    feed = write_gtfs(tmp_path / "feed", **tables)
+    graph = tmp_path / "g.json"
+    assert run(["extract", feed, graph]) == 0
+    capsys.readouterr()
+    t0 = time.monotonic()
+    assert run(["optimize", "--time-limit", "1", graph,
+                tmp_path / "o.json"]) == 6
+    assert time.monotonic() - t0 < 15.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "timed out after 1.0 seconds" in err
     assert not (tmp_path / "o.json").exists()
 
 

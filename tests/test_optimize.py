@@ -27,6 +27,9 @@ from transitmap.ilp_model import (
 )
 from transitmap.optimize import (
     _branch_and_bound,
+    _cost_tensor,
+    _decode,
+    _factors,
     brute_force,
     evaluate,
     identity_ordering,
@@ -146,6 +149,91 @@ def test_brute_force_budget_guard():
     w = WeightPolicy.from_graph(g)
     with pytest.raises(BudgetExceeded):
         brute_force(g, w, budget=5)
+    # Two 9-line edges: 9!^2 orderings.  The budget is checked from the
+    # factorials before any permutation, site or table is built.
+    g = corridor(tuple(f"l{i}" for i in range(1, 10)))
+    w = WeightPolicy.from_graph(g)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded):
+            brute_force(g, w, budget=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 0.1
+    assert peak < 2**20
+
+
+def one_decimal_weights(g, rng, tenths=30):
+    """Per-node event weights from 0.1 to tenths / 10 with one decimal
+    each, whose sums are inexact in floating point."""
+    return WeightPolicy({
+        nid: NodeWeights(*(rng.integers(1, tenths + 1, 3) / 10))
+        for nid in sorted(g.nodes)})
+
+
+def test_cost_tensor_matches_the_evaluator_on_every_ordering():
+    # The factors both exact searches read, summed densely as
+    # brute_force sums them, must price every ordering as the scalar
+    # evaluator does: exactly under the default integer weights, and to
+    # rounding under fractional ones.
+    rng = np.random.default_rng(5150)
+    graphs = [random_line_graph(np.random.default_rng(seed))
+              for seed in range(8000, 8020)]
+    graphs += [lattice_line_graph(np.random.default_rng(seed), n_lines=4)
+               for seed in (2, 3, 7, 13, 16, 18, 20, 30, 34)]
+    cells = fired = 0
+    for g in graphs:
+        for w, tol in ((WeightPolicy.from_graph(g), 0.0),
+                       (one_decimal_weights(g, rng), 1e-9)):
+            sites = compile_event_sites(g, w)
+            cols, split_i, pairs_i = _factors(g, sites, False)
+            _, split_s, pairs_s = _factors(g, sites, True)
+            cost_i = _cost_tensor(split_i, pairs_i)
+            cost_s = _cost_tensor(split_s, pairs_s)
+            decoded = set()
+            for picks in np.ndindex(cost_i.shape):
+                ordering = _decode(g, cols, picks)
+                b = evaluate(g, ordering, w, sites)
+                assert abs(cost_i[picks] - b.objective(False)) <= tol
+                assert abs(cost_s[picks] - b.objective(True)) <= tol
+                decoded.add(json.dumps(ordering.to_dict()))
+                fired += b.crossing_count > 0 and b.separation_count > 0
+            # One cell per ordering: the tensor covers the whole space.
+            assert len(decoded) == cost_i.size == math.prod(
+                math.factorial(len(e.lines)) for e in g.edges.values())
+            cells += cost_i.size
+    assert cells == 22_700 and fired >= 10_000, (cells, fired)
+
+
+def test_searches_break_fractional_ties_alike():
+    # The two searches add the same one-decimal weights in different
+    # orders, so equal sums may come out a last bit apart; both must
+    # still count them as a tie and return the same, lexicographically
+    # first, ordering.  Weights of 0.1 to 0.3 make ties common: on the
+    # second draw, lattice 712 has two S optima of 0.6 that the search
+    # summed as 0.6000000000000001 and the tensor as 0.6.  The lattices
+    # force crossings under I and separations under S.
+    graphs = [random_line_graph(np.random.default_rng(seed))
+              for seed in range(9000, 9060)]
+    graphs += [lattice_line_graph(np.random.default_rng(seed))
+               for seed in (228, 323, 661, 712, 798, 2094)]
+    cases = positive = 0
+    for seed, tenths in ((5150, 30), (3, 3)):
+        rng = np.random.default_rng(seed)
+        for g in graphs:
+            w = one_decimal_weights(g, rng, tenths)
+            sites = compile_event_sites(g, w)
+            for include_sep in (False, True):
+                got, claimed = _branch_and_bound(g, sites, include_sep)
+                expect, best = brute_force(
+                    g, w, include_separation=include_sep, sites=sites)
+                assert got == expect, (seed, include_sep)
+                assert claimed == pytest.approx(best.objective(include_sep))
+                cases += 1
+                positive += best.objective(include_sep) > 0
+    assert cases == 264 and positive >= 24, positive
 
 
 # ── solve: builtin backend against the exhaustive oracle ────────────
