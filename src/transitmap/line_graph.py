@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateSegment, NonTermination, SchemaViolation
+from .errors import MissingFile, NonTermination, SchemaViolation
 from .geometry import (
     Polyline,
     SharedSegment,
@@ -26,6 +27,8 @@ from .geometry import (
 from .gtfs import RawNetwork, TransitLine
 
 NODE_KINDS = ("station", "aux")
+# "#rrggbb", the form gtfs writes; it goes verbatim into SVG attributes
+_COLOR = re.compile(r"#[0-9a-fA-F]{6}")
 _COORD_TOL = 1e-6
 
 
@@ -167,135 +170,133 @@ class LineGraph:
                         f"edge {eid!r} path endpoint {pt} does not meet node "
                         f"{end!r} at ({node.x}, {node.y})"
                     )
+        for lid, line in self.lines.items():
+            if not _COLOR.fullmatch(line.color):
+                raise SchemaViolation(
+                    f"line {lid!r} has color {line.color!r}, expected #rrggbb")
 
 
 # ── serialization ───────────────────────────────────────────────────
+#
+# The graph file holds one table per record type, a list of objects
+# whose keys are the fields of the record's dataclass.  Each field is
+# read and written by the codec of its annotation: a reader that takes
+# the JSON value and returns the field value or raises ValueError, and
+# a writer (None: the value as it is).  A field with a default may be
+# absent or null; it is left out when it is None.
+
+def _read_str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError("must be a string")
+
+
+def _read_float(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError("must be a number")
+
+
+def _read_lines(value) -> tuple[str, ...]:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise ValueError("must be a list of strings")
+
+
+def _read_path(value) -> Polyline:
+    pts = np.asarray(value)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "fiu":
+        raise ValueError("must be a list of [x, y] number pairs")
+    if not np.isfinite(pts).all():
+        raise ValueError("has a non-finite coordinate")
+    return Polyline(pts)
+
+
+_CODECS = {
+    "str": (_read_str, None),
+    "str | None": (_read_str, None),
+    "float": (_read_float, float),
+    "tuple[str, ...]": (_read_lines, list),
+    "Polyline": (_read_path, lambda path: path.pts.tolist()),
+}
+
+# top-level key of each table -> its record type; the keys are also the
+# LineGraph attributes holding the tables
+_TABLES = {"nodes": LGNode, "edges": LGEdge, "lines": TransitLine}
+
+# record type -> {field name: (reader, writer, required)}
+_FIELDS = {
+    cls: {f.name: (*_CODECS[f.type], f.default is MISSING) for f in fields(cls)}
+    for cls in _TABLES.values()
+}
+
+
+def _record_to_json(record) -> dict:
+    item = {}
+    for name, (_, write, _) in _FIELDS[type(record)].items():
+        value = getattr(record, name)
+        if value is not None:
+            item[name] = value if write is None else write(value)
+    return item
+
+
+def _record_from_json(item, cls, where: str):
+    if not isinstance(item, dict):
+        raise SchemaViolation(f"{where}: must be an object")
+    spec = _FIELDS[cls]
+    unknown = item.keys() - spec
+    if unknown:
+        raise SchemaViolation(f"{where}: unknown fields {sorted(unknown)}")
+    values = {}
+    for name, (read, _, required) in spec.items():
+        if name not in item:
+            if required:
+                raise SchemaViolation(f"{where}: missing field {name!r}")
+        elif item[name] is not None or required:
+            try:
+                values[name] = read(item[name])
+            except (ValueError, OverflowError) as exc:
+                raise SchemaViolation(f"{where}: field {name!r} {exc}") from None
+    return cls(**values)
+
 
 def save_line_graph(g: LineGraph, path) -> None:
     if not g.edges:
         raise SchemaViolation("refusing to save a line graph with no edges")
     g.validate()
-    nodes = []
-    for nid in sorted(g.nodes):
-        n = g.nodes[nid]
-        item: dict = {"id": n.id, "kind": n.kind, "x": float(n.x), "y": float(n.y)}
-        if n.station_id is not None:
-            item["station_id"] = n.station_id
-        if n.name is not None:
-            item["name"] = n.name
-        nodes.append(item)
-    edges = []
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        edges.append({
-            "id": e.id,
-            "a": e.a,
-            "b": e.b,
-            "lines": list(e.lines),
-            "path": e.path.pts.tolist(),
-        })
-    lines = [
-        {"id": l.id, "label": l.label, "color": l.color}
-        for l in (g.lines[lid] for lid in sorted(g.lines))
-    ]
-    doc = {"nodes": nodes, "edges": edges, "lines": lines}
+    doc = {}
+    for key in _TABLES:
+        table = getattr(g, key)
+        doc[key] = [_record_to_json(table[rid]) for rid in sorted(table)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
-
-
-def _req(obj: dict, key: str, kinds, where: str):
-    if key not in obj:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds):
-        raise SchemaViolation(f"{where}: field {key!r} has wrong type")
-    return value
 
 
 def load_line_graph(path) -> LineGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except FileNotFoundError as exc:
+        raise MissingFile(f"line graph file not found: {path}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaViolation(f"cannot read line graph from {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation("top-level value must be an object")
-    extra = set(doc) - {"nodes", "edges", "lines"}
+    extra = doc.keys() - _TABLES
     if extra:
         raise SchemaViolation(f"unknown top-level fields: {sorted(extra)}")
-    for key in ("nodes", "edges", "lines"):
-        if key not in doc or not isinstance(doc[key], list):
+    tables = {}
+    for key, cls in _TABLES.items():
+        if not isinstance(doc.get(key), list):
             raise SchemaViolation(f"top-level field {key!r} must be a list")
-
-    nodes: dict[str, LGNode] = {}
-    for i, item in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolation(f"{where}: must be an object")
-        if set(item) - {"id", "kind", "x", "y", "station_id", "name"}:
-            raise SchemaViolation(f"{where}: unknown fields present")
-        nid = _req(item, "id", str, where)
-        if nid in nodes:
-            raise SchemaViolation(f"{where}: duplicate node id {nid!r}")
-        nodes[nid] = LGNode(
-            id=nid,
-            kind=_req(item, "kind", str, where),
-            x=float(_req(item, "x", (int, float), where)),
-            y=float(_req(item, "y", (int, float), where)),
-            station_id=item.get("station_id"),
-            name=item.get("name"),
-        )
-
-    edges: dict[str, LGEdge] = {}
-    for i, item in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolation(f"{where}: must be an object")
-        if set(item) - {"id", "a", "b", "lines", "path"}:
-            raise SchemaViolation(f"{where}: unknown fields present")
-        eid = _req(item, "id", str, where)
-        if eid in edges:
-            raise SchemaViolation(f"{where}: duplicate edge id {eid!r}")
-        raw_lines = _req(item, "lines", list, where)
-        if not all(isinstance(l, str) for l in raw_lines):
-            raise SchemaViolation(f"{where}: lines must be strings")
-        raw_path = _req(item, "path", list, where)
-        try:
-            pts = [(float(p[0]), float(p[1])) for p in raw_path]
-            path = Polyline(pts)
-        except (TypeError, IndexError, ValueError) as exc:
-            raise SchemaViolation(f"{where}: bad path: {exc}") from exc
-        except DegenerateSegment:
-            if all(math.isfinite(c) for p in pts for c in p):
-                raise  # a path that collapses is a geometry failure
-            raise SchemaViolation(
-                f"{where}: non-finite coordinate in path") from None
-        edges[eid] = LGEdge(
-            id=eid,
-            a=_req(item, "a", str, where),
-            b=_req(item, "b", str, where),
-            lines=tuple(raw_lines),
-            path=path,
-        )
-
-    lines: dict[str, TransitLine] = {}
-    for i, item in enumerate(doc["lines"]):
-        where = f"lines[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolation(f"{where}: must be an object")
-        if set(item) - {"id", "label", "color"}:
-            raise SchemaViolation(f"{where}: unknown fields present")
-        lid = _req(item, "id", str, where)
-        if lid in lines:
-            raise SchemaViolation(f"{where}: duplicate line id {lid!r}")
-        lines[lid] = TransitLine(
-            id=lid,
-            label=_req(item, "label", str, where),
-            color=_req(item, "color", str, where),
-        )
-
-    g = LineGraph(nodes=nodes, edges=edges, lines=lines)
+        table = tables[key] = {}
+        for i, item in enumerate(doc[key]):
+            record = _record_from_json(item, cls, f"{key}[{i}]")
+            if record.id in table:
+                raise SchemaViolation(f"{key}[{i}]: duplicate id {record.id!r}")
+            table[record.id] = record
+    g = LineGraph(**tables)
     g.validate()
     return g
 
@@ -341,7 +342,7 @@ class _Builder:
         self.k = k
         self.min_seg_len = min_seg_len
         self.shuffle_rng = shuffle_rng
-        self.nodes: dict[str, dict] = {}
+        self.nodes: dict[str, LGNode] = {}
         self.edges: dict[str, _BEdge] = {}
         self.pairs: dict[tuple[str, str], tuple[SharedSegment, str]] = {}
         self._pairs_of: dict[str, list[tuple[str, str]]] = {}
@@ -353,10 +354,9 @@ class _Builder:
 
         for sid in sorted(raw.stations):
             st = raw.stations[sid]
-            self.nodes[sid] = {
-                "kind": "station", "x": float(st.xy[0]), "y": float(st.xy[1]),
-                "station_id": sid, "name": st.name,
-            }
+            self.nodes[sid] = LGNode(id=sid, kind="station", x=float(st.xy[0]),
+                                     y=float(st.xy[1]), station_id=sid,
+                                     name=st.name)
         seed = sorted(
             raw.edges,
             key=lambda e: (e.station_a, e.station_b, e.line, e.path.length),
@@ -396,8 +396,7 @@ class _Builder:
     def _new_aux(self, x: float, y: float) -> str:
         nid = f"x{self._next_aux}"
         self._next_aux += 1
-        self.nodes[nid] = {"kind": "aux", "x": float(x), "y": float(y),
-                           "station_id": None, "name": None}
+        self.nodes[nid] = LGNode(id=nid, kind="aux", x=float(x), y=float(y))
         return nid
 
     def _pair_key(self, i: str, j: str) -> tuple[str, str]:
@@ -536,8 +535,8 @@ class _Builder:
 
         def snapped(path_pts: np.ndarray, start_node: str, end_node: str) -> Polyline:
             pts = path_pts.tolist()
-            sa = (self.nodes[start_node]["x"], self.nodes[start_node]["y"])
-            sb = (self.nodes[end_node]["x"], self.nodes[end_node]["y"])
+            sa = (self.nodes[start_node].x, self.nodes[start_node].y)
+            sb = (self.nodes[end_node].x, self.nodes[end_node].y)
             if math.hypot(pts[0][0] - sa[0], pts[0][1] - sa[1]) > _COORD_TOL:
                 pts.insert(0, sa)
             if math.hypot(pts[-1][0] - sb[0], pts[-1][1] - sb[1]) > _COORD_TOL:
@@ -577,13 +576,7 @@ class _Builder:
 
         used_nodes = sorted({e.a for e in self.edges.values()}
                             | {e.b for e in self.edges.values()})
-        nodes = {
-            nid: LGNode(id=nid, kind=self.nodes[nid]["kind"],
-                        x=self.nodes[nid]["x"], y=self.nodes[nid]["y"],
-                        station_id=self.nodes[nid]["station_id"],
-                        name=self.nodes[nid]["name"])
-            for nid in used_nodes
-        }
+        nodes = {nid: self.nodes[nid] for nid in used_nodes}
         edges = {
             eid: LGEdge(id=eid, a=b.a, b=b.b, lines=tuple(sorted(b.lines)),
                         path=b.path)

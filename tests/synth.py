@@ -372,6 +372,13 @@ def lattice_line_graph(rng: np.random.Generator, size: int = 3,
         edges=edges)
 
 
+def forced_event_lattices():
+    """Lattices whose exhaustive I optimum pays crossings and whose S
+    optimum pays a separation: few small random graphs force either."""
+    return [lattice_line_graph(np.random.default_rng(seed))
+            for seed in (228, 323, 661, 712, 798, 2094)]
+
+
 def seven_line_reduction_graph():
     """Seven-line network exercising every reduction rule at once.
 

@@ -18,6 +18,7 @@ import pytest
 from synth import (
     basic_feed_tables,
     crossing_separation_trade_graph,
+    forced_event_lattices,
     grid_feed_tables,
     grid_route_line_graph,
     lattice_line_graph,
@@ -66,13 +67,6 @@ def small_graph_family(n_graphs=200, first_seed=20_000):
         assert len(g.edges) <= 6 and g.max_lines_per_edge <= 3
         graphs.append(g)
     return graphs
-
-
-def forced_event_lattices():
-    """Lattices whose exhaustive I optimum pays crossings and whose S
-    optimum pays a separation: few small random graphs force either."""
-    return [lattice_line_graph(np.random.default_rng(seed))
-            for seed in (228, 323, 661, 712, 798, 2094)]
 
 
 def lp_file_optimum(g, model, w, tmp_path, tag):

@@ -2,7 +2,9 @@
 artifact schemas, config precedence, and exit codes."""
 
 import json
+import math
 import sys
+import tempfile
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from synth import (
     basic_feed_tables,
@@ -78,6 +81,16 @@ def test_extract_missing_stops_exits_3(tmp_path, capsys):
     feed = write_gtfs(tmp_path / "feed", **tables)
     assert run(["extract", feed, tmp_path / "g.json"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_graph_file_exits_3(tmp_path, capsys):
+    graph, ordering = tmp_path / "g.json", tmp_path / "o.json"
+    ordering.write_text(json.dumps({"orderings": {}}))
+    assert run(["optimize", graph, tmp_path / "o2.json"]) == 3
+    assert run(["render", graph, ordering, tmp_path / "map.svg"]) == 3
+    assert capsys.readouterr().err.count("line graph file not found") == 2
+    assert not (tmp_path / "o2.json").exists()
+    assert not (tmp_path / "map.svg").exists()
 
 
 def test_optimize_writes_ordering_and_summary(tmp_path, capsys):
@@ -185,6 +198,72 @@ def test_non_finite_path_point_exits_4(coord, feed_dir, tmp_path, capsys):
     assert capsys.readouterr().err.count("non-finite coordinate") == 2
     assert not (tmp_path / "o2.json").exists()
     assert not (tmp_path / "map.svg").exists()
+
+
+def test_line_colour_that_is_not_rrggbb_exits_4(tmp_path, capsys):
+    # the colour goes verbatim into stroke="...", so anything but #rrggbb
+    # could write markup into the map
+    graph, ordering = tmp_path / "g.json", tmp_path / "o.json"
+    doc = json.loads((DATA / "golden_graph.json").read_text())
+    doc["lines"][0]["color"] = '"/><script>x</script><x a="'
+    graph.write_text(json.dumps(doc))
+    ordering.write_text(json.dumps(
+        {"orderings": {e["id"]: e["lines"] for e in doc["edges"]}}))
+    assert run(["render", graph, ordering, tmp_path / "map.svg"]) == 4
+    assert "expected #rrggbb" in capsys.readouterr().err
+    assert not (tmp_path / "map.svg").exists()
+
+
+# A replacement for one field of a graph file: any small JSON value,
+# NaN and the infinities included, as Python's json reads them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1e4, 1e4) | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+_DELETE = "<delete>"
+
+
+@st.composite
+def graph_field_paths(draw):
+    """A table, a record in it and a field of the record, then, while
+    the value is a list, perhaps an entry of it (a line id, a path point,
+    a coordinate)."""
+    doc = json.loads((DATA / "golden_graph.json").read_text())
+    table = draw(st.sampled_from(sorted(doc)))
+    index = draw(st.integers(0, len(doc[table]) - 1))
+    key = draw(st.sampled_from(sorted(doc[table][index])))
+    path, value = [table, index, key], doc[table][index][key]
+    while isinstance(value, list) and value and draw(st.booleans()):
+        path.append(draw(st.integers(0, len(value) - 1)))
+        value = value[path[-1]]
+    return tuple(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(where=graph_field_paths(), value=st.just(_DELETE) | JSON_VALUES)
+@example(where=("nodes", 0, "name"), value=5)
+@example(where=("edges", 0, "path", 1), value={})
+def test_mutated_graph_file_ends_in_a_typed_exit_code(where, value):
+    doc = json.loads((DATA / "golden_graph.json").read_text())
+    ordering = {"orderings": {e["id"]: e["lines"] for e in doc["edges"]}}
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value == _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, order_path = Path(tmp) / "g.json", Path(tmp) / "o.json"
+        graph.write_text(json.dumps(doc))
+        order_path.write_text(json.dumps(ordering))
+        assert run(["optimize", graph, Path(tmp) / "o2.json"]) in (0, 3, 4, 5)
+        assert run(["render", graph, order_path,
+                    Path(tmp) / "map.svg"]) in (0, 3, 4, 5)
 
 
 def test_render_unknown_edge_exits_4(tmp_path, capsys):

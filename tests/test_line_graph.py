@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,12 +155,65 @@ def test_load_rejects_unknown_fields(tmp_path):
         load_line_graph(p)
 
 
+@pytest.mark.parametrize("table, field, value", [
+    ("nodes", "name", 5),
+    ("nodes", "station_id", [1]),
+    ("nodes", "x", True),
+    ("nodes", "y", "0"),
+    ("nodes", "kind", None),
+    ("edges", "lines", ["l1", 2]),
+    ("edges", "path", [[-100, 0], {}]),
+    ("edges", "path", [[-100, 0], [0, "0"]]),
+    ("edges", "path", [[-100, 0, 1], [0, 0, 1]]),
+    ("edges", "path", [[-100, 0], [10**400, 0]]),
+    ("lines", "label", ["L1"]),
+    ("lines", "color", "red"),
+    ("lines", "color", '"/><script>x</script>'),
+])
+def test_load_checks_each_field_against_its_declared_type(tmp_path, table,
+                                                          field, value):
+    p = tmp_path / "g.json"
+    save_line_graph(_y_graph(), p)
+    doc = json.loads(p.read_text())
+    doc[table][0][field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=field):
+        load_line_graph(p)
+
+
+def test_load_takes_absent_or_null_optional_fields(tmp_path):
+    p = tmp_path / "g.json"
+    save_line_graph(_y_graph(), p)
+    doc = json.loads(p.read_text())
+    doc["nodes"][0]["station_id"] = None
+    del doc["nodes"][0]["name"]
+    p.write_text(json.dumps(doc))
+    node = load_line_graph(p).nodes[doc["nodes"][0]["id"]]
+    assert node.station_id is None and node.name is None
+    del doc["nodes"][0]["kind"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match="missing field 'kind'"):
+        load_line_graph(p)
+
+
+def test_golden_graph_reloads_to_the_same_bytes(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden_graph.json"
+    save_line_graph(load_line_graph(golden), tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == golden.read_bytes()
+
+
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "g.json"
     p.write_text("[1, 2, 3]")
     with pytest.raises(SchemaViolation):
         load_line_graph(p)
     p.write_text("{not json")
+    with pytest.raises(SchemaViolation):
+        load_line_graph(p)
+    p.write_text("[" * 100_000)
+    with pytest.raises(SchemaViolation):
+        load_line_graph(p)
+    p.write_bytes(b'{"nodes": "\xff"}')
     with pytest.raises(SchemaViolation):
         load_line_graph(p)
 

@@ -40,6 +40,7 @@ from synth import (
     crossing_separation_trade_graph,
     disjoint_union,
     double_y_graph,
+    forced_event_lattices,
     lattice_line_graph,
     make_graph,
     parting_pieces_graph,
@@ -335,9 +336,13 @@ def test_builtin_search_builds_no_table_across_two_edges():
 
 
 def test_external_backend_agrees_with_builtin():
-    for seed in (31, 32, 33, 34, 35):
-        rng = np.random.default_rng(seed)
-        g = random_line_graph(rng)
+    # The random graphs of seeds 31-35 all have optima of 0; the
+    # forced-event lattices make the backends agree on positive ones too.
+    graphs = [(seed, random_line_graph(np.random.default_rng(seed)))
+              for seed in (31, 32, 33, 34, 35)]
+    graphs += [(f"lattice {i}", g) for i, g in enumerate(forced_event_lattices())]
+    positive = 0
+    for seed, g in graphs:
         w = WeightPolicy.from_graph(g)
         for variant in ("B", "I", "S"):
             include_sep = variant == "S"
@@ -345,6 +350,8 @@ def test_external_backend_agrees_with_builtin():
             _, via_highs = solve(g, variant, w, backend=SCIPY_SOLVER)
             assert via_highs.objective(include_sep) == pytest.approx(
                 via_builtin.objective(include_sep)), f"seed {seed} {variant}"
+            positive += via_builtin.objective(include_sep) > 0
+    assert positive > 0
 
 
 @pytest.mark.parametrize("variant, include_sep", [("I", False), ("S", True)])
@@ -362,8 +369,7 @@ def test_external_order_block_matches_brute_force(variant, include_sep):
                                 n_lines=8, max_lines_per_edge=4)
               for seed in (199, 384, 607, 648, 702, 708, 840, 854, 1176,
                            1177, 1251, 1283)]
-    graphs += [lattice_line_graph(np.random.default_rng(seed))
-               for seed in (228, 323, 661, 712, 798, 2094)]
+    graphs += forced_event_lattices()
     union = disjoint_union(graphs)
     w = WeightPolicy.from_graph(union)
     ordering, breakdown = solve(union, variant, w, backend=SCIPY_SOLVER)
