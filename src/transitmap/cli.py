@@ -163,11 +163,18 @@ class PipelineConfig:
 _CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
 
 
-def _load_config_file(path: Path) -> dict:
+def _read_json(path, what: str):
+    """The JSON value in the file at path.  A file that is not UTF-8
+    JSON, or that nests too deep to parse, is a schema violation; a
+    missing file stays a FileNotFoundError."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"config file {path} is not valid JSON: {exc}")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaViolation(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _load_config_file(path: Path) -> dict:
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise SchemaViolation(f"config file {path} must hold a JSON object")
     unknown = set(raw) - _CONFIG_FIELDS
@@ -253,10 +260,7 @@ def cmd_optimize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _read_ordering(path) -> Ordering:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"ordering file {path} is not valid JSON: {exc}")
+    raw = _read_json(path, "ordering file")
     if not isinstance(raw, dict):
         raise SchemaViolation(f"ordering file {path} must hold a JSON object")
     table = raw.get("orderings", raw)

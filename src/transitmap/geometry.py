@@ -14,15 +14,15 @@ of nearby pairs.
   consecutive queries: a block keeps only the segments whose padded
   boxes meet the block's own box, and holds at most _BLOCK_CELLS (query,
   segment) cells, or one query against the segments near it when that
-  alone is more (against every segment when there is no radius).
+  alone is more.  With no radius the pad is infinite, so every segment
+  is near.
 - `nearest_pass`, for many (queries, polyline) pairs at once, as the
-  merge loop asks them in one round and the renderer for all band ends,
-  packs whole pairs into blocks.  A
+  merge loop asks them in one round, packs whole pairs into blocks.  A
   block builds one segment table for its distinct polylines and tests
   runs of _CHUNK consecutive queries by box before it tests each query,
   so one block of a few numpy passes serves a hundred small pairs.
 
-The renderer's other whole-map passes live here too: `offset_many`
+The renderer's whole-map passes live here too: `offset_many`
 offsets many polylines by many deltas at once, a `PolylineStack` takes
 the frames of many polylines at once, and `cut_many` their sub-polylines.
 Each equals the per-polyline method it batches bit for bit (see their
@@ -132,19 +132,26 @@ class Polyline:
         """Unit tangent of the segment containing parameter t."""
         return np.array(self.frame_at(t)[2:])
 
-    def frame_at(self, t: float) -> tuple[float, float, float, float]:
+    def frame_at(self, t: float, arriving: bool = False,
+                 ) -> tuple[float, float, float, float]:
         """(x, y, tx, ty): param_point(t) and tangent_at(t) as plain
-        floats, without the array overhead of param_point."""
-        x, y, idx = self._point_at(t)
+        floats, without the array overhead of param_point.  At a vertex
+        these are of the segment that starts there or, when arriving, of
+        the segment that ends there, whose point is the vertex up to
+        rounding."""
+        x, y, idx = self._point_at(t, arriving)
         d = self.pts[idx + 1] - self.pts[idx]
         tx, ty = (d / max(np.linalg.norm(d), _EPS)).tolist()
         return x, y, tx, ty
 
-    def _point_at(self, t: float) -> tuple[float, float, int]:
+    def _point_at(self, t: float, arriving: bool = False,
+                  ) -> tuple[float, float, int]:
         """param_point(t) as plain floats, bit for bit, and the index of
-        the segment it lies on."""
+        the segment it lies on; when arriving, of the segment that ends
+        at a vertex t lies on (see frame_at)."""
         s = min(max(t, 0.0), 1.0) * self.length
-        idx = min(max(int(np.searchsorted(self._cum, s, side="right")) - 1, 0),
+        side = "left" if arriving else "right"
+        idx = min(max(int(np.searchsorted(self._cum, s, side=side)) - 1, 0),
                   len(self.pts) - 2)
         c0, c1 = self._cum[idx:idx + 2].tolist()
         (x0, y0), (x1, y1) = self.pts[idx:idx + 2].tolist()
@@ -169,8 +176,8 @@ class Polyline:
         grows with the number of nearby pairs, not with len(qs) * segments.
         Every segment within radius of a query passes that test, so a
         query within radius gets the parameter and distance of the
-        unbounded call (radius None, every pair projected); a query farther
-        than radius gets parameter nan and distance inf.
+        unbounded call (radius None, whose pad is infinite); a query
+        farther than radius gets parameter nan and distance inf.
 
         The box tests and projections run block by block, over runs of
         consecutive queries of at most _BLOCK_CELLS cells (see the module
@@ -303,13 +310,16 @@ class PolylineStack:
         plus that path's first row."""
         return np.searchsorted(self._keys, rows + 1j * s, side)
 
-    def frames(self, rows: np.ndarray, ts: np.ndarray):
-        """Arrays x, y, tx, ty: paths[rows[k]].frame_at(ts[k]) for each k.
-        The norm of each segment comes from dots, the kernel of
-        np.linalg.norm on one vector."""
+    def frames(self, rows: np.ndarray, ts: np.ndarray, arriving=False):
+        """Arrays x, y, tx, ty: paths[rows[k]].frame_at(ts[k], arriving[k])
+        for each k (arriving may be one bool for all).  The norm of each
+        segment comes from dots, the kernel of np.linalg.norm on one
+        vector."""
         s = np.minimum(np.maximum(ts, 0.0), 1.0) * self.length[rows]
-        idx = np.clip(self._search(rows, s, "right") - 1, self.first[rows],
-                      self.last[rows] - 1)
+        idx = self._search(rows, s, "right")
+        if np.any(arriving):
+            idx = np.where(arriving, self._search(rows, s, "left"), idx)
+        idx = np.clip(idx - 1, self.first[rows], self.last[rows] - 1)
         c0, span = self.cum[idx], self.cum[idx + 1] - self.cum[idx]
         ok = span > _EPS
         local = np.where(ok, (s - c0) / np.where(ok, span, 1.0), 0.0)
@@ -549,25 +559,19 @@ def _settle(rows: np.ndarray, si: np.ndarray, tloc: np.ndarray,
 def _pair_blocks(qs: np.ndarray, tab: np.ndarray, radius: float | None):
     """Yield (query, segment, tloc, dist2) arrays of the (query, segment)
     pairs whose query lies in the segment's box padded by radius (every
-    pair when radius is None), block by block in query order, each block
-    by query and then by segment.  tloc is the clamped projection
-    parameter on the segment and dist2 the squared distance.
+    pair when radius is None: the pad is then infinite), block by block
+    in query order, each block by query and then by segment.  tloc is the
+    clamped projection parameter on the segment and dist2 the squared
+    distance.
 
     A block is a run of consecutive queries tested against the segments
     whose padded boxes meet the block's box.  A block of more than
     _BLOCK_CELLS cells is halved, down to one query, so a call under the
     cap is one block."""
-    n, n_seg = len(qs), len(tab)
-    if radius is None:
-        step = max(1, _BLOCK_CELLS // n_seg)
-        for i0 in range(0, n, step):
-            i1 = min(i0 + step, n)
-            qi = np.repeat(np.arange(i0, i1), n_seg)
-            yield _project(qs, tab, qi, np.tile(np.arange(n_seg), i1 - i0))
-        return
+    n = len(qs)
     if not n:
         return
-    pad = radius + _BOX_SLACK
+    pad = math.inf if radius is None else radius + _BOX_SLACK
     lo, hi = tab[:, _LO] - pad, tab[:, _HI] + pad
     todo = [(0, n, None)]
     while todo:

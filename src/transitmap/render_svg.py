@@ -1,13 +1,16 @@
-"""Geographic map rendering in four stages: offset line bands, expanded
-node fronts, inner connection curves, and layered SVG assembly.
+"""Geographic map rendering in four stages: expanded node fronts, line
+bands offset from the edge paths cut at the fronts, inner connection
+curves, and layered SVG assembly.
 
-The map is rendered in whole-map array passes, not item by item: one
-offset pass for all bands (offset_lines), node fronts stepped for all
-still-crowded nodes at once (expand_node_fronts), and one nearest-point
-pass and one cut for all band ends (render_map).  Each pass runs the
-arithmetic of the per-item computation it replaces, elementwise and in
-the same order of operations, so its results, and the SVG bytes, are
-the same bits; tests/oracles.py keeps the per-item path to check this.
+The map is rendered in whole-map array passes, not item by item: node
+fronts stepped for all still-crowded nodes at once (expand_node_fronts),
+one cut of all edge paths between their fronts (_trim_edges), and one
+offset pass for all bands of the cut paths (offset_lines).  A band is
+its edge's cut path offset, so it starts and ends at its two ports.
+Each pass runs the arithmetic of the per-item computation it replaces,
+elementwise and in the same order of operations, so its results, and
+the SVG bytes, are the same bits; tests/oracles.py keeps the per-item
+path to check this.
 
 Orientation convention, shared with the event semantics: position 1 of
 an edge's ordering is the leftmost line when walking the edge's
@@ -26,14 +29,13 @@ from the double (as round(v, 2) rounds), with "-0.00" written "0.00".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .errors import PreconditionViolated, SchemaViolation
-from .geometry import (Polyline, PolylineStack, cut_many, dots, nearest_pass,
-                       offset_many)
+from .geometry import Polyline, PolylineStack, cut_many, dots, offset_many
 from .ilp_model import Ordering
 from .line_graph import LineGraph
 
@@ -119,13 +121,15 @@ class NodeFront:
     (left as seen walking the edge's canonical direction).  ports[i] is
     the endpoint of the band slot at position i + 1, so ports run left
     to right.  normal is the unit vector pointing out of the node area
-    into the band."""
+    into the band.  t is the parameter on the edge's path where the
+    front sits."""
 
     node: str
     edge: str
     baseline: tuple[tuple[float, float], tuple[float, float]]
     ports: tuple[tuple[float, float], ...]
     normal: tuple[float, float]
+    t: float
 
 
 def _crowded(seg_a: np.ndarray, seg_b: np.ndarray, w: float) -> np.ndarray:
@@ -232,14 +236,17 @@ def expand_node_fronts(
     trims = np.minimum(buffer, length)
     cap = np.minimum(max_exp, length)
     half = w * n / 2.0
+    ts = np.empty(len(keys))  # each front's parameter on its path
     frame = np.empty((4, len(keys)))  # x, y, tx, ty
     base = np.empty((len(keys), 2, 2))  # baseline ends, left first
     active = np.full(len(nids), bool(keys))
     while active.any():
         f = np.flatnonzero(active[node])
         t_end = np.minimum(np.maximum(trims[f] / length[f], 0.0), 1.0)
-        frame[:, f] = stack.frames(edge[f], np.where(from_a[f], t_end,
-                                                     1.0 - t_end))
+        ts[f] = np.where(from_a[f], t_end, 1.0 - t_end)
+        # a front at edge.b takes the segment arriving there, which its
+        # band's cut ends with
+        frame[:, f] = stack.frames(edge[f], ts[f], ~from_a[f])
         x, y, tx, ty = frame[:, f]
         lx, ly, h = -ty, tx, half[f]
         base[f, 0] = np.column_stack((x + lx * h, y + ly * h))
@@ -262,9 +269,10 @@ def expand_node_fronts(
         (nid, eid): NodeFront(
             node=nid, edge=eid, baseline=(tuple(b0), tuple(b1)),
             ports=tuple(ports[a:a + m]),
-            normal=(tx[i], ty[i]) if at_a else (-tx[i], -ty[i]))
-        for i, ((nid, eid), (b0, b1), a, m, at_a) in enumerate(zip(
-            keys, base.tolist(), first.tolist(), n.tolist(), from_a.tolist()))}
+            normal=(tx[i], ty[i]) if at_a else (-tx[i], -ty[i]), t=t)
+        for i, ((nid, eid), (b0, b1), a, m, at_a, t) in enumerate(zip(
+            keys, base.tolist(), first.tolist(), n.tolist(), from_a.tolist(),
+            ts.tolist()))}
     polygons = {nid: _convex_hull(np.concatenate(
                     ([g.nodes[nid].xy], base[a:a + m].reshape(-1, 2))))
                 for nid, a, m in zip(nids, node_first.tolist(), degree.tolist())}
@@ -348,46 +356,20 @@ def _safe_id(raw: str) -> str:
     return "".join(c if c.isalnum() or c in "_-" else "_" for c in raw)
 
 
-def _band_cuts(g: LineGraph, o: Ordering,
-               offsets: dict[tuple[str, str], Polyline],
-               fronts: dict[tuple[str, str], NodeFront],
-               radius: float) -> dict[tuple[str, str], np.ndarray]:
-    """The drawn part of each band, by (edge, line) in drawing order: the
-    band between its points nearest to its ports on the two fronts, for
-    each band not trimmed away (at most 1e-6 of it left), which the node
-    polygons cover.
-
-    One geometry.nearest_pass finds the nearest points of all bands'
-    port pairs, each equal to the band's unbounded nearest_many for a
-    port within radius of its band; a port lies on its band up to
-    rounding unless a loop cut or bevel moved the band, and any port
-    farther than radius takes the unbounded nearest_many.  One
-    geometry.cut_many pass then cuts all drawn bands, equal to their
-    Polyline.sub points."""
-    keys, ends, bands = [], [], []
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        ports_a, ports_b = fronts[(e.a, eid)].ports, fronts[(e.b, eid)].ports
-        for line in sorted(e.lines):
-            i = o.position(eid, line) - 1
-            keys.append((eid, line))
-            ends += [ports_a[i], ports_b[i]]
-            bands.append(offsets[(eid, line)])
-    if not keys:
-        return {}
-    # one pair per port: a pair's queries share one box test, and the two
-    # ends of a band are far apart
-    ends = np.array(ends)
-    pairs = [(ends[k:k + 1], bands[k // 2]) for k in range(len(ends))]
-    ts = np.concatenate([t for t, _ in nearest_pass(pairs, radius)])
-    for k in np.flatnonzero(np.isnan(ts)).tolist():
-        ts[k] = bands[k // 2].nearest_many(ends[k:k + 1])[0][0]
-    t0, t1 = ts[0::2], ts[1::2]
-    drawn = np.flatnonzero(~(t1 - t0 <= 1e-6))
-    if not len(drawn):
-        return {}
-    cuts = cut_many([bands[k] for k in drawn.tolist()], t0[drawn], t1[drawn])
-    return dict(zip((keys[k] for k in drawn.tolist()), cuts))
+def _trim_edges(g: LineGraph,
+                fronts: dict[tuple[str, str], NodeFront]) -> LineGraph:
+    """g with each edge's path cut between the parameters of its two
+    fronts, in one geometry.cut_many pass, each cut equal to the path's
+    sub.  An edge whose fronts leave at most 1e-6 of its path parameter
+    is left out: the node polygons cover it."""
+    edges = [g.edges[eid] for eid in sorted(g.edges)]
+    t0 = np.array([fronts[(e.a, e.id)].t for e in edges])
+    t1 = np.array([fronts[(e.b, e.id)].t for e in edges])
+    drawn = np.flatnonzero(t1 - t0 > 1e-6).tolist()
+    cuts = cut_many([edges[k].path for k in drawn], t0[drawn], t1[drawn])
+    return LineGraph(g.nodes, {edges[k].id: replace(edges[k], path=Polyline(pts))
+                               for k, pts in zip(drawn, cuts)},
+                     g.lines, g.line_weight)
 
 
 def _label_direction(g: LineGraph, nid: str) -> np.ndarray:
@@ -416,19 +398,17 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
     polygons, station labels.  Element order and coordinate formatting
     are deterministic, so identical inputs produce identical bytes.
 
-    Every band is trimmed to its two ports in one pass (_band_cuts): one
-    nearest_pass over all band ends and one cut_many over all drawn
-    bands.  Each result is that of the band's own nearest_many and
-    sub, whose elementwise operations the passes run in the same order,
-    so the drawn bands, and the bytes, are those of trimming band by
-    band."""
+    The node fronts come first.  Each edge's path is then cut between
+    its two fronts (_trim_edges), and offset_lines offsets the cut
+    paths, so each band ends where the front's port sits and its inner
+    connection starts."""
     style = style or RenderStyle()
     o.validate_for(g)
     w = style.line_width
     buffer = style.resolved_buffer()
-    offsets = offset_lines(g, o, style)
     fronts, polygons = expand_node_fronts(g, style)
     conns = inner_connections(g, o, fronts, style)
+    bands = offset_lines(_trim_edges(g, fronts), o, style)
 
     if g.nodes or g.edges:
         xy = np.concatenate([e.path.pts for e in g.edges.values()]
@@ -458,11 +438,11 @@ def render_map(g: LineGraph, o: Ordering, style: RenderStyle | None = None,
         '  <g id="line-bands">',
     ]
 
-    for (eid, line), pts in _band_cuts(g, o, offsets, fronts, w).items():
+    for (eid, line), band in sorted(bands.items()):
         lines_out.append(
             f'    <path id="band-{_safe_id(eid)}-{_safe_id(line)}" '
             f'fill="none" stroke="{g.lines[line].color}" '
-            f'stroke-width="{_fmt(w)}" d="{polyline_path(pts)}"/>')
+            f'stroke-width="{_fmt(w)}" d="{polyline_path(band.pts)}"/>')
     lines_out.append("  </g>")
 
     lines_out.append('  <g id="inner-connections">')

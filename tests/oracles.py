@@ -9,6 +9,7 @@ pipeline itself never needs.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -289,10 +290,10 @@ def offset_lines_per_band(g, o, style) -> dict:
     return out
 
 
-def _front_frame(g, node_id, edge_id, trim):
+def _front_param(g, node_id, edge_id, trim):
     e = g.edges[edge_id]
     t_end = min(max(trim / e.path.length, 0.0), 1.0)
-    return e.path.frame_at(t_end if node_id == e.a else 1.0 - t_end)
+    return t_end if node_id == e.a else 1.0 - t_end
 
 
 def _baseline(frame, n, w):
@@ -302,8 +303,9 @@ def _baseline(frame, n, w):
     return (x + lx * half, y + ly * half), (x - lx * half, y - ly * half)
 
 
-def _make_front(g, node_id, edge_id, frame, w) -> NodeFront:
+def _make_front(g, node_id, edge_id, t, w) -> NodeFront:
     e = g.edges[edge_id]
+    frame = e.path.frame_at(t, arriving=node_id == e.b)
     x, y, tx, ty = frame
     lx, ly = -ty, tx
     n = len(e.lines)
@@ -311,7 +313,7 @@ def _make_front(g, node_id, edge_id, frame, w) -> NodeFront:
                   for d in (_offset_delta(n, p, w) for p in range(1, n + 1)))
     return NodeFront(node=node_id, edge=edge_id,
                      baseline=_baseline(frame, n, w), ports=ports,
-                     normal=(tx, ty) if node_id == e.a else (-tx, -ty))
+                     normal=(tx, ty) if node_id == e.a else (-tx, -ty), t=t)
 
 
 def _point_segment_distance(q, a, b) -> float:
@@ -380,8 +382,10 @@ def expand_node_fronts_per_node(g, style):
         inc = g.incident(nid)
         trims = {eid: min(buffer, g.edges[eid].path.length) for eid in inc}
         while True:
-            at = {eid: _front_frame(g, nid, eid, trims[eid]) for eid in inc}
-            baselines = {eid: _baseline(at[eid], len(g.edges[eid].lines), w)
+            at = {eid: _front_param(g, nid, eid, trims[eid]) for eid in inc}
+            baselines = {eid: _baseline(g.edges[eid].path.frame_at(
+                                            at[eid], arriving=nid == g.edges[eid].b),
+                                        len(g.edges[eid].lines), w)
                          for eid in inc}
             crowded = set()
             for e1, e2 in combinations(sorted(inc), 2):
@@ -405,19 +409,12 @@ def expand_node_fronts_per_node(g, style):
     return fronts_out, polygons
 
 
-def band_cuts_per_band(g, o, offsets, fronts, radius=None) -> dict:
-    """render_svg._band_cuts with one nearest_many and one sub per band:
-    each band not trimmed away, cut between the parameters nearest its
-    two ports.  radius is not used."""
-    out = {}
+def trim_edges_per_edge(g, fronts) -> LineGraph:
+    """render_svg._trim_edges with one Polyline.sub per drawn edge."""
+    edges = {}
     for eid in sorted(g.edges):
         e = g.edges[eid]
-        for line in sorted(e.lines):
-            band = offsets[(eid, line)]
-            pos = o.position(eid, line)
-            ends = np.array([fronts[(e.a, eid)].ports[pos - 1],
-                             fronts[(e.b, eid)].ports[pos - 1]])
-            t0, t1 = band.nearest_many(ends)[0].tolist()
-            if t1 - t0 > 1e-6:
-                out[(eid, line)] = band.sub(t0, t1).pts
-    return out
+        t0, t1 = fronts[(e.a, eid)].t, fronts[(e.b, eid)].t
+        if t1 - t0 > 1e-6:
+            edges[eid] = replace(e, path=e.path.sub(t0, t1))
+    return LineGraph(g.nodes, edges, g.lines, g.line_weight)

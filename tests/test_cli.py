@@ -276,6 +276,37 @@ def test_render_unknown_edge_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("render", '{"orderings": "\xff"}'),
+    ("render", "[" * 100_000),
+    ("optimize", '{"k": "\xff"}'),
+], ids=["ordering-latin1", "ordering-deep", "config-latin1"])
+def test_unreadable_ordering_or_config_json_exits_4(command, text, tmp_path,
+                                                    capsys):
+    # a byte that is not UTF-8 and nesting too deep to parse end in a
+    # schema violation, not a traceback
+    g = separation_chain_graph()
+    graph, bad = tmp_path / "g.json", tmp_path / "bad.json"
+    save_line_graph(g, graph)
+    bad.write_bytes(text.encode("latin-1"))
+    argv = (["render", graph, bad, tmp_path / "map.svg"] if command == "render"
+            else ["optimize", "--config", bad, graph, tmp_path / "o.json"])
+    assert run(argv) == 4
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "map.svg").exists()
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_missing_ordering_or_config_file_exits_3(tmp_path):
+    g = separation_chain_graph()
+    graph = tmp_path / "g.json"
+    save_line_graph(g, graph)
+    assert run(["render", graph, tmp_path / "none.json",
+                tmp_path / "map.svg"]) == 3
+    assert run(["optimize", "--config", tmp_path / "none.json", graph,
+                tmp_path / "o.json"]) == 3
+
+
 @pytest.mark.parametrize("lines", [5, "l1", ["l1", 2]])
 def test_render_ordering_entries_must_be_lists_of_line_ids(tmp_path, capsys,
                                                           lines):

@@ -540,6 +540,14 @@ def test_frame_at_matches_param_point_and_a_tangent_oracle():
             d = p.pts[i + 1] - p.pts[i]
             assert np.array_equal([tx, ty], d / max(np.linalg.norm(d), _EPS))
             assert np.array_equal([tx, ty], p.tangent_at(t))
+            # arriving: on a vertex, the segment that ends there
+            x, y, tx, ty = p.frame_at(t, arriving=True)
+            j = min(max(int(np.searchsorted(p._cum, s, side="left")) - 1, 0),
+                    len(p.pts) - 2)
+            d = p.pts[j + 1] - p.pts[j]
+            assert np.array_equal([tx, ty], d / max(np.linalg.norm(d), _EPS))
+            assert np.allclose([x, y], p.param_point(t), rtol=0, atol=1e-9)
+            assert j == i or (j == i - 1 and s == p._cum[i])
 
 
 def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
@@ -564,6 +572,10 @@ def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
     x, y, tx, ty = stack.frames(np.array(rows), np.array(ts))
     for k, (row, t) in enumerate(zip(rows, ts)):
         assert paths[row].frame_at(t) == (x[k], y[k], tx[k], ty[k])
+    arriving = rng.random(len(rows)) < 0.5
+    x, y, tx, ty = stack.frames(np.array(rows), np.array(ts), arriving)
+    for k, (row, t, arr) in enumerate(zip(rows, ts, arriving.tolist())):
+        assert paths[row].frame_at(t, arr) == (x[k], y[k], tx[k], ty[k])
     dropped = 0
     for _ in range(20):
         t0 = rng.uniform(0.0, 0.5, len(paths))
@@ -779,6 +791,24 @@ def test_blocked_nearest_many_bounds_memory_and_matches_chunks():
     assert np.array_equal(tb, np.concatenate([t for t, _ in parts]), equal_nan=True)
     assert np.array_equal(dist, np.concatenate([d for _, d in parts]))
     assert np.isnan(tb[:1]).all() and np.isfinite(tb[100:-100]).all()
+
+
+def test_unbounded_nearest_many_equals_every_pair_projected():
+    # no radius means an infinite pad: the box tests pass every (query,
+    # segment) pair, so the result is that of projecting all of them
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        n = int(rng.integers(2, 2000))
+        p = Polyline(np.cumsum(rng.normal(0.0, 10.0, (n, 2)), axis=0))
+        qs = rng.uniform(p.pts.min(axis=0) - 100, p.pts.max(axis=0) + 100,
+                         (int(rng.integers(1, 300)), 2))
+        tab = geometry._segment_table([p])
+        qi = np.repeat(np.arange(len(qs)), len(tab))
+        si = np.tile(np.arange(len(tab)), len(qs))
+        ts, ds = np.full(len(qs), np.nan), np.full(len(qs), np.inf)
+        geometry._settle(*geometry._project(qs, tab, qi, si), tab, ts, ds)
+        got_ts, got_ds = p.nearest_many(qs)
+        assert np.array_equal(got_ts, ts) and np.array_equal(got_ds, ds)
 
 
 def test_unbounded_nearest_many_blocks_by_query_count():

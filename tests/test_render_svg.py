@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from oracles import (
-    band_cuts_per_band,
     convex_hull_by_unique,
     count_proper_intersections,
     expand_node_fronts_per_node,
     offset_lines_per_band,
     sample,
+    trim_edges_per_edge,
 )
 from synth import (
     bent_grid_line_graph,
@@ -132,18 +132,26 @@ def test_ports_run_leftmost_first():
                            atol=1e-9)
 
 
-def test_ports_lie_on_their_bands():
-    g = double_y_graph()
-    o = identity_ordering(g)
-    style = RenderStyle()
-    bands = offset_lines(g, o, style)
+def _drawn_bands(g, o, style):
     fronts, _ = expand_node_fronts(g, style)
-    for (eid, line), band in bands.items():
-        e = g.edges[eid]
-        for nid in (e.a, e.b):
-            port = np.asarray(fronts[(nid, eid)].ports[o.position(eid, line) - 1])
-            _, dist = band.nearest_point_param(port)
-            assert dist < 1e-6
+    return fronts, offset_lines(render_svg._trim_edges(g, fronts), o, style)
+
+
+def test_ports_lie_on_their_bands():
+    # every drawn band starts at its port on the front at edge.a and ends
+    # at its port on the front at edge.b
+    cases = {"double-y": lambda: (double_y_graph(),
+                                  identity_ordering(double_y_graph())),
+             **RENDER_CASES}
+    for case, make in cases.items():
+        g, o = make()
+        fronts, bands = _drawn_bands(g, o, RenderStyle())
+        assert bands, case
+        for (eid, line), band in bands.items():
+            e, i = g.edges[eid], o.position(eid, line) - 1
+            for nid, end in ((e.a, band.start), (e.b, band.end)):
+                port = np.asarray(fronts[(nid, eid)].ports[i])
+                assert np.linalg.norm(end - port) < 1e-6, (case, eid, line, nid)
 
 
 def test_low_degree_nodes_keep_the_buffer_trim():
@@ -361,10 +369,10 @@ def test_golden_svg_bytes_are_stable():
 
 @pytest.mark.parametrize("curve, sha256", [
     ("cubic-curve",
-     "e1adbae2347a47a6c6b31b39cc4daa3499c0d424da27d9c463117ddb7afe4ce9"),
-    ("arc", "31492101cb82b4fc59251902252c71b79818cde4921d82b125ce479fcd12c6f4"),
+     "4eedb5269d8652a747a1d05e3d7bd93b6b2683ac5a64cc176b77f65aba38d9ef"),
+    ("arc", "9987591d4239c6de64b64c99ee81355131a7857b117049c6592cd7a345fd73eb"),
     ("straight",
-     "1ea27dcc88bca8c37d0c15dec8b4aaf85212d6463470cb232848df92fefa93be"),
+     "2c6a7690d3c8f601f50eeea2542564c36e50f48c830dde7574e28330a5d39919"),
 ])
 def test_curved_svg_bytes_are_stable(curve, sha256):
     # The golden map is straight-edged; this pins the bytes of bevels,
@@ -404,7 +412,7 @@ def test_bent_grid_svg_bytes_are_stable():
     doc = render_map(g, o, RenderStyle())
     assert doc.count('id="band-') == 170
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == \
-        "c2b8b8e198de39daffb542b77cb4a5d31259fc3ed23498ad8e23f0c6d00dbbc4"
+        "cbb2d06fb31c2669625e756e15317e720ea26a21f887b11e3ef4dde1ccd10b04"
 
 
 # ── the whole-map passes against the per-item path ──────────────────
@@ -442,8 +450,24 @@ def _short_edge_and_lone_station():
     return g, _random_ordering(g, 3)
 
 
+def _bends_at_the_fronts():
+    # each path bends exactly one buffer trim (4 m) from a lone node, so
+    # the front there sits on a vertex: at edge.b of "in", at edge.a of
+    # "out"
+    lines = ("l1", "l2")
+    g = make_graph(
+        nodes={"a": (0.0, 0.0), "b": (100.0, 4.0), "c": (0.0, 50.0),
+               "d": (100.0, 150.0)},
+        edges=[("in", "a", "b", lines, [(0.0, 0.0), (100.0, 0.0),
+                                        (100.0, 4.0)]),
+               ("out", "c", "d", lines, [(0.0, 50.0), (4.0, 50.0),
+                                         (100.0, 150.0)])])
+    return g, identity_ordering(g)
+
+
 RENDER_CASES = {
     "curved": _curved,
+    "bends-at-fronts": _bends_at_the_fronts,
     "short-edge": _short_edge_and_lone_station,
     "bent-grid": _bent_grid,
     **{f"random-{seed}": (lambda seed=seed: (lambda g: (
@@ -463,7 +487,7 @@ def _render_per_item(g, o, style, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(render_svg, "offset_lines", offset_lines_per_band)
         m.setattr(render_svg, "expand_node_fronts", expand_node_fronts_per_node)
-        m.setattr(render_svg, "_band_cuts", band_cuts_per_band)
+        m.setattr(render_svg, "_trim_edges", trim_edges_per_edge)
         return render_map(g, o, style)
 
 
@@ -472,12 +496,6 @@ def _render_per_item(g, o, style, monkeypatch):
 def test_render_passes_match_the_per_item_path(case, curve, monkeypatch):
     g, o = RENDER_CASES[case]()
     style = RenderStyle(curve=curve)
-    bands = offset_lines(g, o, style)
-    want_bands = offset_lines_per_band(g, o, style)
-    assert list(bands) == list(want_bands)
-    for key, band in bands.items():
-        assert np.array_equal(band.pts, want_bands[key].pts), key
-        assert np.array_equal(band._cum, want_bands[key]._cum), key
     fronts, polygons = expand_node_fronts(g, style)
     want_fronts, want_polygons = expand_node_fronts_per_node(g, style)
     assert list(fronts) == list(want_fronts)
@@ -485,15 +503,21 @@ def test_render_passes_match_the_per_item_path(case, curve, monkeypatch):
     assert list(polygons) == list(want_polygons)
     for nid, hull in polygons.items():
         assert np.array_equal(hull, want_polygons[nid]), nid
-    cuts = render_svg._band_cuts(g, o, bands, fronts, style.line_width)
-    want_cuts = band_cuts_per_band(g, o, want_bands, want_fronts)
-    assert list(cuts) == list(want_cuts)
-    for key, pts in cuts.items():
-        assert np.array_equal(pts, want_cuts[key]), key
+    trimmed = render_svg._trim_edges(g, fronts)
+    want_trimmed = trim_edges_per_edge(g, want_fronts)
+    assert list(trimmed.edges) == list(want_trimmed.edges)
+    for eid, e in trimmed.edges.items():
+        assert np.array_equal(e.path.pts, want_trimmed.edges[eid].path.pts), eid
+    bands = offset_lines(trimmed, o, style)
+    want_bands = offset_lines_per_band(want_trimmed, o, style)
+    assert list(bands) == list(want_bands)
+    for key, band in bands.items():
+        assert np.array_equal(band.pts, want_bands[key].pts), key
+        assert np.array_equal(band._cum, want_bands[key]._cum), key
     assert render_map(g, o, style) == _render_per_item(g, o, style,
                                                        monkeypatch)
     if case == "short-edge":
-        assert set(bands) - set(cuts) >= {("s", "l1"), ("s", "l2"), ("s", "l3")}
+        assert "s" in g.edges and "s" not in trimmed.edges
         assert len(polygons["lone"]) == 1
 
 
@@ -506,25 +530,13 @@ def test_render_cases_exercise_loop_cuts_and_hairpins(monkeypatch):
                         lambda pts: seen.append(len(pts)) or real(pts))
     for case in ("curved", "bent-grid"):
         g, o = RENDER_CASES[case]()
-        offset_lines(g, o, RenderStyle())
+        _drawn_bands(g, o, RenderStyle())
     assert len(seen) >= 10
     g, _ = _curved()
-    turn = np.diff(g.edges["h"].path.pts[:3], axis=0)
+    fronts, _ = expand_node_fronts(g, RenderStyle())
+    drawn = render_svg._trim_edges(g, fronts).edges["h"].path
+    turn = np.diff(drawn.pts[:3], axis=0)
     assert turn[0] @ turn[1] == -np.linalg.norm(turn[0]) * np.linalg.norm(turn[1])
-
-
-def test_band_ends_far_from_their_bands_take_the_unbounded_query():
-    # with a radius no port is within, every band end falls back to the
-    # unbounded nearest_many, with the same cuts
-    g, o = _curved()
-    style = RenderStyle()
-    bands = offset_lines(g, o, style)
-    fronts, _ = expand_node_fronts(g, style)
-    near = render_svg._band_cuts(g, o, bands, fronts, style.line_width)
-    far = render_svg._band_cuts(g, o, bands, fronts, 0.0)
-    assert list(near) == list(far)
-    for key in near:
-        assert np.array_equal(near[key], far[key])
 
 
 # ── convex hull ─────────────────────────────────────────────────────
