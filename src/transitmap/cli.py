@@ -34,6 +34,7 @@ from .errors import (
     BudgetExceeded,
     DanglingReference,
     DegenerateSegment,
+    ImplausibleEdge,
     IncompleteSolution,
     Infeasible,
     InfeasibleAssignment,
@@ -63,12 +64,14 @@ from .render_svg import RenderStyle, render_map
 __all__ = ["PipelineConfig", "main"]
 
 SOLVER_ENV = "TRANSITMAP_SOLVER"
+_SHOWN_DIAGNOSTICS = 5
 
 _EXIT_BY_ERROR: tuple[tuple[type, int], ...] = (
     (MissingFile, 3),
     ((SchemaViolation, MalformedRow, MalformedOrdering, DanglingReference,
       ShapeMismatch), 4),
-    ((PreconditionViolated, DegenerateSegment, ProjectionFailure), 5),
+    ((PreconditionViolated, DegenerateSegment, ProjectionFailure,
+      ImplausibleEdge), 5),
     ((SolverFailure, Infeasible, InfeasibleAssignment, NonTermination,
       BudgetExceeded, ObjectiveMismatch, IncompleteSolution), 6),
 )
@@ -207,7 +210,12 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _extract_graph(gtfs_dir: str, cfg: PipelineConfig) -> LineGraph:
+    """The line graph of the feed.  The count of feed rows rejected, and
+    the first _SHOWN_DIAGNOSTICS of their diagnostics, go to stderr."""
     feed = load_feed(gtfs_dir)
+    print(f"feed: {len(feed.diagnostics)} rows rejected", file=sys.stderr)
+    for line in feed.diagnostics[:_SHOWN_DIAGNOSTICS]:
+        print(f"  {line}", file=sys.stderr)
     raw = build_raw_network(feed, snap_tol=cfg.snap_tol,
                             route_types=cfg.route_types)
     return construct_line_graph(raw, d_hat=cfg.d_hat,

@@ -33,6 +33,11 @@ class ShapeMismatch(TransitMapError):
     """A stop lies farther from its trip's shape than the snap tolerance."""
 
 
+class ImplausibleEdge(TransitMapError):
+    """A station-to-station edge is too long to be real: a stop or shape
+    coordinate is wrong."""
+
+
 # ── geometry ────────────────────────────────────────────────────────
 
 class DegenerateSegment(TransitMapError):

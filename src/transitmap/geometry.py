@@ -19,14 +19,23 @@ of nearby pairs.
 - `nearest_pass`, for many (queries, polyline) pairs at once, as the
   merge loop asks them in one round, packs whole pairs into blocks.  A
   block builds one segment table for its distinct polylines and tests
-  runs of _CHUNK consecutive queries by box before it tests each query,
-  so one block of a few numpy passes serves a hundred small pairs.
+  by box at three levels: runs of _CHUNK consecutive queries against
+  groups of _CHUNK consecutive segments of one polyline (a group's box
+  is the union of its segments' padded boxes), then each run against
+  each segment of the groups it meets, then each query of a run that
+  passes against the segment's padded box, the test of nearest_many.
+  A run that misses a group's box misses all its segments' boxes, so
+  the projections made are the ones a test of every (query, segment)
+  cell would make; one block of a few numpy passes serves a hundred
+  small pairs.
 
 The renderer's whole-map passes live here too: `offset_many`
 offsets many polylines by many deltas at once, a `PolylineStack` takes
 the frames of many polylines at once, and `cut_many` their sub-polylines.
-Each equals the per-polyline method it batches bit for bit (see their
-docstrings).
+`Polyline.many` builds many polylines at once, with one pass that drops
+near-duplicate points from all of them; the graph reader, the raw
+network and the renderer build their polylines with it.  Each equals
+the per-polyline method it batches bit for bit (see their docstrings).
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -90,6 +99,42 @@ class Polyline:
         self.pts, _, seg = _drop_near_duplicates(pts, [len(pts)])
         self.pts.setflags(write=False)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
+
+    @classmethod
+    def many(cls, runs: list) -> list["Polyline"]:
+        """[Polyline(run) for run in runs], each the same bits in pts and
+        _cum, from one _drop_near_duplicates pass over each block of runs
+        of about _PASS_ROWS points in all (or of one run alone), end to
+        end; raises the DegenerateSegment of a run that raises one.  Each
+        polyline owns its points, as one built alone does."""
+        out: list[Polyline] = []
+        for block in _blocks([len(run) for run in runs], _PASS_ROWS):
+            out += cls._many_block(runs[block])
+        return out
+
+    @classmethod
+    def _many_block(cls, runs: list) -> list["Polyline"]:
+        arrays = [np.asarray(run, dtype=float) for run in runs]
+        for a in arrays:
+            if a.ndim != 2 or a.shape[1] != 2:
+                raise DegenerateSegment(f"expected (N, 2) points, got shape {a.shape}")
+        pts, _, n = _runs(arrays)
+        if not np.all(np.isfinite(pts)):
+            raise DegenerateSegment("non-finite coordinate in polyline")
+        if n.min() < 2:  # a run too short to drop points from
+            raise DegenerateSegment("polyline collapsed below two distinct points")
+        pts, n, seg = _drop_near_duplicates(pts, n)
+        out = []
+        # seg also holds the segment between each run and the next
+        for a, m in zip((np.cumsum(n) - n).tolist(), n.tolist()):
+            p = cls.__new__(cls)
+            p.pts = pts[a:a + m].copy()  # no polyline keeps the block alive
+            p.pts.setflags(write=False)
+            p._cum = np.empty(m)
+            p._cum[0] = 0.0
+            np.cumsum(seg[a:a + m - 1], out=p._cum[1:])
+            out.append(p)
+        return out
 
     # basic measures -------------------------------------------------
 
@@ -330,16 +375,18 @@ class PolylineStack:
         t = d / np.maximum(np.sqrt(dots(d, d)), _EPS)[:, None]
         return x, y, t[:, 0], t[:, 1]
 
-    def cut(self, t0: np.ndarray, t1: np.ndarray) -> list[np.ndarray]:
-        """paths[k].sub(t0[k], t1[k]).pts for each path, near-duplicate
-        points dropped by Polyline's own _drop_near_duplicates, without
-        building the polylines; raises the DegenerateSegment that sub
-        raises."""
+    def cut(self, t0: np.ndarray, t1: np.ndarray,
+            rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """paths[rows[k]].sub(t0[k], t1[k]).pts for each k (rows default
+        to each path once, in order), near-duplicate points dropped by
+        Polyline's own _drop_near_duplicates, without building the
+        polylines; raises the DegenerateSegment that sub raises."""
         if np.any(t1 <= t0 + _EPS):
             raise DegenerateSegment("empty parameter range")
-        rows = np.arange(len(self.first))
-        i0 = self._search(rows, t0 * self.length, "right")
-        i1 = self._search(rows, t1 * self.length, "left")
+        if rows is None:
+            rows = np.arange(len(self.first))
+        i0 = self._search(rows, t0 * self.length[rows], "right")
+        i1 = self._search(rows, t1 * self.length[rows], "left")
         counts = i1 - i0 + 2
         at = np.cumsum(counts) - counts
         pts = np.empty((counts.sum(), 2))
@@ -450,13 +497,15 @@ def nearest_pass(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
     block starts.  A block stacks its distinct query arrays and builds
     one segment table for its distinct polylines (by identity), so a
     polyline in many of its pairs is not copied per pair.  It cuts each
-    query array into runs of _CHUNK consecutive queries, tests each (run,
-    segment) cell of its pairs by box, then each query of a run that
-    passes against the segment's padded box, the test of nearest_many.
-    A block holds at most _BLOCK_CELLS // _CHUNK (run, segment) cells and
-    queries together, so at most _BLOCK_CELLS (query, segment) cells
-    reach the second test; a pair of more than that goes alone through
-    nearest_many's own blocks."""
+    query array into runs of _CHUNK consecutive queries and each
+    polyline's segments into groups of _CHUNK consecutive segments, tests
+    each (run, group) cell of its pairs by box, then each (run, segment)
+    cell of the groups that pass, then each query of a run that passes
+    against the segment's padded box, the test of nearest_many.  A block
+    holds at most _BLOCK_CELLS // _CHUNK (run, segment) cells and queries
+    together, so at most that many (run, segment) cells and _BLOCK_CELLS
+    (query, segment) cells reach the second and third tests; a pair of
+    more than that goes alone through nearest_many's own blocks."""
     cap = _BLOCK_CELLS // _CHUNK
     cells = [-(-len(qs) // _CHUNK) * (len(p.pts) - 1) + len(qs)
              for qs, p in pairs]
@@ -499,20 +548,37 @@ def _pass_block(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
     r_lo, r_hi = np.fmin.reduce(runs, axis=2), np.fmax.reduce(runs, axis=2)
     pad = radius + _BOX_SLACK
     s_lo, s_hi = (tab[:, _LO] - pad).T, (tab[:, _HI] + pad).T
-    # per pair: query count, first run, first segment, segment count
-    pn, pr, ps, pns = q_len[q_of], r_at[q_of], t_at[p_of], t_len[p_of]
+    # groups of _CHUNK consecutive segments of one polyline, the first
+    # segment and segment count of each, and their boxes: the union of
+    # their segments' padded boxes, so a run that meets no group box
+    # meets none of its segments' boxes
+    n_groups = -(-t_len // _CHUNK)
+    g_at = np.cumsum(n_groups) - n_groups
+    g_first = (np.repeat(t_at - _CHUNK * g_at, n_groups)
+               + _CHUNK * np.arange(n_groups.sum()))
+    g_n = np.minimum(_CHUNK, np.repeat(t_at + t_len, n_groups) - g_first)
+    g_lo = np.minimum.reduceat(s_lo, g_first, axis=1)
+    g_hi = np.maximum.reduceat(s_hi, g_first, axis=1)
+    # per pair: query count, first run, first group, group count
+    pn, pr, pg, png = q_len[q_of], r_at[q_of], g_at[p_of], n_groups[p_of]
     ends = np.cumsum(pn)
     params, dists = np.full(ends[-1], np.nan), np.full(ends[-1], np.inf)
-    # the (pair, run, segment) cells whose boxes meet
-    n1 = n_runs[q_of] * pns
+    # the (pair, run, group) cells whose boxes meet, then the (pair, run,
+    # segment) cells of those groups whose boxes meet: by pair, run and
+    # segment, as if every (pair, run, segment) cell were tested
+    n1 = n_runs[q_of] * png
     pair = np.repeat(np.arange(len(pairs)), n1)
     local = np.arange(len(pair)) - np.repeat(np.cumsum(n1) - n1, n1)
-    run, seg = np.divmod(local, pns[pair])
+    run, grp = np.divmod(local, png[pair])
     run += pr[pair]
-    seg += ps[pair]
+    grp += pg[pair]
+    hit = np.flatnonzero(_boxes_meet(g_lo[:, grp], g_hi[:, grp],
+                                     r_lo[:, run], r_hi[:, run]))
+    m = g_n[grp[hit]]
+    pair, run = np.repeat(pair[hit], m), np.repeat(run[hit], m)
+    seg = _ranges(g_first[grp[hit]], m)
     lo, hi = s_lo[:, seg], s_hi[:, seg]
-    hit = np.flatnonzero((lo[0] <= r_hi[0, run]) & (r_lo[0, run] <= hi[0])
-                         & (lo[1] <= r_hi[1, run]) & (r_lo[1, run] <= hi[1]))
+    hit = np.flatnonzero(_boxes_meet(lo, hi, r_lo[:, run], r_hi[:, run]))
     pair, run, seg = pair[hit], run[hit], seg[hit]
     # each query of those runs in the segment's padded box
     x, y = runs[0, run], runs[1, run]
@@ -528,6 +594,14 @@ def _pass_block(pairs: list[tuple[np.ndarray, Polyline]], radius: float):
     params[far], dists[far] = np.nan, np.inf
     for r0, r1 in zip((ends - pn).tolist(), ends.tolist()):
         yield params[r0:r1], dists[r0:r1]
+
+
+def _boxes_meet(lo: np.ndarray, hi: np.ndarray, lo2: np.ndarray,
+                hi2: np.ndarray) -> np.ndarray:
+    """Whether box k of (lo, hi) meets box k of (lo2, hi2), for each k;
+    each argument holds the x row and the y row of its corners."""
+    return ((lo[0] <= hi2[0]) & (lo2[0] <= hi[0])
+            & (lo[1] <= hi2[1]) & (lo2[1] <= hi[1]))
 
 
 def _distinct(items: list) -> tuple[list, np.ndarray]:
@@ -782,10 +856,11 @@ def _offset_block(paths: list[Polyline], deltas: list[list[float]],
     run = np.repeat(np.arange(len(counts)), counts)
     loops = set(run[_local_crossings(raw, run)[0]].tolist())
     starts = np.cumsum(counts) - counts
-    for j, (k, a, m) in enumerate(zip(moved.tolist(), starts.tolist(),
-                                      counts.tolist())):
-        run = raw[a:a + m]
-        out[k] = Polyline(_remove_local_loops(run) if j in loops else run)
+    runs = [raw[a:a + m] for a, m in zip(starts.tolist(), counts.tolist())]
+    for j in loops:
+        runs[j] = _remove_local_loops(runs[j])
+    for k, band in zip(moved.tolist(), Polyline.many(runs)):
+        out[k] = band
     return out
 
 

@@ -12,23 +12,31 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DanglingReference,
+    ImplausibleEdge,
     MalformedRow,
     MissingFile,
     ProjectionFailure,
     ShapeMismatch,
 )
-from .geometry import Polyline
+from .geometry import Polyline, PolylineStack
 
 EARTH_RADIUS_M = 6_371_000.0
 
 #: route_type values kept by default: tram, subway, rail
 DEFAULT_ROUTE_TYPES = (0, 1, 2)
+
+#: the longest station-to-station edge, in metres, that build_raw_network
+#: accepts.  No transit line runs 1000 km between two stops; such an edge
+#: comes from a wrong stop or shape coordinate, and the merge loop would
+#: resample and sweep it every few metres.
+MAX_EDGE_LENGTH_M = 1_000_000.0
 
 # fallback line colors, assigned to routes without route_color by sorted id
 _PALETTE = (
@@ -107,42 +115,69 @@ class RawNetwork:
 
 # ── CSV helpers ─────────────────────────────────────────────────────
 
-def _read_table(path: Path, required_cols: tuple[str, ...]) -> list[dict[str, str]]:
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh, restkey="__extra__")
-            header = reader.fieldnames
-            if header is None:
-                raise MalformedRow(f"{path.name}: empty file")
-            missing = [c for c in required_cols if c not in header]
-            if missing:
-                raise MalformedRow(f"{path.name}: missing columns {missing}")
-            rows = []
-            for i, row in enumerate(reader, start=2):
-                if "__extra__" in row:
-                    raise MalformedRow(f"{path.name}:{i}: more fields than header columns")
-                rows.append(row)
-            return rows
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path.name}: not valid UTF-8 ({exc})") from exc
+def _read_table(path: Path, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> list[tuple]:
+    """The rows of a CSV table, each a tuple of its values in the
+    required and then the optional columns, read column by column.  A
+    value is None where the header lacks the column or the row is short;
+    a name the header repeats reads from its last column.  Blank lines
+    are skipped, so the row numbers of callers (the header is row 1)
+    count the rows kept, as csv.DictReader yields them.
+
+    Raises MalformedRow for an empty file, a missing required column, a
+    row with more fields than the header (the first such row, before any
+    decoding or CSV error after it), bytes that are not UTF-8 and broken
+    CSV."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _unreadable(path, exc) from exc
+        if header is None:
+            raise MalformedRow(f"{path.name}: empty file")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise MalformedRow(f"{path.name}: missing columns {missing}")
+        rows: list[list] = []
+        failure = None
+        try:
+            rows.extend(filter(None, reader))  # a blank line reads []
+        except (UnicodeDecodeError, csv.Error) as exc:
+            failure = exc  # raised after the rows read before it
+    width = len(header)
+    lengths = list(map(len, rows))
+    if rows and max(lengths) > width:
+        i = next(i for i, n in enumerate(lengths, start=2) if n > width)
+        raise MalformedRow(f"{path.name}:{i}: more fields than header columns")
+    if failure is not None:
+        raise _unreadable(path, failure) from failure
+    if rows and min(lengths) < width:
+        for row in rows:
+            row += [None] * (width - len(row))
+    col = {name: j for j, name in enumerate(header)}
+    absent = [None] * len(rows)
+    return list(zip(*(list(map(itemgetter(col[c]), rows)) if c in col else absent
+                      for c in required + optional)))
+
+
+def _unreadable(path: Path, exc: Exception) -> MalformedRow:
+    what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "CSV"
+    return MalformedRow(f"{path.name}: not valid {what} ({exc})")
 
 
 def _parse_float(value: str | None) -> float | None:
-    if value is None or value.strip() == "":
-        return None
     try:
-        v = float(value)
-    except ValueError:
+        v = float(value)  # a blank or missing value raises
+    except (TypeError, ValueError):
         return None
     return v if math.isfinite(v) else None
 
 
 def _parse_int(value: str | None) -> int | None:
-    if value is None or value.strip() == "":
-        return None
     try:
         return int(value)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
@@ -172,27 +207,27 @@ def load_feed(feed_dir: str | Path) -> FeedModel:
     diags: list[str] = []
 
     stops: dict[str, Stop] = {}
-    for i, row in enumerate(_read_table(feed_dir / "stops.txt",
-                                        ("stop_id", "stop_lat", "stop_lon")), start=2):
-        sid = (row.get("stop_id") or "").strip()
-        lat = _parse_float(row.get("stop_lat"))
-        lon = _parse_float(row.get("stop_lon"))
+    for i, (sid, lat, lon, name) in enumerate(_read_table(
+            feed_dir / "stops.txt", ("stop_id", "stop_lat", "stop_lon"),
+            ("stop_name",)), start=2):
+        sid = (sid or "").strip()
+        lat, lon = _parse_float(lat), _parse_float(lon)
         if not sid or lat is None or lon is None or not (-90 <= lat <= 90) or not (-180 <= lon <= 180):
             diags.append(f"stops.txt:{i}: rejected (bad id or coordinates)")
             continue
-        stops[sid] = Stop(sid, (row.get("stop_name") or sid).strip(), lat, lon)
+        stops[sid] = Stop(sid, (name or sid).strip(), lat, lon)
 
     routes: dict[str, Route] = {}
-    raw_routes = _read_table(feed_dir / "routes.txt", ("route_id", "route_type"))
-    for i, row in enumerate(raw_routes, start=2):
-        rid = (row.get("route_id") or "").strip()
-        rtype = _parse_int(row.get("route_type"))
+    for i, (rid, rtype, short, long_name, color) in enumerate(_read_table(
+            feed_dir / "routes.txt", ("route_id", "route_type"),
+            ("route_short_name", "route_long_name", "route_color")), start=2):
+        rid = (rid or "").strip()
+        rtype = _parse_int(rtype)
         if not rid or rtype is None:
             diags.append(f"routes.txt:{i}: rejected (bad id or route_type)")
             continue
-        label = (row.get("route_short_name") or "").strip() \
-            or (row.get("route_long_name") or "").strip() or rid
-        routes[rid] = Route(rid, label, rtype, _normalize_color(row.get("route_color")) or "")
+        label = (short or "").strip() or (long_name or "").strip() or rid
+        routes[rid] = Route(rid, label, rtype, _normalize_color(color) or "")
     # assign palette colors deterministically to colorless routes
     for idx, rid in enumerate(sorted(routes)):
         if not routes[rid].color:
@@ -202,13 +237,12 @@ def load_feed(feed_dir: str | Path) -> FeedModel:
     shapes: dict[str, list[tuple[float, float]]] = {}
     if (feed_dir / "shapes.txt").is_file():
         shape_rows: dict[str, list[tuple[int, float, float]]] = {}
-        for i, row in enumerate(_read_table(feed_dir / "shapes.txt",
-                                            ("shape_id", "shape_pt_lat", "shape_pt_lon",
-                                             "shape_pt_sequence")), start=2):
-            sid = (row.get("shape_id") or "").strip()
-            lat = _parse_float(row.get("shape_pt_lat"))
-            lon = _parse_float(row.get("shape_pt_lon"))
-            seq = _parse_int(row.get("shape_pt_sequence"))
+        for i, (sid, lat, lon, seq) in enumerate(_read_table(
+                feed_dir / "shapes.txt", ("shape_id", "shape_pt_lat",
+                                          "shape_pt_lon", "shape_pt_sequence")),
+                start=2):
+            sid = (sid or "").strip()
+            lat, lon, seq = _parse_float(lat), _parse_float(lon), _parse_int(seq)
             if not sid or lat is None or lon is None or seq is None:
                 diags.append(f"shapes.txt:{i}: rejected (bad field)")
                 continue
@@ -218,16 +252,16 @@ def load_feed(feed_dir: str | Path) -> FeedModel:
             shapes[sid] = [(lat, lon) for _, lat, lon in pts]
 
     trips: dict[str, Trip] = {}
-    for i, row in enumerate(_read_table(feed_dir / "trips.txt",
-                                        ("trip_id", "route_id")), start=2):
-        tid = (row.get("trip_id") or "").strip()
-        rid = (row.get("route_id") or "").strip()
+    for i, (tid, rid, shape_id) in enumerate(_read_table(
+            feed_dir / "trips.txt", ("trip_id", "route_id"), ("shape_id",)),
+            start=2):
+        tid, rid = (tid or "").strip(), (rid or "").strip()
         if not tid or not rid:
             diags.append(f"trips.txt:{i}: rejected (bad id)")
             continue
         if rid not in routes:
             raise DanglingReference(f"trips.txt:{i}: unknown route_id {rid!r}")
-        shape_id = (row.get("shape_id") or "").strip() or None
+        shape_id = (shape_id or "").strip() or None
         if shape_id is not None and shapes and shape_id not in shapes:
             raise DanglingReference(f"trips.txt:{i}: unknown shape_id {shape_id!r}")
         if shape_id is not None and not shapes:
@@ -235,11 +269,10 @@ def load_feed(feed_dir: str | Path) -> FeedModel:
         trips[tid] = Trip(tid, rid, shape_id)
 
     seq_rows: dict[str, list[tuple[int, str]]] = {}
-    for i, row in enumerate(_read_table(feed_dir / "stop_times.txt",
-                                        ("trip_id", "stop_id", "stop_sequence")), start=2):
-        tid = (row.get("trip_id") or "").strip()
-        sid = (row.get("stop_id") or "").strip()
-        seq = _parse_int(row.get("stop_sequence"))
+    for i, (tid, sid, seq) in enumerate(_read_table(
+            feed_dir / "stop_times.txt", ("trip_id", "stop_id", "stop_sequence")),
+            start=2):
+        tid, sid, seq = (tid or "").strip(), (sid or "").strip(), _parse_int(seq)
         if not tid or not sid or seq is None:
             diags.append(f"stop_times.txt:{i}: rejected (bad field)")
             continue
@@ -298,7 +331,12 @@ def build_raw_network(
 
     One edge per consecutive stop pair per distinct (route, stop sequence)
     pattern; duplicate trips of a pattern, exact geometric duplicates, and
-    reversed-direction duplicates collapse to a single edge.
+    reversed-direction duplicates collapse to a single edge.  An edge
+    longer than MAX_EDGE_LENGTH_M raises ImplausibleEdge.
+
+    The patterns are snapped one by one; then every edge's path is built
+    at once: the cuts of the shapes in one PolylineStack.cut and all
+    paths in one Polyline.many.
     """
     kept_routes = {rid for rid, r in feed.routes.items() if r.route_type in route_types}
 
@@ -333,8 +371,9 @@ def build_raw_network(
             shape_cache[shape_id] = Polyline(pts)
         return shape_cache[shape_id]
 
-    edges: list[RawEdge] = []
-    seen: set[tuple[str, str, str, tuple]] = set()
+    hops: list[tuple[str, str, str]] = []  # (route, stop a, stop b) per edge
+    runs: list = []  # per edge: its two stations' points, or None for a cut
+    cuts: list[tuple[str, float, float]] = []  # (shape, t0, t1) per cut
 
     for route_id, seq, shape_id in sorted(patterns, key=lambda p: (p[0], p[1], p[2] or "")):
         stop_pts = [np.asarray(stations[s].xy) for s in seq]
@@ -348,21 +387,44 @@ def build_raw_network(
             sa, sb = seq[i], seq[i + 1]
             if sa == sb:
                 continue
+            hops.append((route_id, sa, sb))
             if params is not None and params[i + 1] > params[i] + 1e-9:
-                path = shape.sub(params[i], params[i + 1])
+                runs.append(None)
+                cuts.append((shape_id, params[i], params[i + 1]))
             else:
-                path = Polyline([stations[sa].xy, stations[sb].xy])
-            # canonical key: orient from the smaller station id
-            if sa <= sb:
-                key_path = path
-                key = (sa, sb, route_id, tuple(np.round(key_path.pts, 2).ravel()))
-            else:
-                key_path = path.reversed()
-                key = (sb, sa, route_id, tuple(np.round(key_path.pts, 2).ravel()))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(RawEdge(sa, sb, route_id, path))
+                runs.append([stations[sa].xy, stations[sb].xy])
+    if cuts:
+        row = {sid: k for k, sid in enumerate(shape_cache)}
+        ids, t0, t1 = zip(*cuts)
+        pieces = iter(PolylineStack(list(shape_cache.values())).cut(
+            np.array(t0), np.array(t1), np.array([row[sid] for sid in ids])))
+        runs = [next(pieces) if run is None else run for run in runs]
+
+    paths = Polyline.many(runs)
+    for (route_id, sa, sb), path in zip(hops, paths):
+        if path.length > MAX_EDGE_LENGTH_M:
+            raise ImplausibleEdge(
+                f"route {route_id}: the edge from stop {sa} to stop {sb} is "
+                f"{path.length / 1000:.0f} km long (limit "
+                f"{MAX_EDGE_LENGTH_M / 1000:.0f} km); check their coordinates")
+    # each path reversed, as Polyline.reversed builds it, where its
+    # second station has the smaller id
+    reversed_paths = iter(Polyline.many(
+        [path.pts[::-1] for (_, sa, sb), path in zip(hops, paths) if sa > sb]))
+
+    edges: list[RawEdge] = []
+    seen: set[tuple[str, str, str, tuple]] = set()
+    for (route_id, sa, sb), path in zip(hops, paths):
+        # canonical key: orient from the smaller station id
+        if sa <= sb:
+            key = (sa, sb, route_id, tuple(np.round(path.pts, 2).ravel()))
+        else:
+            key = (sb, sa, route_id,
+                   tuple(np.round(next(reversed_paths).pts, 2).ravel()))
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(RawEdge(sa, sb, route_id, path))
 
     used_lines = sorted({e.line for e in edges})
     lines = {rid: TransitLine(rid, feed.routes[rid].label, feed.routes[rid].color)

@@ -8,6 +8,7 @@ other for a sufficient extent, until no such pair remains.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -181,8 +182,10 @@ class LineGraph:
 # The graph file holds one table per record type, a list of objects
 # whose keys are the fields of the record's dataclass.  Each field is
 # read and written by the codec of its annotation: a reader that takes
-# the JSON value and returns the field value or raises ValueError, and
-# a writer (None: the value as it is).  A field with a default may be
+# the JSON value and returns the field value or raises ValueError, a
+# writer (None: the value as it is) and a builder that turns the values
+# its reader returned for a whole table into the field values in one
+# call (None: they are the field values).  A field with a default may be
 # absent or null; it is left out when it is None.
 
 def _read_str(value) -> str:
@@ -203,28 +206,28 @@ def _read_lines(value) -> tuple[str, ...]:
     raise ValueError("must be a list of strings")
 
 
-def _read_path(value) -> Polyline:
+def _read_path(value) -> np.ndarray:
     pts = np.asarray(value)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "fiu":
         raise ValueError("must be a list of [x, y] number pairs")
     if not np.isfinite(pts).all():
         raise ValueError("has a non-finite coordinate")
-    return Polyline(pts)
+    return pts
 
 
 _CODECS = {
-    "str": (_read_str, None),
-    "str | None": (_read_str, None),
-    "float": (_read_float, float),
-    "tuple[str, ...]": (_read_lines, list),
-    "Polyline": (_read_path, lambda path: path.pts.tolist()),
+    "str": (_read_str, None, None),
+    "str | None": (_read_str, None, None),
+    "float": (_read_float, float, None),
+    "tuple[str, ...]": (_read_lines, list, None),
+    "Polyline": (_read_path, lambda path: path.pts.tolist(), Polyline.many),
 }
 
 # top-level key of each table -> its record type; the keys are also the
 # LineGraph attributes holding the tables
 _TABLES = {"nodes": LGNode, "edges": LGEdge, "lines": TransitLine}
 
-# record type -> {field name: (reader, writer, required)}
+# record type -> {field name: (reader, writer, builder, required)}
 _FIELDS = {
     cls: {f.name: (*_CODECS[f.type], f.default is MISSING) for f in fields(cls)}
     for cls in _TABLES.values()
@@ -233,14 +236,15 @@ _FIELDS = {
 
 def _record_to_json(record) -> dict:
     item = {}
-    for name, (_, write, _) in _FIELDS[type(record)].items():
+    for name, (_, write, _, _) in _FIELDS[type(record)].items():
         value = getattr(record, name)
         if value is not None:
             item[name] = value if write is None else write(value)
     return item
 
 
-def _record_from_json(item, cls, where: str):
+def _record_values(item, cls, where: str) -> dict:
+    """The read values of the fields of one record of type cls."""
     if not isinstance(item, dict):
         raise SchemaViolation(f"{where}: must be an object")
     spec = _FIELDS[cls]
@@ -248,7 +252,7 @@ def _record_from_json(item, cls, where: str):
     if unknown:
         raise SchemaViolation(f"{where}: unknown fields {sorted(unknown)}")
     values = {}
-    for name, (read, _, required) in spec.items():
+    for name, (read, _, _, required) in spec.items():
         if name not in item:
             if required:
                 raise SchemaViolation(f"{where}: missing field {name!r}")
@@ -257,7 +261,7 @@ def _record_from_json(item, cls, where: str):
                 values[name] = read(item[name])
             except (ValueError, OverflowError) as exc:
                 raise SchemaViolation(f"{where}: field {name!r} {exc}") from None
-    return cls(**values)
+    return values
 
 
 def save_line_graph(g: LineGraph, path) -> None:
@@ -290,12 +294,18 @@ def load_line_graph(path) -> LineGraph:
     for key, cls in _TABLES.items():
         if not isinstance(doc.get(key), list):
             raise SchemaViolation(f"top-level field {key!r} must be a list")
-        table = tables[key] = {}
+        rows: dict[str, dict] = {}
         for i, item in enumerate(doc[key]):
-            record = _record_from_json(item, cls, f"{key}[{i}]")
-            if record.id in table:
-                raise SchemaViolation(f"{key}[{i}]: duplicate id {record.id!r}")
-            table[record.id] = record
+            values = _record_values(item, cls, f"{key}[{i}]")
+            if values["id"] in rows:
+                raise SchemaViolation(f"{key}[{i}]: duplicate id {values['id']!r}")
+            rows[values["id"]] = values
+        for name, (_, _, build, _) in _FIELDS[cls].items():
+            if build is not None and rows:
+                for values, value in zip(rows.values(), build(
+                        [values[name] for values in rows.values()])):
+                    values[name] = value
+        tables[key] = {rid: cls(**values) for rid, values in rows.items()}
     g = LineGraph(**tables)
     g.validate()
     return g
@@ -315,17 +325,31 @@ class _BEdge:
     sweep: tuple[np.ndarray, np.ndarray]
 
 
+class _Desc:
+    """A pair key that orders in reverse, so that a min-heap of (-extent,
+    _Desc(key)) puts the larger key first among equal extents."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple[str, str]) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_Desc") -> bool:
+        return self.key > other.key
+
+
 class _Builder:
     """Merge loop over the live edges.
 
     `pairs` holds, in the order they were found, only the pairs of live
     edges that share a segment: each merge adds the pairs of its fresh
-    edges and drops those of the two edges it kills, so picking the next
-    merge looks at a few hundred pairs, not at every pair ever checked.
-    `_pairs_of` indexes the stored pairs by edge, and `_boxes` holds the
-    box of every edge ever added, row n for edge e{n}, with `_live`
-    marking the edges still alive; both are kept up to date on each add
-    and merge instead of being rebuilt.
+    edges and drops those of the two edges it kills.  `_heap` holds every
+    pair ever stored, keyed by extent and key, so the next merge is its
+    top once the dropped pairs above it are popped.  `_pairs_of` indexes
+    the stored pairs by edge, and `_boxes` holds the box of every edge
+    ever added, row n for edge e{n}, with `_live` marking the edges still
+    alive; both are kept up to date on each add and merge instead of
+    being rebuilt.
 
     Each merge round (the raw edges first, then each merge's fresh
     edges) finds the nearest points of all its candidate pairs in one
@@ -345,6 +369,7 @@ class _Builder:
         self.nodes: dict[str, LGNode] = {}
         self.edges: dict[str, _BEdge] = {}
         self.pairs: dict[tuple[str, str], tuple[SharedSegment, str]] = {}
+        self._heap: list[tuple[float, _Desc]] = []
         self._pairs_of: dict[str, list[tuple[str, str]]] = {}
         self._boxes = np.empty((max(16, 2 * len(raw.edges)), 4))
         self._live = np.zeros(len(self._boxes), dtype=bool)
@@ -461,19 +486,28 @@ class _Builder:
         for (key, subject, target), near in zip(plan, nearest):
             found = self._best(subject, target, near)
             if found is not None:
-                self.pairs[key] = found
-                self._pairs_of[key[0]].append(key)
-                self._pairs_of[key[1]].append(key)
+                self._store(key, found)
+
+    def _store(self, key: tuple[str, str],
+               found: tuple[SharedSegment, str]) -> None:
+        self.pairs[key] = found
+        heapq.heappush(self._heap, (-found[0].extent, _Desc(key)))
+        self._pairs_of[key[0]].append(key)
+        self._pairs_of[key[1]].append(key)
 
     def _pick(self) -> tuple[str, str] | None:
         """Longest shared extent first, ties to the larger key; a
-        shuffle_rng draws uniformly from the stored pairs instead."""
+        shuffle_rng draws uniformly from the stored pairs instead.  A pair
+        is never stored again once dropped, as its edges never come back,
+        so a heap entry whose key is not stored is dropped for good."""
         if not self.pairs:
             return None
         if self.shuffle_rng is not None:
             keys = list(self.pairs)
             return keys[int(self.shuffle_rng.integers(len(keys)))]
-        return max(self.pairs.items(), key=lambda kv: (kv[1][0].extent, kv[0]))[0]
+        while self._heap[0][1].key not in self.pairs:
+            heapq.heappop(self._heap)
+        return self._heap[0][1].key
 
     def _merge(self, key: tuple[str, str]) -> list[str]:
         seg, subject_id = self.pairs[key]
@@ -533,7 +567,7 @@ class _Builder:
         node_u = res["U"] or self._new_aux(*merged.start)
         node_v = res["V"] or self._new_aux(*merged.end)
 
-        def snapped(path_pts: np.ndarray, start_node: str, end_node: str) -> Polyline:
+        def snapped(path_pts: np.ndarray, start_node: str, end_node: str) -> list:
             pts = path_pts.tolist()
             sa = (self.nodes[start_node].x, self.nodes[start_node].y)
             sb = (self.nodes[end_node].x, self.nodes[end_node].y)
@@ -541,22 +575,21 @@ class _Builder:
                 pts.insert(0, sa)
             if math.hypot(pts[-1][0] - sb[0], pts[-1][1] - sb[1]) > _COORD_TOL:
                 pts.append(sb)
-            return Polyline(pts)
+            return pts
 
-        new_ids = [self._add_edge(node_u, node_v, ea.lines | eb.lines,
-                                  snapped(merged.pts, node_u, node_v))]
+        # (start node, end node, lines, snapped points) of each fresh
+        # edge; their paths are built at once
+        fresh_edges = [(node_u, node_v, ea.lines | eb.lines,
+                        snapped(merged.pts, node_u, node_v))]
         for outer, fresh, aux_first, lines, (src, t0, t1), length in kept:
             fresh_node = node_u if fresh == "U" else node_v
             if fresh_node == outer:
                 continue  # nothing left of this stub after contraction
-            piece = src.sub(t0, t1)
-            if aux_first:
-                new_ids.append(self._add_edge(
-                    fresh_node, outer, lines, snapped(piece.pts, fresh_node, outer)))
-            else:
-                new_ids.append(self._add_edge(
-                    outer, fresh_node, lines, snapped(piece.pts, outer, fresh_node)))
-        return new_ids
+            a, b = (fresh_node, outer) if aux_first else (outer, fresh_node)
+            fresh_edges.append((a, b, lines, snapped(src.sub(t0, t1).pts, a, b)))
+        paths = Polyline.many([pts for *_, pts in fresh_edges])
+        return [self._add_edge(a, b, lines, path)
+                for (a, b, lines, _), path in zip(fresh_edges, paths)]
 
     def run(self) -> LineGraph:
         fresh = list(self.edges)

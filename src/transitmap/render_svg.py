@@ -366,9 +366,10 @@ def _trim_edges(g: LineGraph,
     t0 = np.array([fronts[(e.a, e.id)].t for e in edges])
     t1 = np.array([fronts[(e.b, e.id)].t for e in edges])
     drawn = np.flatnonzero(t1 - t0 > 1e-6).tolist()
-    cuts = cut_many([edges[k].path for k in drawn], t0[drawn], t1[drawn])
-    return LineGraph(g.nodes, {edges[k].id: replace(edges[k], path=Polyline(pts))
-                               for k, pts in zip(drawn, cuts)},
+    cuts = Polyline.many(cut_many([edges[k].path for k in drawn],
+                                  t0[drawn], t1[drawn]))
+    return LineGraph(g.nodes, {edges[k].id: replace(edges[k], path=path)
+                               for k, path in zip(drawn, cuts)},
                      g.lines, g.line_weight)
 
 

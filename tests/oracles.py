@@ -8,6 +8,7 @@ pipeline itself never needs.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 from itertools import combinations
@@ -17,6 +18,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from transitmap.core_reduce import ChainContraction, TerminusDetach, _terminates
+from transitmap.errors import MalformedRow
 from transitmap.geometry import (
     _EPS,
     Polyline,
@@ -85,6 +87,31 @@ def _arc_geometry(p0: np.ndarray, p3: np.ndarray, radius: float, sweep: int):
     if sweep == 0 and a1 > a0:
         a1 -= 2.0 * math.pi
     return center, a0, a1
+
+
+def read_table_by_dict(path, required, optional=()):
+    """gtfs._read_table through one csv.DictReader dict per row, the way
+    the feed tables were read before they were read by column: each row
+    as the tuple of row.get(column) over the required and then the
+    optional columns.  A broken CSV quote or NUL byte raises csv.Error
+    here, where the column reader raises MalformedRow."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh, restkey="__extra__")
+            header = reader.fieldnames
+            if header is None:
+                raise MalformedRow(f"{path.name}: empty file")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise MalformedRow(f"{path.name}: missing columns {missing}")
+            rows = []
+            for i, row in enumerate(reader, start=2):
+                if "__extra__" in row:
+                    raise MalformedRow(f"{path.name}:{i}: more fields than header columns")
+                rows.append(tuple(row.get(c) for c in required + optional))
+            return rows
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path.name}: not valid UTF-8 ({exc})") from exc
 
 
 def snap_params_by_sub(shape: Polyline, stop_pts):

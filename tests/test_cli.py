@@ -75,6 +75,45 @@ def test_extract_with_a_stop_55_km_away_stays_small(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("6 | ")
 
 
+def test_extract_with_a_stop_at_latitude_0_exits_5(tmp_path, capsys):
+    # Stop B typed at latitude 0 is about 5200 km from its neighbours;
+    # the merge loop would resample those edges every 5 m.
+    tables = basic_feed_tables()
+    for stop in tables["stops"]:
+        if stop["stop_id"] == "B":
+            stop["stop_lat"] = 0.0
+    feed = write_gtfs(tmp_path / "feed", **tables)
+    t0 = time.monotonic()
+    assert run(["extract", feed, tmp_path / "g.json"]) == 5
+    assert time.monotonic() - t0 < 5.0
+    assert not (tmp_path / "g.json").exists()
+    err = capsys.readouterr().err
+    assert "error: route r1: the edge from stop A to stop B is 52" in err
+    assert "km long (limit 1000 km)" in err
+
+
+def test_extract_and_full_show_the_feed_diagnostics(tmp_path, capsys):
+    tables = basic_feed_tables()
+    tables["stops"] += [{"stop_id": f"bad{i}", "stop_name": "Bad",
+                         "stop_lat": "north", "stop_lon": 9.0}
+                        for i in range(7)]
+    feed = write_gtfs(tmp_path / "feed", **tables)
+    clean = write_gtfs(tmp_path / "clean", **basic_feed_tables())
+    assert run(["extract", clean, tmp_path / "g.json"]) == 0
+    clean_out = capsys.readouterr()
+    assert clean_out.err == "feed: 0 rows rejected\n"
+    first = len(basic_feed_tables()["stops"]) + 2  # the header is row 1
+    expected = "feed: 7 rows rejected\n" + "".join(
+        f"  stops.txt:{first + i}: rejected (bad id or coordinates)\n"
+        for i in range(5))
+    assert run(["extract", feed, tmp_path / "g.json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == expected
+    assert out.out.splitlines()[0] == clean_out.out.splitlines()[0]
+    assert run(["full", feed, tmp_path / "map.svg"]) == 0
+    assert capsys.readouterr().err == expected
+
+
 def test_extract_missing_stops_exits_3(tmp_path, capsys):
     tables = basic_feed_tables()
     del tables["stops"]

@@ -700,6 +700,70 @@ def test_nearest_pass_ties_radius_and_far_queries():
     assert np.isnan(tf).all() and np.isinf(df).all()  # boxes do not meet
 
 
+def test_nearest_pass_segment_groups_match_nearest_many_at_their_ends():
+    # Straight targets of 1 to 3 * _CHUNK + 1 segments of 10 m, 100 m
+    # apart, all in one block, so that segment groups end inside a
+    # target and at the boundary between two.  The queries sit exactly
+    # the radius off each segment's middle and each vertex (a tie of two
+    # segments), and before the start and past the end, with one just
+    # beyond the radius; each target is also swept by the queries of
+    # every other.
+    c, radius = geometry._CHUNK, 5.0
+    counts = (1, c - 1, c, c + 1, 2 * c, 2 * c + 3, 3 * c + 1)
+    paths, sweeps = [], []
+    for k, n in enumerate(counts):
+        y = 100.0 * k
+        paths.append(Polyline(np.column_stack((np.arange(n + 1) * 10.0,
+                                               np.full(n + 1, y)))))
+        xs = np.arange(2 * n + 1) * 5.0
+        sweeps.append(np.concatenate([
+            np.column_stack((xs, np.full(len(xs), y + radius))),
+            [(-radius, y), (10.0 * n + radius, y),
+             (10.0 * n + radius + 1e-9, y), (5.0, y - radius - 1e-9)]]))
+    pairs = [(q, p) for q in sweeps for p in paths]
+    assert sum(-(-len(q) // c) * (len(p.pts) - 1) + len(q)
+               for q, p in pairs) <= geometry._BLOCK_CELLS // c  # one block
+    got = _pass_matches_nearest_many(pairs, radius)
+    for k, n in enumerate(counts):
+        tb, dist = got[k * len(paths) + k]  # each target by its own queries
+        assert (dist[:-2] == radius).all() and np.isinf(dist[-2:]).all()
+        assert np.array_equal(tb[:2 * n + 1], np.arange(2 * n + 1) / (2 * n))
+        assert list(tb[2 * n + 1:2 * n + 3]) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_polyline_many_equals_polyline_per_run(block_rows, monkeypatch):
+    if block_rows is not None:  # many blocks, and runs longer than one
+        monkeypatch.setattr(geometry, "_PASS_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    runs = []
+    for _ in range(200):
+        pts = rng.normal(size=(int(rng.integers(2, 30)), 2)) * 100
+        if rng.random() < 0.4:  # repeated points
+            i = rng.integers(len(pts), size=3)
+            pts = np.insert(pts, i, pts[i], axis=0)
+        if rng.random() < 0.4:  # points within _EPS of the one before
+            i = rng.integers(len(pts), size=2)
+            pts = np.insert(pts, i, pts[i] + 0.3 * _EPS, axis=0)
+        runs.append(pts)
+    # runs that start where the run before ends, as edges at one node,
+    # a run of lists and a run of integers
+    runs += [runs[-1][-2:], [(1.0, 2.0), (3.0, 4.0)], np.array([[0, 0], [3, 4]])]
+    for run, p in zip(runs, Polyline.many(runs)):
+        q = Polyline(run)
+        assert np.array_equal(p.pts, q.pts) and np.array_equal(p._cum, q._cum)
+        assert not p.pts.flags.writeable and p.pts.base is None
+    assert Polyline.many([]) == []
+    collapse = [(1.0, 1.0), (1.0, 1.0 + 0.5 * _EPS), (1.0 + 0.5 * _EPS, 1.0)]
+    for bad in (collapse, [(1.0, 1.0)], np.zeros((0, 2)),
+                [(0.0, 0.0), (math.nan, 1.0)], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]):
+        with pytest.raises(DegenerateSegment) as want:
+            Polyline(bad)
+        with pytest.raises(DegenerateSegment) as got:
+            Polyline.many([runs[0], bad, runs[1]])
+        assert str(got.value) == str(want.value)
+
+
 def test_nearest_pass_blocks_bound_memory_and_match_split_calls():
     # 3000 pairs over 40 polylines, 5 * 10^7 (query, segment) cells in
     # all; the results of one pass are hashed as they come, so only the

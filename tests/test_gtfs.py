@@ -3,12 +3,21 @@ pattern expansion, and shape snapping."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from transitmap import gtfs
+from transitmap.cli import main
 from transitmap.errors import (
     DanglingReference,
     DegenerateSegment,
@@ -16,16 +25,19 @@ from transitmap.errors import (
     MissingFile,
     ProjectionFailure,
     ShapeMismatch,
+    TransitMapError,
 )
 from transitmap.geometry import Polyline
 from transitmap.gtfs import (
+    FeedModel,
+    _read_table,
     _snap_stops_to_shape,
     build_raw_network,
     load_feed,
     project_lonlat,
 )
 from transitmap.line_graph import construct_line_graph, save_line_graph
-from oracles import snap_params_by_sub
+from oracles import read_table_by_dict, snap_params_by_sub
 from synth import basic_feed_tables, smooth_polyline, write_gtfs
 
 
@@ -394,3 +406,130 @@ def test_snap_matches_per_stop_sub_oracle():
                 with pytest.raises(ShapeMismatch):
                     _snap_stops_to_shape(shape, list(stops), tol, "x")
     assert 0 < errors < 40
+
+
+# ── the column reader against the DictReader oracle ─────────────────
+
+def _read_both(path, required, optional=()):
+    """_read_table and its DictReader oracle on one file: each one's rows
+    or (error type, message)."""
+    out = []
+    for reader in (_read_table, read_table_by_dict):
+        try:
+            out.append(reader(path, required, optional))
+        except MalformedRow as exc:
+            out.append((MalformedRow, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("content", [
+    b"a,b,c\r\n1,2,3\r\n4,5,6\r\n",
+    b"\xef\xbb\xbfa,b,c\r\n1,2,3\r\n",                 # a BOM
+    b"a,b,c\r\n\r\n1,2,3\r\n\n\r\n4,5,6\r\n\r\n",      # blank lines
+    b"a,b,c\r\n   \r\n1,2,3\r\n,\r\n",                 # not blank: one, two fields
+    b"a,b,c\r\n1,2\r\n4\r\n7,8,9\r\n",                 # short rows
+    b"a,b,c\r\n1,2,3\r\n\r\n4,5,6,7\r\n",              # more fields on row 3
+    b'a,b,c\r\n"1,x","2\r\ny",3\r\n4,5,6\r\n',         # quoted comma, newline
+    b"a,b,a,c\r\n1,2,3,4\r\n",                         # a repeated name
+    b"a,c\r\n1,2\r\n",                                 # no optional column b
+    b"a,b\r\n1,2\r\n",                                 # no required column c
+    b"", b"\r\n1,2,3\r\n", b"a,b,c\r\n", b"a,b,c",
+    b"a,b,c\r\n1,2,3\r\n4,\xff,6\r\n",                 # not UTF-8
+    b"a,b,c\r\n1,2,3,4\r\n4,\xff,6\r\n",               # more fields first
+    b"a,\xc3(,c\r\n1,2,3\r\n",                         # not UTF-8 in the header
+], ids=lambda c: c.decode("latin-1")[:20])
+def test_read_table_matches_the_dict_reader(content, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    new, old = _read_both(path, ("a", "c"), ("b", "d"))
+    assert new == old
+
+
+def test_read_table_reports_broken_csv_as_malformed_row(tmp_path):
+    # a field over the csv module's field size limit
+    path, huge = tmp_path / "t.txt", b"x" * (csv.field_size_limit() + 1)
+    path.write_bytes(b"a,b\r\n1,2\r\n3," + huge + b"\r\n")
+    with pytest.raises(MalformedRow, match=r"t\.txt: not valid CSV"):
+        _read_table(path, ("a",))
+    # a row with more fields before the damage is reported first
+    path.write_bytes(b"a,b\r\n1,2,3\r\n3," + huge + b"\r\n")
+    with pytest.raises(MalformedRow, match=r"t\.txt:2: more fields"):
+        _read_table(path, ("a",))
+
+
+def _feed_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        feed = write_gtfs(Path(tmp) / "feed", **basic_feed_tables())
+        return {p.name: p.read_bytes() for p in sorted(feed.iterdir())}
+
+
+_FEED_FILES = _feed_files()
+# field values that no parser takes, or that no stop may have; none is a
+# coordinate in range, which could make a long but plausible edge
+_BAD_VALUES = [b"", b"nan", b"NaN", b"inf", b"-inf", b"1e400", b"91", b"-91",
+               b"181", b"-181", b"x", b"\xff", b"\xc3(", b"\xef\xbb\xbf1"]
+
+
+@st.composite
+def mutated_feeds(draw) -> dict[str, bytes]:
+    """The basic feed's files with one to three mutations: a row cut
+    short or given extra fields, blank lines, a BOM, bytes that are not
+    UTF-8, or a field replaced by a bad value or latitude 0."""
+    files = dict(_FEED_FILES)
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(files)))
+        lines = files[name].split(b"\r\n")
+        i = draw(st.integers(0, len(lines) - 2))
+        fields = lines[i].split(b",")
+        kind = draw(st.sampled_from(
+            ["truncate", "extra", "blank", "bom", "bytes", "value", "lat0"]))
+        if kind == "truncate":
+            lines[i] = b",".join(fields[:draw(st.integers(0, len(fields) - 1))])
+        elif kind == "extra":
+            lines[i] += b",x" * draw(st.integers(1, 2))
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from([b"", b"\n", b"\r"])))
+        elif kind == "bom":
+            lines[0] = b"\xef\xbb\xbf" + lines[0]
+        elif kind == "bytes":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(
+                [b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"])) + lines[i][at:]
+        elif kind == "value":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(
+                st.sampled_from(_BAD_VALUES))
+            lines[i] = b",".join(fields)
+        else:
+            name, lines = "stops.txt", files["stops.txt"].split(b"\r\n")
+            i = draw(st.integers(1, len(lines) - 2))
+            fields = lines[i].split(b",")
+            fields[lines[0].split(b",").index(b"stop_lat")] = b"0"
+            lines[i] = b",".join(fields)
+        files[name] = b"\r\n".join(lines)
+    return files
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(files=mutated_feeds())
+def test_mutated_feed_ends_in_a_typed_exit_code(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        feed = Path(tmp) / "feed"
+        feed.mkdir()
+        for name, content in files.items():
+            (feed / name).write_bytes(content)
+        graph = Path(tmp) / "g.json"
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["extract", str(feed), str(graph)])
+        assert code in (0, 3, 4, 5), err.getvalue()
+        assert graph.exists() == (code == 0)
+        # the column reader loads what the DictReader oracle loads
+        models = []
+        for reader in (_read_table, read_table_by_dict):
+            with mock.patch.object(gtfs, "_read_table", reader):
+                try:
+                    models.append(load_feed(feed))
+                except (TransitMapError, csv.Error) as exc:
+                    models.append(type(exc))
+        if any(isinstance(m, FeedModel) for m in models):
+            assert models[0] == models[1]

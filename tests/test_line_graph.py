@@ -5,14 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transitmap import line_graph
-from transitmap.errors import NonTermination, SchemaViolation
-from transitmap.geometry import Polyline, shared_segments
+from transitmap.errors import DegenerateSegment, NonTermination, SchemaViolation
+from transitmap.geometry import Polyline, SharedSegment, shared_segments
 from transitmap.gtfs import RawEdge, RawNetwork, Station, TransitLine
 from transitmap.line_graph import (
     LGEdge,
@@ -178,6 +179,24 @@ def test_load_checks_each_field_against_its_declared_type(tmp_path, table,
     doc[table][0][field] = value
     p.write_text(json.dumps(doc))
     with pytest.raises(SchemaViolation, match=field):
+        load_line_graph(p)
+
+
+def test_load_names_the_record_of_a_bad_path(tmp_path):
+    # paths are built for the whole edge table at once, after each
+    # record's fields are checked
+    p = tmp_path / "g.json"
+    save_line_graph(_y_graph(), p)
+    doc = json.loads(p.read_text())
+    last = len(doc["edges"]) - 1
+    doc["edges"][last]["path"] = [[0, 0], [math.nan, 0]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=rf"^edges\[{last}\]: field 'path' "
+                       "has a non-finite coordinate$"):
+        load_line_graph(p)
+    doc["edges"][last]["path"] = [[1, 1], [1, 1]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DegenerateSegment, match="collapsed"):
         load_line_graph(p)
 
 
@@ -549,6 +568,45 @@ def test_construction_work_and_bytes_are_pinned(feed, monkeypatch, tmp_path):
         got[seed] = (calls["shared_segments"], calls["average_path"],
                      hashlib.sha256(out.read_bytes()).hexdigest())
     assert got == _PINNED_CONSTRUCTION[feed]
+
+
+def _longest_pair_by_scan(pairs):
+    """The pair _Builder._pick takes: the longest extent, ties to the
+    larger key, by a scan of every stored pair."""
+    return max(pairs.items(), key=lambda kv: (kv[1][0].extent, kv[0]))[0]
+
+
+def test_merge_pick_equals_a_scan_of_the_stored_pairs(monkeypatch):
+    picks = []
+    real = line_graph._Builder._pick
+
+    def checked(self):
+        key = real(self)
+        assert key == (_longest_pair_by_scan(self.pairs) if self.pairs else None)
+        picks.append(key)
+        return key
+
+    monkeypatch.setattr(line_graph._Builder, "_pick", checked)
+    for feed in sorted(_PIN_FEEDS):
+        construct_line_graph(_PIN_FEEDS[feed]())
+    assert len(picks) > 30
+    # equal extents, stored in an order that is not the key order, and a
+    # pair dropped from the top of the heap
+    builder = line_graph._Builder(_three_line_corridor(), 25.0, 5.0, 2,
+                                  50.0, None, None)
+    builder.pairs.clear()
+    builder._heap.clear()
+    builder._pairs_of = defaultdict(list)
+    for key, extent in [(("e2", "e9"), 5.0), (("e10", "e9"), 7.0),
+                        (("e3", "e4"), 7.0), (("e1", "e9"), 7.0),
+                        (("e0", "e5"), 7.5)]:
+        builder._store(key, (SharedSegment((0.0, 1.0), (0.0, 1.0), extent), key[0]))
+    del builder.pairs[("e0", "e5")]
+    while builder.pairs:
+        key = builder._pick()
+        assert key == _longest_pair_by_scan(builder.pairs)
+        del builder.pairs[key]
+    assert builder._pick() is None
 
 
 # ── batched sweeps: the same pairs as one shared_segments call each ─
