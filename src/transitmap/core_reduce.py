@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import IncompleteSolution, MalformedOrdering, SchemaViolation
-from .geometry import Polyline
+from .geometry import Polyline, cut_many
 from .gtfs import TransitLine
 from .ilp_model import Ordering, WeightPolicy
 from .line_graph import LGEdge, LGNode, LineGraph
@@ -231,12 +231,13 @@ def _contract_chains(
         if nw.same_cross < max_split or nw.separation < max_sep:
             continue
         del edges[ea_id], edges[eb_id], nodes[v]
-        pa = ea.path.pts if ea.b == v else ea.path.reversed().pts
-        pb = eb.path.pts if eb.a == v else eb.path.reversed().pts
+        # reversed().pts without the polyline: reversing a path whose
+        # segments all exceed _EPS drops no point
+        pa = ea.path.pts if ea.b == v else ea.path.pts[::-1]
+        pb = eb.path.pts if eb.a == v else eb.path.pts[::-1]
         mid = new_edge_id()
-        edges[mid] = LGEdge(
-            id=mid, a=u, b=w, lines=ea.lines, path=Polyline(np.vstack([pa, pb]))
-        )
+        edges[mid] = LGEdge(id=mid, a=u, b=w, lines=ea.lines,
+                            path=Polyline._owning(np.concatenate((pa, pb))))
         incident[u][incident[u].index(ea_id)] = mid
         incident[w][incident[w].index(eb_id)] = mid
         rmap.record(
@@ -516,19 +517,23 @@ def split_components(
     new_edge_id = _IdMaker("c", set(edges))
     new_node_id = _IdMaker("q", set(nodes))
 
-    for eid in sorted(core.edges):
-        e = edges[eid]
-        if len(e.lines) != 1:
-            continue
+    # each single-line edge's halves, sub(0.0, 0.5) and sub(0.5, 1.0), in
+    # one cut_many pass
+    singles = [edges[eid] for eid in sorted(edges) if len(edges[eid].lines) == 1]
+    n = len(singles)
+    halves = Polyline.many(cut_many([e.path for e in singles] * 2,
+                                    np.repeat([0.0, 0.5], n),
+                                    np.repeat([0.5, 1.0], n)))
+    for e, half_a, half_b in zip(singles, halves[:n], halves[n:]):
         mid = e.path.param_point(0.5)
         na, nb = new_node_id(), new_node_id()
         nodes[na] = LGNode(id=na, kind="aux", x=float(mid[0]), y=float(mid[1]))
         nodes[nb] = LGNode(id=nb, kind="aux", x=float(mid[0]), y=float(mid[1]))
         ha, hb = new_edge_id(), new_edge_id()
-        edges.pop(eid)
-        edges[ha] = LGEdge(id=ha, a=e.a, b=na, lines=e.lines, path=e.path.sub(0.0, 0.5))
-        edges[hb] = LGEdge(id=hb, a=nb, b=e.b, lines=e.lines, path=e.path.sub(0.5, 1.0))
-        actions.append(EdgeCut(edge=eid, line=e.lines[0], half_a=ha, half_b=hb))
+        edges.pop(e.id)
+        edges[ha] = LGEdge(id=ha, a=e.a, b=na, lines=e.lines, path=half_a)
+        edges[hb] = LGEdge(id=hb, a=nb, b=e.b, lines=e.lines, path=half_b)
+        actions.append(EdgeCut(edge=e.id, line=e.lines[0], half_a=ha, half_b=hb))
 
     _detach_termini(nodes, edges, core.lines, new_node_id, actions)
 

@@ -29,6 +29,12 @@ of nearby pairs.
   cell would make; one block of a few numpy passes serves a hundred
   small pairs.
 
+Since a query is projected only onto segments whose padded boxes hold
+it, a sweep point within d_hat of a polyline lies in that polyline's
+bbox padded by d_hat + _BOX_SLACK.  `box_spans` bounds, from those boxes
+alone, the longest run a sweep could share with a polyline, so the merge
+loop skips the pairs whose bound is below its minimum run length.
+
 The renderer's whole-map passes live here too: `offset_many`
 offsets many polylines by many deltas at once, a `PolylineStack` takes
 the frames of many polylines at once, and `cut_many` their sub-polylines.
@@ -36,6 +42,11 @@ the frames of many polylines at once, and `cut_many` their sub-polylines.
 near-duplicate points from all of them; the graph reader, the raw
 network and the renderer build their polylines with it.  Each equals
 the per-polyline method it batches bit for bit (see their docstrings).
+
+Polyline's primitives call ufuncs and array methods, not np.clip,
+np.linspace, np.linalg.norm, np.diff or np.all, whose Python wrappers
+cost more than the merge loop's small arrays; each does the wrapper's
+arithmetic, so gives its bits (tests/oracles.py keeps the wrapper code).
 
 Coordinates are projected meters throughout.  Polyline parameters t are
 arc-length fractions in [0, 1].
@@ -91,14 +102,26 @@ class Polyline:
     __slots__ = ("pts", "_cum")
 
     def __init__(self, points) -> None:
-        pts = np.asarray(points, dtype=float)
+        # a copy: the caller's array stays its own, and writable
+        self._take(np.array(points, dtype=float))
+
+    @classmethod
+    def _owning(cls, pts: np.ndarray) -> "Polyline":
+        """Polyline(pts) for a float array that no one writes to again:
+        the polyline keeps it, or the rows it keeps of it, without a
+        copy, and makes it read-only."""
+        p = cls.__new__(cls)
+        p._take(pts)
+        return p
+
+    def _take(self, pts: np.ndarray) -> None:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise DegenerateSegment(f"expected (N, 2) points, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DegenerateSegment("non-finite coordinate in polyline")
         self.pts, _, seg = _drop_near_duplicates(pts, [len(pts)])
         self.pts.setflags(write=False)
-        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self._cum = np.concatenate(([0.0], seg.cumsum()))
 
     @classmethod
     def many(cls, runs: list) -> list["Polyline"]:
@@ -119,7 +142,7 @@ class Polyline:
             if a.ndim != 2 or a.shape[1] != 2:
                 raise DegenerateSegment(f"expected (N, 2) points, got shape {a.shape}")
         pts, _, n = _runs(arrays)
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DegenerateSegment("non-finite coordinate in polyline")
         if n.min() < 2:  # a run too short to drop points from
             raise DegenerateSegment("polyline collapsed below two distinct points")
@@ -151,36 +174,36 @@ class Polyline:
         return self.pts[-1]
 
     def bbox(self) -> tuple[float, float, float, float]:
-        mn = self.pts.min(axis=0)
-        mx = self.pts.max(axis=0)
-        return (float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1]))
+        return (*np.minimum.reduce(self.pts).tolist(),
+                *np.maximum.reduce(self.pts).tolist())
 
     def reversed(self) -> "Polyline":
-        return Polyline(self.pts[::-1])
+        return Polyline._owning(self.pts[::-1])  # a view of read-only points
 
     # arc-length parametrization --------------------------------------
 
     def param_points(self, ts) -> np.ndarray:
-        """Points at arc-length fractions ts (vectorized)."""
-        ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
-        s = ts * self.length
-        idx = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self.pts) - 2)
-        seg_len = self._cum[idx + 1] - self._cum[idx]
-        local = np.where(seg_len > _EPS, (s - self._cum[idx]) / np.maximum(seg_len, _EPS), 0.0)
+        """Points at arc-length fractions ts (vectorized).  The clamps are
+        np.clip's, bit for bit (-0.0 and nan included), without its
+        wrapper."""
+        cum = self._cum
+        s = np.minimum(1.0, np.maximum(0.0, np.asarray(ts, dtype=float))) * cum[-1]
+        idx = np.minimum(len(cum) - 2, np.maximum(0, cum.searchsorted(s, "right") - 1))
+        nxt = idx + 1
+        c0 = cum[idx]
+        seg_len = cum[nxt] - c0
+        local = np.where(seg_len > _EPS, (s - c0) / np.maximum(seg_len, _EPS), 0.0)
         p0 = self.pts[idx]
-        return p0 + local[:, None] * (self.pts[idx + 1] - p0)
+        return p0 + local[:, None] * (self.pts[nxt] - p0)
 
     def param_point(self, t: float) -> np.ndarray:
         return self.param_points([t])[0]
 
-    def tangent_at(self, t: float) -> np.ndarray:
-        """Unit tangent of the segment containing parameter t."""
-        return np.array(self.frame_at(t)[2:])
-
     def frame_at(self, t: float, arriving: bool = False,
                  ) -> tuple[float, float, float, float]:
-        """(x, y, tx, ty): param_point(t) and tangent_at(t) as plain
-        floats, without the array overhead of param_point.  At a vertex
+        """(x, y, tx, ty): param_point(t) and the unit tangent of the
+        segment containing parameter t, as plain floats, without the
+        array overhead of param_point.  At a vertex
         these are of the segment that starts there or, when arriving, of
         the segment that ends there, whose point is the vertex up to
         rounding."""
@@ -250,7 +273,7 @@ class Polyline:
         """
         qs = np.asarray(qs, dtype=float)
         n, cum, xs = len(self.pts), self._cum.tolist(), self.pts.tolist()
-        seg_len = np.linalg.norm(np.diff(self.pts, axis=0), axis=1)
+        seg_len = _segment_lengths(self.pts)
         tail = self._point_at(1.0)[:2]
         # sub(t', 1.0) is [head, xs[i0:n-1], tail] less each point within
         # _EPS of the point before it.  When no segment is that short, the
@@ -313,16 +336,17 @@ class Polyline:
         """Sub-polyline between arc-length fractions t0 < t1."""
         if t1 <= t0 + _EPS:
             raise DegenerateSegment(f"empty parameter range [{t0}, {t1}]")
-        s0, s1 = t0 * self.length, t1 * self.length
-        i0 = int(np.searchsorted(self._cum, s0, side="right"))
-        i1 = int(np.searchsorted(self._cum, s1, side="left"))
-        mid = self.pts[i0:i1]
-        head, tail = self.param_points([t0, t1])
-        return Polyline(np.vstack([head, mid, tail]))
+        length = self.length
+        mid = self.pts[self._cum.searchsorted(t0 * length, "right"):
+                       self._cum.searchsorted(t1 * length, "left")]
+        pts = np.empty((len(mid) + 2, 2))
+        pts[0], pts[-1] = self.param_points((t0, t1))
+        pts[1:-1] = mid
+        return Polyline._owning(pts)
 
     def resample(self, n: int) -> np.ndarray:
         """n points evenly spaced by arc length (endpoints included)."""
-        return self.param_points(np.linspace(0.0, 1.0, max(int(n), 2)))
+        return self.param_points(_unit_steps(max(int(n), 2)))
 
     def __len__(self) -> int:
         return len(self.pts)
@@ -427,7 +451,7 @@ def _drop_near_duplicates(pts: np.ndarray, counts):
     when a run keeps fewer than two points.  Returns the rows kept, each
     run's new count, and the length of each segment between consecutive
     rows kept (one per run boundary too)."""
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = _segment_lengths(pts)
     keep = seg > _EPS
     if not keep.all():
         first = np.cumsum(counts) - counts
@@ -435,10 +459,27 @@ def _drop_near_duplicates(pts: np.ndarray, counts):
         keep[first] = True
         counts = np.add.reduceat(keep, first)
         pts = pts[keep]
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        seg = _segment_lengths(pts)
     if min(counts) < 2:
         raise DegenerateSegment("polyline collapsed below two distinct points")
     return pts, counts, seg
+
+
+def _segment_lengths(pts: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(np.diff(pts, axis=0), axis=1), bit for bit: that
+    norm sums the two squares of each row and takes the root, as here,
+    but through two Python wrappers."""
+    d = pts[1:] - pts[:-1]
+    dx, dy = d[:, 0], d[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _unit_steps(n: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, n) for n >= 2, bit for bit, by numpy's own
+    arithmetic: k times the step 1 / (n - 1), the last entry exactly 1."""
+    ts = np.arange(n, dtype=float) * (1.0 / (n - 1))
+    ts[-1] = 1.0
+    return ts
 
 
 # ── the nearest-segment kernel ──────────────────────────────────────
@@ -729,8 +770,39 @@ def sweep_points(a: Polyline, dt: float) -> tuple[np.ndarray, np.ndarray]:
     them: the sweep of a in shared_segments."""
     if dt <= 0 or dt > 0.5:
         raise ValueError(f"dt must be in (0, 0.5], got {dt}")
-    ts = np.linspace(0.0, 1.0, int(math.ceil(1.0 / dt)) + 1)
+    ts = _unit_steps(int(math.ceil(1.0 / dt)) + 1)
     return ts, a.param_points(ts)
+
+
+def box_spans(sweeps: list[tuple[np.ndarray, np.ndarray]], boxes: np.ndarray,
+              radius: float) -> np.ndarray:
+    """For each sweep (ts, pts) of sweeps, ts[last] - ts[first], first
+    and last being the first and the last of its points that lie in
+    boxes[k] (a polyline's bbox row x0, y0, x1, y1) padded by radius +
+    _BOX_SLACK; -inf when none does.
+
+    nearest_many and nearest_pass find a query within radius of a
+    polyline only on a segment whose box, padded by that much, holds the
+    query, and that box lies in the polyline's padded bbox; so every
+    sweep point within radius lies between first and last, and, ts not
+    decreasing, every run that shared_segments reports spans at most
+    this many parameter units.  The sweeps go in blocks of about
+    _PASS_ROWS points (or one sweep alone); each must have a point."""
+    out = np.empty(len(sweeps))
+    pad = radius + _BOX_SLACK
+    lo, hi = boxes[:, :2] - pad, boxes[:, 2:] + pad
+    for block in _blocks([len(ts) for ts, _ in sweeps], _PASS_ROWS):
+        pts, first, n = _runs([pts for _, pts in sweeps[block]])
+        ts = np.concatenate([ts for ts, _ in sweeps[block]])
+        x0, y0 = np.repeat(lo[block], n, axis=0).T
+        x1, y1 = np.repeat(hi[block], n, axis=0).T
+        x, y = pts.T
+        at = np.arange(len(pts))
+        inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        a = np.minimum.reduceat(np.where(inside, at, len(pts) - 1), first)
+        b = np.maximum.reduceat(np.where(inside, at, -1), first)
+        out[block] = np.where(b >= 0, ts[b] - ts[a], -np.inf)
+    return out
 
 
 def shared_segments(
@@ -759,7 +831,7 @@ def shared_segments(
         return []
     # in-threshold steps more than k + 1 apart leave more than k outliers
     # between them: a run ends at the first and starts at the second
-    cuts = np.flatnonzero(np.diff(inside) > k + 1).tolist()
+    cuts = np.flatnonzero(inside[1:] - inside[:-1] > k + 1).tolist()
     steps = inside.tolist()
     out: list[SharedSegment] = []
     for first, last in zip([steps[0]] + [steps[c + 1] for c in cuts],
@@ -917,4 +989,4 @@ def average_path(a: Polyline, b: Polyline, step: float = 5.0) -> Polyline:
     count derived from step meters.  Inputs must already be oriented the
     same way."""
     n = max(2, int(math.ceil(max(a.length, b.length) / max(step, _EPS))) + 1)
-    return Polyline((a.resample(n) + b.resample(n)) / 2.0)
+    return Polyline._owning((a.resample(n) + b.resample(n)) / 2.0)

@@ -19,8 +19,10 @@ import numpy as np
 from .errors import MissingFile, NonTermination, SchemaViolation
 from .geometry import (
     Polyline,
+    PolylineStack,
     SharedSegment,
     average_path,
+    box_spans,
     nearest_pass,
     shared_segments,
     sweep_points,
@@ -84,6 +86,7 @@ class LineGraph:
         self.lines = dict(lines)
         self.line_weight = dict(line_weight or {})
         self._incident: dict[str, tuple[str, ...]] | None = None
+        self._departure: dict[str, tuple[float, float]] | None = None
 
     # ── topology ────────────────────────────────────────────────────
 
@@ -128,16 +131,33 @@ class LineGraph:
             if len(eids) == 2
         }
 
+    def _departures(self) -> dict[str, tuple[float, float]]:
+        """Edge id -> departure angles at its a end and at its b end: the
+        atan2 of the tangent of the path's frame_at(0.0) and of minus
+        that of its frame_at(1.0), from one PolylineStack.frames pass over
+        all edges, whose tangents are frame_at's bit for bit."""
+        if self._departure is None:
+            ids = list(self.edges)
+            self._departure = {}
+            if ids:
+                stack = PolylineStack([self.edges[eid].path for eid in ids])
+                _, _, tx, ty = stack.frames(np.arange(len(ids)).repeat(2),
+                                            np.tile([0.0, 1.0], len(ids)))
+                tx, ty = tx.tolist(), ty.tolist()
+                for k, eid in enumerate(ids):
+                    self._departure[eid] = (
+                        math.atan2(ty[2 * k], tx[2 * k]),
+                        math.atan2(-ty[2 * k + 1], -tx[2 * k + 1]))
+        return self._departure
+
     def departure_angle(self, edge_id: str, node_id: str) -> float:
         """Direction of travel leaving node_id along the edge, in radians."""
         e = self.edges[edge_id]
         if node_id == e.a:
-            v = e.path.tangent_at(0.0)
-        elif node_id == e.b:
-            v = -e.path.tangent_at(1.0)
-        else:
-            raise KeyError(f"node {node_id!r} is not an endpoint of edge {edge_id!r}")
-        return math.atan2(float(v[1]), float(v[0]))
+            return self._departures()[edge_id][0]
+        if node_id == e.b:
+            return self._departures()[edge_id][1]
+        raise KeyError(f"node {node_id!r} is not an endpoint of edge {edge_id!r}")
 
     # ── validation ──────────────────────────────────────────────────
 
@@ -352,10 +372,13 @@ class _Builder:
     being rebuilt.
 
     Each merge round (the raw edges first, then each merge's fresh
-    edges) finds the nearest points of all its candidate pairs in one
-    `nearest_pass`, from the sweeps `_add_edge` computes once per edge;
-    `shared_segments` then runs once per pair, in the order the pairs
-    were found.
+    edges) plans the pairs whose boxes, padded by d_hat, overlap, and
+    keeps those whose subject's sweep spans at least min_seg_len inside
+    the target's padded box (`_bounded`, exact: no pair it leaves out
+    could store a segment).  It finds the nearest points of the pairs
+    kept in one `nearest_pass`, from the sweeps `_add_edge` computes once
+    per edge; `shared_segments` then runs once per pair, in the order
+    the pairs were found.
     """
 
     def __init__(self, raw: RawNetwork, d_hat: float, sweep_step: float,
@@ -462,9 +485,10 @@ class _Builder:
         """Store the shared segments of every fresh edge with every live
         edge.  Only pairs whose boxes, padded by d_hat, overlap can share
         a segment, so one numpy comparison per fresh edge against the live
-        boxes selects the pairs to sweep: for each fresh edge in turn, in
-        `self.edges` order, and a pair of two fresh edges once.  The
-        nearest points of every pair come from one nearest_pass."""
+        boxes plans the pairs: for each fresh edge in turn, in
+        `self.edges` order, and a pair of two fresh edges once.  The pairs
+        that _bounded keeps are swept, their nearest points from one
+        nearest_pass."""
         boxes = self._boxes[:self._next_edge]
         pad = self.d_hat
         done: set[str] = set()
@@ -481,12 +505,25 @@ class _Builder:
                     roles = self._roles(*key)
                     if roles is not None:
                         plan.append((key, *roles))
+        plan = self._bounded(plan)
         nearest = nearest_pass([(s.sweep[1], t.path) for _, s, t in plan],
                                self.d_hat)
         for (key, subject, target), near in zip(plan, nearest):
             found = self._best(subject, target, near)
             if found is not None:
                 self._store(key, found)
+
+    def _bounded(self, plan: list) -> list:
+        """The (key, subject, target) pairs of plan whose subject's sweep
+        spans at least min_seg_len between its first and its last point
+        in the target's box padded by d_hat (box_spans).  Every extent
+        shared_segments reports is at most that span times the subject's
+        length, so no other pair can store a shared segment."""
+        spans = box_spans([s.sweep for _, s, _ in plan],
+                          self._boxes[[int(t.id[1:]) for _, _, t in plan]],
+                          self.d_hat)
+        return [pair for pair, span in zip(plan, spans.tolist())
+                if span * pair[1].path.length >= self.min_seg_len]
 
     def _store(self, key: tuple[str, str],
                found: tuple[SharedSegment, str]) -> None:

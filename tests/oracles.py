@@ -18,8 +18,9 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from transitmap.core_reduce import ChainContraction, TerminusDetach, _terminates
-from transitmap.errors import MalformedRow
+from transitmap.errors import DegenerateSegment, MalformedRow
 from transitmap.geometry import (
+    _BOX_SLACK,
     _EPS,
     Polyline,
     SharedSegment,
@@ -445,3 +446,79 @@ def trim_edges_per_edge(g, fronts) -> LineGraph:
         if t1 - t0 > 1e-6:
             edges[eid] = replace(e, path=e.path.sub(t0, t1))
     return LineGraph(g.nodes, edges, g.lines, g.line_weight)
+
+
+# ── polyline primitives through numpy's wrappers ─────────────────────
+#
+# The Polyline code before its primitives dropped np.clip, np.linspace,
+# np.linalg.norm, np.diff, np.vstack and np.all; each function returns
+# plain arrays, so it does not go through the code it checks.
+
+def polyline_arrays_by_norm(points) -> tuple[np.ndarray, np.ndarray]:
+    """(pts, _cum) of Polyline(points): near-duplicates dropped by
+    np.linalg.norm over np.diff, the cumulative lengths by concatenate."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DegenerateSegment(f"expected (N, 2) points, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateSegment("non-finite coordinate in polyline")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    keep = seg > _EPS
+    if not keep.all():
+        pts = pts[np.concatenate(([True], keep))]
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if len(pts) < 2:
+        raise DegenerateSegment("polyline collapsed below two distinct points")
+    return pts, np.concatenate(([0.0], np.cumsum(seg)))
+
+
+def param_points_by_clip(pts: np.ndarray, cum: np.ndarray, ts) -> np.ndarray:
+    """Polyline.param_points on the arrays of a polyline, with np.clip."""
+    ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+    s = ts * float(cum[-1])
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(pts) - 2)
+    seg_len = cum[idx + 1] - cum[idx]
+    local = np.where(seg_len > _EPS, (s - cum[idx]) / np.maximum(seg_len, _EPS), 0.0)
+    p0 = pts[idx]
+    return p0 + local[:, None] * (pts[idx + 1] - p0)
+
+
+def sub_arrays_by_vstack(pts: np.ndarray, cum: np.ndarray, t0: float,
+                         t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pts, _cum) of Polyline.sub(t0, t1) on the arrays of a polyline."""
+    if t1 <= t0 + _EPS:
+        raise DegenerateSegment(f"empty parameter range [{t0}, {t1}]")
+    length = float(cum[-1])
+    i0 = int(np.searchsorted(cum, t0 * length, side="right"))
+    i1 = int(np.searchsorted(cum, t1 * length, side="left"))
+    head, tail = param_points_by_clip(pts, cum, [t0, t1])
+    return polyline_arrays_by_norm(np.vstack([head, pts[i0:i1], tail]))
+
+
+def resample_by_linspace(pts: np.ndarray, cum: np.ndarray, n: int) -> np.ndarray:
+    """Polyline.resample(n) on the arrays of a polyline, with np.linspace."""
+    return param_points_by_clip(pts, cum, np.linspace(0.0, 1.0, max(int(n), 2)))
+
+
+def departure_angle_per_edge(g: LineGraph, edge_id: str, node_id: str) -> float:
+    """LineGraph.departure_angle from the tangent of the edge's own
+    frame_at, one edge end at a time."""
+    e = g.edges[edge_id]
+    if node_id == e.a:
+        v = np.array(e.path.frame_at(0.0)[2:])
+    elif node_id == e.b:
+        v = -np.array(e.path.frame_at(1.0)[2:])
+    else:
+        raise KeyError(f"node {node_id!r} is not an endpoint of edge {edge_id!r}")
+    return math.atan2(float(v[1]), float(v[0]))
+
+
+def box_spans_by_loop(sweeps, boxes, radius: float) -> list[float]:
+    """geometry.box_spans, one sweep point at a time."""
+    pad = radius + _BOX_SLACK
+    out = []
+    for (ts, pts), (x0, y0, x1, y1) in zip(sweeps, boxes.tolist()):
+        inside = [i for i, (x, y) in enumerate(pts.tolist())
+                  if x0 - pad <= x <= x1 + pad and y0 - pad <= y <= y1 + pad]
+        out.append(float(ts[inside[-1]] - ts[inside[0]]) if inside else -math.inf)
+    return out

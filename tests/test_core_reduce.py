@@ -518,10 +518,13 @@ def _sweep_family():
 
 
 def _reduce(g, w, collapse):
+    """The core, the reduction record and, per component, its node ids
+    and the points of each edge's path."""
     core, rmap = prune(g, w, collapse_bundles=collapse)
     comps = split_components(core, rmap)
     return (core, json.dumps(rmap.to_dict(), sort_keys=True),
-            [(sorted(c.nodes), sorted(c.edges)) for c in comps])
+            [(sorted(c.nodes), {eid: e.path.pts.tobytes() for eid, e in c.edges.items()})
+             for c in comps])
 
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["I", "S"])
@@ -540,6 +543,13 @@ def test_one_sweep_reductions_match_the_rescan_loops(collapse, monkeypatch):
         assert comps == want_comps
         actions = json.loads(record)["actions"]
         seen.update(a["kind"] for a in actions)
+        # each single-line edge splits into its sub(0, 0.5) and sub(0.5, 1)
+        halves = {eid: pts for _, paths in comps for eid, pts in paths.items()}
+        for a in actions:
+            if a["kind"] == "edge_cut":
+                path = core.edges[a["edge"]].path
+                assert halves[a["half_a"]] == path.sub(0.0, 0.5).pts.tobytes()
+                assert halves[a["half_b"]] == path.sub(0.5, 1.0).pts.tobytes()
         merged = set()
         for a in actions:
             if a["kind"] == "chain_contraction":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,96 @@ def test_sub_polyline_endpoints():
     assert s.start == pytest.approx([5.0, 0.0])
     assert s.end == pytest.approx([10.0, 5.0])
     assert s.length == pytest.approx(10.0)
+
+
+def test_polyline_leaves_the_callers_array_writable():
+    # one array keeps every point, one loses a near-duplicate
+    for pts in ([[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.3 * _EPS], [1.0, 1.0]]):
+        a = np.array(pts)
+        p = Polyline(a)
+        assert a.flags.writeable and not p.pts.flags.writeable
+        a[0] = (5.0, 5.0)
+        assert p.pts[0].tolist() == [0.0, 0.0]
+    p = Polyline([(0, 0), (10, 0), (10, 10)])
+    for q in (p.reversed(), p.sub(0.2, 0.7), average_path(p, p)):
+        assert not q.pts.flags.writeable
+
+
+# ── the lean primitives against their numpy-wrapper oracles ─────────
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _lean_cases(rng):
+    """Point arrays: smooth walks, one-segment paths, the two points of
+    n = 2, repeated points and points within _EPS of the one before, and
+    coordinates of very different sizes."""
+    cases = [np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[-0.0, -0.0], [-1.0, 0.0]]),
+             np.array([[1e6, -2e6], [1e6 + 1e-3, -2e6]])]
+    for _ in range(40):
+        pts = smooth_polyline(rng, n_pts=int(rng.integers(2, 30)),
+                              step=float(rng.uniform(1e-3, 50)), max_turn=1.5).pts.copy()
+        pts += rng.uniform(-1e5, 1e5, size=2)
+        if rng.random() < 0.4:  # repeated points
+            i = rng.integers(len(pts), size=2)
+            pts = np.insert(pts, i, pts[i], axis=0)
+        if rng.random() < 0.4:  # points within _EPS of the one before
+            i = rng.integers(len(pts), size=2)
+            pts = np.insert(pts, i, pts[i] + 0.3 * _EPS, axis=0)
+        cases.append(pts)
+    return cases
+
+
+def _unchecked_polyline(pts: np.ndarray) -> Polyline:
+    """A polyline on pts as given, with the zero-length and sub-_EPS
+    segments that construction drops, for param_points' short-segment
+    branch."""
+    p = Polyline.__new__(Polyline)
+    p.pts = pts
+    p._cum = np.concatenate(([0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))))
+    return p
+
+
+def test_lean_primitives_equal_their_wrapper_oracles_bit_for_bit():
+    from oracles import (param_points_by_clip, polyline_arrays_by_norm,
+                         resample_by_linspace, sub_arrays_by_vstack)
+    rng = np.random.default_rng(2501)
+    for n in [2, 3, 4, 7, 100, 201, 1001, 4096]:
+        assert _bits(geometry._unit_steps(n)) == _bits(np.linspace(0.0, 1.0, n))
+    short = [_unchecked_polyline(np.array(pts, dtype=float)) for pts in (
+        [(0, 0), (0, 0), (5, 0)], [(0, 0), (5, 0), (5, 0.3 * _EPS), (5, 5)],
+        [(1, 1), (1, 1)])]
+    for pts in _lean_cases(rng):
+        p = Polyline(pts)
+        want_pts, want_cum = polyline_arrays_by_norm(pts)
+        assert _bits(p.pts) == _bits(want_pts) and _bits(p._cum) == _bits(want_cum)
+        assert _bits(geometry._segment_lengths(pts)) == _bits(
+            np.linalg.norm(np.diff(pts, axis=0), axis=1))
+        assert p.bbox() == tuple(float(v) for v in (*p.pts.min(axis=0), *p.pts.max(axis=0)))
+        short.append(p)
+    for p in short:
+        vertex = p._cum / p._cum[-1] if p._cum[-1] > 0 else p._cum
+        ts = np.concatenate([[-0.5, -0.0, 0.0, 1e-12, 1.0 - 1e-12, 1.0, 1.5,
+                              -math.inf, math.inf, math.nan],
+                             rng.uniform(-0.2, 1.2, 30), vertex])
+        assert _bits(p.param_points(ts)) == _bits(param_points_by_clip(p.pts, p._cum, ts))
+        for n in (0, 1, 2, 3, 50):
+            assert _bits(p.resample(n)) == _bits(resample_by_linspace(p.pts, p._cum, n))
+        if p._cum[-1] <= _EPS:
+            continue
+        cuts = [(0.0, 1.0), (-0.3, 0.4), (0.6, 1.7), (-0.0, 0.5)]
+        cuts += [tuple(sorted(rng.uniform(-0.1, 1.1, 2))) for _ in range(10)]
+        cuts += list(zip(vertex.tolist(), vertex[1:].tolist()))
+        for t0, t1 in cuts:
+            try:
+                want = sub_arrays_by_vstack(p.pts, p._cum, t0, t1)
+            except DegenerateSegment as exc:
+                with pytest.raises(DegenerateSegment, match=re.escape(str(exc))):
+                    p.sub(t0, t1)
+                continue
+            got = p.sub(t0, t1)
+            assert _bits(got.pts) == _bits(want[0]) and _bits(got._cum) == _bits(want[1])
 
 
 # ── nearest point ───────────────────────────────────────────────────
@@ -539,7 +630,6 @@ def test_frame_at_matches_param_point_and_a_tangent_oracle():
                     len(p.pts) - 2)
             d = p.pts[i + 1] - p.pts[i]
             assert np.array_equal([tx, ty], d / max(np.linalg.norm(d), _EPS))
-            assert np.array_equal([tx, ty], p.tangent_at(t))
             # arriving: on a vertex, the segment that ends there
             x, y, tx, ty = p.frame_at(t, arriving=True)
             j = min(max(int(np.searchsorted(p._cum, s, side="left")) - 1, 0),
@@ -762,6 +852,48 @@ def test_polyline_many_equals_polyline_per_run(block_rows, monkeypatch):
         with pytest.raises(DegenerateSegment) as got:
             Polyline.many([runs[0], bad, runs[1]])
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_box_spans_match_a_loop_oracle_and_hold_every_near_point(block_rows,
+                                                                 monkeypatch):
+    from oracles import box_spans_by_loop
+    if block_rows is not None:  # many blocks, and sweeps longer than one
+        monkeypatch.setattr(geometry, "_PASS_ROWS", block_rows)
+    rng = np.random.default_rng(3030)
+    radius = 25.0
+    sweeps, targets = [], []
+    for _ in range(80):
+        a = smooth_polyline(rng, n_pts=int(rng.integers(2, 30)),
+                            step=float(rng.uniform(2, 40)), max_turn=0.8)
+        start = a.param_point(rng.uniform()) + rng.normal(0, 30, 2)
+        b = smooth_polyline(rng, n_pts=int(rng.integers(2, 30)),
+                            step=float(rng.uniform(2, 40)), max_turn=0.8,
+                            start=start)
+        sweeps.append(geometry.sweep_points(a, min(0.5, 5.0 / a.length)))
+        targets.append(b)
+    # one point on each side of the padded box of (0, 0) - (100, 0), then
+    # just past it, and a sweep with its first and last point on the box
+    pad = radius + geometry._BOX_SLACK
+    ts = np.array([0.0, 0.5, 1.0])
+    sides = [(-pad, 0.0), (100.0 + pad, 0.0), (50.0, -pad), (50.0, pad)]
+    out = np.nextafter([-pad, 100.0 + pad, -pad, pad], [-99, 999, -99, 99])
+    past = [(out[0], 0.0), (out[1], 0.0), (50.0, out[2]), (50.0, out[3])]
+    ends = [(-pad, -pad), (50.0, 100.0), (100.0 + pad, pad)]
+    runs = [[(50.0, 300.0), xy, (50.0, 300.0)] for xy in sides + past] + [ends]
+    sweeps += [(ts, np.array(run)) for run in runs]
+    targets += [Polyline([(0.0, 0.0), (100.0, 0.0)])] * len(runs)
+    boxes = np.array([b.bbox() for b in targets])
+    spans = geometry.box_spans(sweeps, boxes, radius)
+    assert spans.tolist() == box_spans_by_loop(sweeps, boxes, radius)
+    assert spans[-9:].tolist() == [0.0] * 4 + [-math.inf] * 4 + [1.0]
+    assert np.isfinite(spans).sum() > 40 and np.isinf(spans).sum() > 10
+    # every sweep point within radius lies between the first and the last
+    # point in the box, so every run shared_segments finds spans less
+    for (ts, pts), b, span in zip(sweeps, targets, spans.tolist()):
+        near = np.flatnonzero(b.nearest_many(pts, radius)[1] <= radius)
+        if len(near):
+            assert ts[near[-1]] - ts[near[0]] <= span
 
 
 def test_nearest_pass_blocks_bound_memory_and_match_split_calls():

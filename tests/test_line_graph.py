@@ -77,6 +77,19 @@ def test_departure_angles():
     assert g.departure_angle("e2", "a") == pytest.approx(0.0)
     assert abs(g.departure_angle("e2", "d")) == pytest.approx(math.pi)
     assert g.departure_angle("e3", "a") == pytest.approx(math.pi / 2)
+    with pytest.raises(KeyError):
+        g.departure_angle("e2", "c")
+
+
+def test_departure_angle_table_equals_per_edge_tangents():
+    from oracles import departure_angle_per_edge
+    graphs = [_y_graph(), big_line_graph(np.random.default_rng(4), n_edges=60),
+              construct_line_graph(random_raw_network(np.random.default_rng(300)))]
+    for g in graphs:
+        for eid, e in g.edges.items():
+            for nid in (e.a, e.b):
+                assert (g.departure_angle(eid, nid)
+                        == departure_angle_per_edge(g, eid, nid))
 
 
 def test_validate_rejects_broken_graphs():
@@ -500,11 +513,12 @@ def _dense_shapes_corridor():
     ])
 
 
-# Work and bytes of construct_line_graph, frozen from the all-pairs
-# builder: any change to which pairs are swept, which merges run, or in
-# which order shows here.  Per feed, keyed by shuffle seed (None for
-# longest-extent-first): (shared_segments calls, average_path calls,
-# sha256 of the saved graph).
+# Work and bytes of construct_line_graph: any change to which pairs are
+# swept, which merges run, or in which order shows here.  The merges and
+# bytes are frozen from the all-pairs builder; the shared_segments calls
+# count the pairs left by the box-span bound (_Builder._bounded).  Per
+# feed, keyed by shuffle seed (None for longest-extent-first):
+# (shared_segments calls, average_path calls, sha256 of the saved graph).
 _PIN_FEEDS = {
     "corridor": _three_line_corridor,
     "random47": lambda: random_raw_network(
@@ -514,37 +528,37 @@ _PIN_FEEDS = {
 }
 _PINNED_CONSTRUCTION = {
     "corridor": {
-        None: (10, 2, "b56d785e256fe7cce956c57b4b3d9e51"
+        None: (6, 2, "b56d785e256fe7cce956c57b4b3d9e51"
                       "9da37cfaaf261bbfdfad6ad03b3bbe88"),
-        0: (32, 4, "15c0eece3b5c3703c28b487271f146e1"
+        0: (16, 4, "15c0eece3b5c3703c28b487271f146e1"
                    "cfac71d71f14a4fffe0d4d225dc36385"),
-        1: (32, 4, "5db5203b7788b7a6a95e698a614f4e2b"
+        1: (16, 4, "5db5203b7788b7a6a95e698a614f4e2b"
                    "a739e6580a45093059bb1bff746ea012"),
     },
     "random47": {
-        None: (160, 9, "888c583ee58c2b6f4a1a8d056dfc3f1d"
+        None: (84, 9, "888c583ee58c2b6f4a1a8d056dfc3f1d"
                        "4a97602150327c6abdaa5d7b8b76bd2e"),
-        0: (212, 12, "3fe84f639991aee82a9841ba963c1d5a"
+        0: (117, 12, "3fe84f639991aee82a9841ba963c1d5a"
                      "cc6a5194f1dee8c1e344d65fca36c6ac"),
-        1: (207, 12, "9fb077518cbd5c5b6f3001c2212c23a0"
+        1: (109, 12, "9fb077518cbd5c5b6f3001c2212c23a0"
                      "fad9579ac0a25ced7dd2a8872a65214a"),
     },
     "random300": {
-        None: (405, 17, "aba45554671c38fa0359927821719462"
+        None: (196, 17, "aba45554671c38fa0359927821719462"
                         "124028f5cdcc1f47f517a25fd2504344"),
-        0: (657, 27, "2a53de2cfa67b02f70e173ffd94ad62c"
+        0: (292, 27, "2a53de2cfa67b02f70e173ffd94ad62c"
                      "52174b0d5a0677b16f2e5f19940e3fc7"),
-        1: (632, 25, "b06cf1c39ed03ab77688ce32343966bb"
+        1: (273, 25, "b06cf1c39ed03ab77688ce32343966bb"
                      "d46b2efb42ed9f7e85c41e65f5607504"),
     },
-    # frozen from the sweep that projected every sweep point onto every
-    # segment of the target
+    # merges and bytes frozen from the sweep that projected every sweep
+    # point onto every segment of the target
     "dense_shapes": {
-        None: (34, 5, "2492936c866c0e524bcb645c7024275b"
+        None: (15, 5, "2492936c866c0e524bcb645c7024275b"
                       "367442ca3fae0a4ae1cff47cc3edb2e5"),
-        0: (28, 5, "78c04da1d2ca8ef8c8e75e44569961e9"
+        0: (14, 5, "78c04da1d2ca8ef8c8e75e44569961e9"
                    "a630b8435730302428af33fd9db1b50f"),
-        1: (34, 5, "68cf3e03101ae3e7061e44d8bee633ac"
+        1: (16, 5, "68cf3e03101ae3e7061e44d8bee633ac"
                    "a8cdd341b72a1f62412d576ceb17fb00"),
     },
 }
@@ -615,8 +629,10 @@ def _sweep_cases_network():
     """Edges around E1, 1000 m along y=0, one per case of the batched
     sweep: an equal-length copy (the subject is the smaller id), a longer
     edge that sweeps E1, partial and lateral overlaps, a box that meets
-    E1's only within d_hat with a single near step, one with none, and
-    jogs that leave d_hat for exactly k = 2 and k + 1 sweep steps."""
+    E1's only within d_hat with a single near step, one with none (both
+    left out by the box-span bound), and jogs that leave d_hat for
+    exactly k = 2 and k + 1 sweep steps.  E10 sweeps 105 m of E5's and
+    E6's padded boxes and comes no nearer than 130 m to either."""
     paths = {
         "E1": [(0, 0), (1000, 0)],
         "E2": [(0, 0), (1000, 0)],
@@ -627,6 +643,7 @@ def _sweep_cases_network():
         "E7": [(100, 10), (400, 10), (400, 60), (455, 60), (455, 10), (800, 10)],
         "E8": [(100, 10), (400, 10), (400, 60), (460, 60), (460, 10), (800, 10)],
         "E9": [(-200, -10), (1200, -10)],
+        "E10": [(1290, -600), (1290, 100)],
     }
     stations, edges = {}, []
     for line, pts in paths.items():
@@ -675,10 +692,29 @@ def _checked_shared_segments(seen):
     return checked
 
 
+def _checked_bound(monkeypatch, dropped):
+    """Make _Builder._bounded check that each pair it drops stores
+    nothing when swept without the bound (_pair_by_own_sweep), and record
+    the keys of those pairs in dropped."""
+    real = line_graph._Builder._bounded
+
+    def checked(self, plan):
+        kept = real(self, plan)
+        ids = {id(pair) for pair in kept}
+        assert [pair for pair in plan if id(pair) in ids] == kept
+        for key, _, _ in (pair for pair in plan if id(pair) not in ids):
+            assert _pair_by_own_sweep(self, *key) is None
+            dropped.append(key)
+        return kept
+
+    monkeypatch.setattr(line_graph._Builder, "_bounded", checked)
+
+
 def test_batched_sweeps_equal_per_pair_shared_segments(monkeypatch):
-    seen = []
+    seen, dropped = [], []
     monkeypatch.setattr(line_graph, "shared_segments",
                         _checked_shared_segments(seen))
+    _checked_bound(monkeypatch, dropped)
     builder = line_graph._Builder(_sweep_cases_network(), D_HAT, 5.0, 2,
                                   MIN_SEG, None, None)
     ids = {min(e.lines): eid for eid, e in builder.edges.items()}
@@ -700,14 +736,23 @@ def test_batched_sweeps_equal_per_pair_shared_segments(monkeypatch):
     assert {("fresh subject", 0), ("fresh subject", 1), ("fresh subject", 2),
             ("fresh target", 0), ("fresh target", 1),
             ("fresh target", 2)} <= cases
-    # the equal-length pair is swept along the smaller id; E6 is swept
-    # but its box meets E1's only within d_hat, and nothing is near
+    # the equal-length pair is swept along the smaller id; E5 and E6 are
+    # not swept against E1, whose sweep spans less than min_seg_len of
+    # their padded boxes (dropped checks that nothing could be stored);
+    # E10 sweeps E5 and E6 and finds nothing near
     e1, e2 = builder.edges[ids["E1"]], builder.edges[ids["E2"]]
     assert stored[builder._pair_key(e1.id, e2.id)][1] == min(e1.id, e2.id)
-    e5, e6, e7, e8 = (builder.edges[ids[n]].path for n in ("E5", "E6", "E7", "E8"))
-    for target, runs in ((e5, 0), (e6, 0), (e7, 1), (e8, 2)):
+    e5, e6, e7, e8, e10 = (builder.edges[ids[n]].path
+                           for n in ("E5", "E6", "E7", "E8", "E10"))
+    for name, target, runs in (("E5", e5, None), ("E6", e6, None),
+                               ("E7", e7, 1), ("E8", e8, 2)):
+        found = [len(r) for a, b, r in sweeps if a is e1.path and b is target]
+        assert found == ([] if runs is None else [runs, runs])
+        assert (dropped.count(builder._pair_key(e1.id, ids[name]))
+                == (2 if runs is None else 0))
+    for target in (e5, e6):
         assert [len(r) for a, b, r in sweeps
-                if a is e1.path and b is target] == [runs, runs]
+                if a is e10 and b is target] == [0, 0]
 
 
 def test_batched_sweeps_hold_through_merges(monkeypatch):
@@ -719,3 +764,34 @@ def test_batched_sweeps_hold_through_merges(monkeypatch):
         seen.clear()
         construct_line_graph(raw)
         assert sum(1 for _, _, runs in seen if runs) > 5
+
+
+def test_box_span_bound_drops_only_pairs_that_store_nothing(monkeypatch, tmp_path):
+    # construction with the bound and with a bound that keeps every pair:
+    # the same pairs stored, in the same order, and the same bytes; each
+    # pair the bound drops stores nothing when swept (_checked_bound)
+    stored, dropped = [], []
+    real_store = line_graph._Builder._store
+
+    def store(self, key, found):
+        stored.append((key, found))
+        real_store(self, key, found)
+
+    monkeypatch.setattr(line_graph._Builder, "_store", store)
+    _checked_bound(monkeypatch, dropped)
+    bounded = line_graph._Builder._bounded
+    feeds = [(_PIN_FEEDS[feed](), seed) for feed in sorted(_PIN_FEEDS)
+             for seed in _PINNED_CONSTRUCTION[feed]]
+    feeds += [(random_raw_network(np.random.default_rng(seed)), None)
+              for seed in range(500, 520)]
+    out = tmp_path / "graph.json"
+    for raw, seed in feeds:
+        runs = []
+        for bound in (bounded, lambda self, plan: plan):
+            monkeypatch.setattr(line_graph._Builder, "_bounded", bound)
+            stored.clear()
+            rng = None if seed is None else np.random.default_rng(seed)
+            save_line_graph(construct_line_graph(raw, shuffle_rng=rng), out)
+            runs.append((out.read_bytes(), list(stored)))
+        assert runs[0] == runs[1]
+    assert len(dropped) > 1000
