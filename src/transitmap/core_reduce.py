@@ -12,7 +12,8 @@ the result into independently solvable components:
 * terminus edge removal: an edge whose lines all end at both endpoints
   cannot influence any event, so its ordering is arbitrary.
 * edge cut: a single-line edge transmits no ordering information between
-  its endpoints and is cut into two dangling halves.
+  its endpoints and is cut into two dangling halves, each with the
+  edge's own path, so each leaves its real end at the edge's angle.
 * terminus detach: an edge whose lines all end at one endpoint transmits
   no ordering information through that endpoint and is re-pointed to a
   fresh dangling node there.
@@ -32,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import IncompleteSolution, MalformedOrdering, SchemaViolation
-from .geometry import Polyline, cut_many
+from .geometry import Polyline
 from .gtfs import TransitLine
 from .ilp_model import Ordering, WeightPolicy
 from .line_graph import LGEdge, LGNode, LineGraph
@@ -100,7 +101,8 @@ class EdgeCut:
     """A single-line edge was cut into two dangling halves.
 
     half_a keeps the original a endpoint, half_b the original b
-    endpoint; each ends at its own fresh node at the cut point."""
+    endpoint, both the edge's path; each ends at its own fresh node on
+    the path's other end."""
 
     kind: ClassVar[str] = "edge_cut"
     edge: str
@@ -231,8 +233,8 @@ def _contract_chains(
         if nw.same_cross < max_split or nw.separation < max_sep:
             continue
         del edges[ea_id], edges[eb_id], nodes[v]
-        # reversed().pts without the polyline: reversing a path whose
-        # segments all exceed _EPS drops no point
+        # reversed().pts without the polyline: no segment of a polyline
+        # is _EPS or shorter, so reversing one drops no point
         pa = ea.path.pts if ea.b == v else ea.path.pts[::-1]
         pb = eb.path.pts if eb.a == v else eb.path.pts[::-1]
         mid = new_edge_id()
@@ -494,11 +496,11 @@ def split_components(
 ) -> list[LineGraph]:
     """Split a pruned graph into independently solvable components.
 
-    Single-line edges are cut into two dangling halves at their
-    midpoint, and edges whose lines all terminate at a node of degree
-    above one are re-pointed to a fresh dangling node there.  Cut and
-    detach actions are appended to reduction when given; unfold() needs
-    them to reassemble a full ordering.
+    Single-line edges are cut into two dangling halves (see EdgeCut),
+    and edges whose lines all terminate at a node of degree above one
+    are re-pointed to a fresh dangling node there.  Cut and detach
+    actions are appended to reduction when given; unfold() needs them
+    to reassemble a full ordering.
 
     Each connected piece is one component, except that every piece
     whose lines only part (split sites but no continuation sites, see
@@ -517,22 +519,13 @@ def split_components(
     new_edge_id = _IdMaker("c", set(edges))
     new_node_id = _IdMaker("q", set(nodes))
 
-    # each single-line edge's halves, sub(0.0, 0.5) and sub(0.5, 1.0), in
-    # one cut_many pass
-    singles = [edges[eid] for eid in sorted(edges) if len(edges[eid].lines) == 1]
-    n = len(singles)
-    halves = Polyline.many(cut_many([e.path for e in singles] * 2,
-                                    np.repeat([0.0, 0.5], n),
-                                    np.repeat([0.5, 1.0], n)))
-    for e, half_a, half_b in zip(singles, halves[:n], halves[n:]):
-        mid = e.path.param_point(0.5)
-        na, nb = new_node_id(), new_node_id()
-        nodes[na] = LGNode(id=na, kind="aux", x=float(mid[0]), y=float(mid[1]))
-        nodes[nb] = LGNode(id=nb, kind="aux", x=float(mid[0]), y=float(mid[1]))
-        ha, hb = new_edge_id(), new_edge_id()
-        edges.pop(e.id)
-        edges[ha] = LGEdge(id=ha, a=e.a, b=na, lines=e.lines, path=half_a)
-        edges[hb] = LGEdge(id=hb, a=nb, b=e.b, lines=e.lines, path=half_b)
+    for e in [edges[eid] for eid in sorted(edges) if len(edges[eid].lines) == 1]:
+        na, nb, ha, hb = new_node_id(), new_node_id(), new_edge_id(), new_edge_id()
+        (xa, ya), (xb, yb) = e.path.end.tolist(), e.path.start.tolist()
+        nodes[na] = LGNode(id=na, kind="aux", x=xa, y=ya)
+        nodes[nb] = LGNode(id=nb, kind="aux", x=xb, y=yb)
+        del edges[e.id]
+        edges[ha], edges[hb] = replace(e, id=ha, b=na), replace(e, id=hb, a=nb)
         actions.append(EdgeCut(edge=e.id, line=e.lines[0], half_a=ha, half_b=hb))
 
     _detach_termini(nodes, edges, core.lines, new_node_id, actions)

@@ -35,13 +35,13 @@ bbox padded by d_hat + _BOX_SLACK.  `box_spans` bounds, from those boxes
 alone, the longest run a sweep could share with a polyline, so the merge
 loop skips the pairs whose bound is below its minimum run length.
 
-The renderer's whole-map passes live here too: `offset_many`
-offsets many polylines by many deltas at once, a `PolylineStack` takes
-the frames of many polylines at once, and `cut_many` their sub-polylines.
-`Polyline.many` builds many polylines at once, with one pass that drops
-near-duplicate points from all of them; the graph reader, the raw
-network and the renderer build their polylines with it.  Each equals
-the per-polyline method it batches bit for bit (see their docstrings).
+The renderer's whole-map passes live here too: `offset_many` offsets
+many polylines by many deltas at once, a `PolylineStack` takes the
+frames and cuts of many polylines at once, and `Polyline.many` builds
+many polylines at once, dropping the near-duplicate points of all of
+them together; the graph reader, the raw network and the renderer build
+their polylines with it.  Each equals the per-polyline method it
+batches bit for bit (see their docstrings).
 
 Polyline's primitives call ufuncs and array methods, not np.clip,
 np.linspace, np.linalg.norm, np.diff or np.all, whose Python wrappers
@@ -95,8 +95,9 @@ def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Polyline:
     """Immutable planar polyline backed by an (N, 2) float array.
 
-    Consecutive duplicate points are dropped on construction; fewer than
-    two distinct points raise DegenerateSegment.
+    Near-duplicate points are dropped on construction, so no segment is
+    _EPS or shorter; fewer than two distinct points raise
+    DegenerateSegment.
     """
 
     __slots__ = ("pts", "_cum")
@@ -126,7 +127,7 @@ class Polyline:
     @classmethod
     def many(cls, runs: list) -> list["Polyline"]:
         """[Polyline(run) for run in runs], each the same bits in pts and
-        _cum, from one _drop_near_duplicates pass over each block of runs
+        _cum, from one _drop_near_duplicates call on each block of runs
         of about _PASS_ROWS points in all (or of one run alone), end to
         end; raises the DegenerateSegment of a run that raises one.  Each
         polyline owns its points, as one built alone does."""
@@ -275,13 +276,12 @@ class Polyline:
         n, cum, xs = len(self.pts), self._cum.tolist(), self.pts.tolist()
         seg_len = _segment_lengths(self.pts)
         tail = self._point_at(1.0)[:2]
-        # sub(t', 1.0) is [head, xs[i0:n-1], tail] less each point within
-        # _EPS of the point before it.  When no segment is that short, the
+        # sub(t', 1.0) is [head, xs[i0:n-1], tail] less its near
+        # duplicates.  No segment of a polyline is that short, so when the
         # last cumulative length exceeds the one before and the tail is
         # kept after xs[n-2], only the point after the head can go; other
         # polylines take the sub path.
-        fast = (bool((seg_len > _EPS).all()) and cum[-2] < cum[-1]
-                and _dist(xs[n - 2], tail) > _EPS)
+        fast = cum[-2] < cum[-1] and _dist(xs[n - 2], tail) > _EPS
         if fast:
             qi, si, tl, d2 = _near_pairs(qs, _segment_table([self]), radius)
 
@@ -290,12 +290,13 @@ class Polyline:
                 raise DegenerateSegment(f"empty parameter range [{prev}, {1.0}]")
             i0 = bisect.bisect_right(cum, prev * self.length)
             head = self._point_at(prev)[:2]
-            if i0 == n - 1 and _dist(head, tail) <= _EPS:
-                return math.inf, math.inf  # sub raises: take its path
             j0 = i0 + 1 if i0 < n - 1 and _dist(head, xs[i0]) <= _EPS else i0
             # the rest's segments: head to the next point kept, this
             # polyline's segments j0 .. n-3, and xs[n-2] to the tail
             first_end = xs[j0] if j0 < n - 1 else tail
+            lengths = [_dist(head, first_end)]
+            if lengths[0] <= _EPS:
+                return math.inf, math.inf  # sub drops more or raises: its path
             best2, best_t = _project_one(q, head, first_end)
             best_pos = 0
             lo = bisect.bisect_left(qi, j)
@@ -305,7 +306,6 @@ class Polyline:
                     break
                 if d2[k] < best2:
                     best2, best_t, best_pos = d2[k], tl[k], 1 + si[k] - j0
-            lengths = [_dist(head, first_end)]
             if j0 < n - 1:
                 last2, last_t = _project_one(q, xs[n - 2], tail)
                 if last2 < best2:
@@ -384,7 +384,7 @@ class PolylineStack:
         for each k (arriving may be one bool for all).  The norm of each
         segment comes from dots, the kernel of np.linalg.norm on one
         vector."""
-        s = np.minimum(np.maximum(ts, 0.0), 1.0) * self.length[rows]
+        s = np.minimum(1.0, np.maximum(0.0, ts)) * self.length[rows]
         idx = self._search(rows, s, "right")
         if np.any(arriving):
             idx = np.where(arriving, self._search(rows, s, "left"), idx)
@@ -401,10 +401,10 @@ class PolylineStack:
 
     def cut(self, t0: np.ndarray, t1: np.ndarray,
             rows: np.ndarray | None = None) -> list[np.ndarray]:
-        """paths[rows[k]].sub(t0[k], t1[k]).pts for each k (rows default
-        to each path once, in order), near-duplicate points dropped by
-        Polyline's own _drop_near_duplicates, without building the
-        polylines; raises the DegenerateSegment that sub raises."""
+        """The points paths[rows[k]].sub(t0[k], t1[k]) builds its polyline
+        from, for each k (rows default to each path once, in order):
+        Polyline.many of them is those subs, bit for bit, and raises the
+        DegenerateSegment of a sub that collapses."""
         if np.any(t1 <= t0 + _EPS):
             raise DegenerateSegment("empty parameter range")
         if rows is None:
@@ -418,15 +418,14 @@ class PolylineStack:
         pts[at] = np.column_stack(self.frames(rows, t0)[:2])
         pts[at + counts - 1] = np.column_stack(self.frames(rows, t1)[:2])
         pts[_ranges(at + 1, i1 - i0)] = self.pts[_ranges(i0, i1 - i0)]
-        pts, counts, _ = _drop_near_duplicates(pts, counts)
         return np.split(pts, np.cumsum(counts)[:-1])
 
 
 def cut_many(paths: list[Polyline], t0: np.ndarray,
              t1: np.ndarray) -> list[np.ndarray]:
-    """paths[k].sub(t0[k], t1[k]).pts for each k, from PolylineStack.cut
-    over blocks of paths of at most _PASS_ROWS points: its keys and row
-    indices take several times the memory of the points it cuts."""
+    """PolylineStack(paths).cut(t0, t1) over blocks of paths of at most
+    _PASS_ROWS points: its keys and row indices take several times the
+    memory of the points it cuts."""
     out: list[np.ndarray] = []
     for block in _blocks([len(p.pts) for p in paths], _PASS_ROWS):
         out += PolylineStack(paths[block]).cut(t0[block], t1[block])
@@ -447,16 +446,18 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _drop_near_duplicates(pts: np.ndarray, counts):
     """Each run of counts[k] consecutive rows of pts less the points within
-    _EPS of the point before them, in one pass; raises DegenerateSegment
-    when a run keeps fewer than two points.  Returns the rows kept, each
-    run's new count, and the length of each segment between consecutive
-    rows kept (one per run boundary too)."""
+    _EPS of the point before them, in passes until one drops nothing, so
+    no segment kept is that short; raises DegenerateSegment when a run
+    keeps fewer than two points.  Returns the rows kept, each run's new
+    count, and the length of each segment between consecutive rows kept
+    (one per run boundary too)."""
     seg = _segment_lengths(pts)
-    keep = seg > _EPS
-    if not keep.all():
+    while not (seg > _EPS).all():
         first = np.cumsum(counts) - counts
-        keep = np.concatenate(([True], keep))
-        keep[first] = True
+        keep = np.concatenate(([True], seg > _EPS))
+        keep[first] = True  # a short segment between two runs drops nothing
+        if keep.all():
+            break
         counts = np.add.reduceat(keep, first)
         pts = pts[keep]
         seg = _segment_lengths(pts)
@@ -848,6 +849,7 @@ def shared_segments(
 
 # ── offsetting ──────────────────────────────────────────────────────
 
+# no caller in the package: perfbench/tracing.py looks it up by name
 def offset_polyline(p: Polyline, delta: float, miter_limit: float = 2.0) -> Polyline:
     """Offset p to the left of its travel direction by delta meters
     (negative = right).  Joins are mitered up to miter_limit, beveled

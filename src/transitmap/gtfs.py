@@ -407,20 +407,16 @@ def build_raw_network(
                 f"route {route_id}: the edge from stop {sa} to stop {sb} is "
                 f"{path.length / 1000:.0f} km long (limit "
                 f"{MAX_EDGE_LENGTH_M / 1000:.0f} km); check their coordinates")
-    # each path reversed, as Polyline.reversed builds it, where its
-    # second station has the smaller id
-    reversed_paths = iter(Polyline.many(
-        [path.pts[::-1] for (_, sa, sb), path in zip(hops, paths) if sa > sb]))
 
     edges: list[RawEdge] = []
     seen: set[tuple[str, str, str, tuple]] = set()
     for (route_id, sa, sb), path in zip(hops, paths):
-        # canonical key: orient from the smaller station id
+        # canonical key: orient from the smaller station id; a reversed
+        # polyline keeps every point
         if sa <= sb:
             key = (sa, sb, route_id, tuple(np.round(path.pts, 2).ravel()))
         else:
-            key = (sb, sa, route_id,
-                   tuple(np.round(next(reversed_paths).pts, 2).ravel()))
+            key = (sb, sa, route_id, tuple(np.round(path.pts[::-1], 2).ravel()))
         if key in seen:
             continue
         seen.add(key)

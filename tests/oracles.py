@@ -456,16 +456,16 @@ def trim_edges_per_edge(g, fronts) -> LineGraph:
 
 def polyline_arrays_by_norm(points) -> tuple[np.ndarray, np.ndarray]:
     """(pts, _cum) of Polyline(points): near-duplicates dropped by
-    np.linalg.norm over np.diff, the cumulative lengths by concatenate."""
+    np.linalg.norm over np.diff, pass after pass until no segment is
+    _EPS or shorter, the cumulative lengths by concatenate."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DegenerateSegment(f"expected (N, 2) points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DegenerateSegment("non-finite coordinate in polyline")
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    keep = seg > _EPS
-    if not keep.all():
-        pts = pts[np.concatenate(([True], keep))]
+    while not np.all(seg > _EPS):
+        pts = pts[np.concatenate(([True], seg > _EPS))]
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if len(pts) < 2:
         raise DegenerateSegment("polyline collapsed below two distinct points")

@@ -33,6 +33,7 @@ from transitmap.ilp_model import (
 from transitmap.optimize import brute_force, evaluate, solve
 from oracles import contract_chains_by_rescan, detach_termini_by_rescan
 from synth import (
+    bent_grid_line_graph,
     crossing_separation_trade_graph,
     disjoint_union,
     grid_route_line_graph,
@@ -226,7 +227,7 @@ def test_single_line_chain_splits_into_one_edge_components():
     assert out.lines_at("e2") == ("l2",)
 
 
-def test_cut_halves_meet_at_midpoint():
+def test_cut_halves_keep_the_edge_path():
     g = make_graph(
         nodes={"a": (0.0, 0.0), "b": (400.0, 0.0), "c": (700.0, 0.0)},
         edges=[("e1", "a", "b", ("l1",)), ("e2", "b", "c", ("l1", "l2"))],
@@ -239,14 +240,51 @@ def test_cut_halves_meet_at_midpoint():
     half_a, half_b = per_edge[cut.half_a], per_edge[cut.half_b]
     ea, eb = half_a.edges[cut.half_a], half_b.edges[cut.half_b]
     assert ea.a == "a" and eb.b == "b"
-    assert ea.path.length == pytest.approx(200.0)
-    assert eb.path.length == pytest.approx(200.0)
-    assert np.allclose(ea.path.end, (200.0, 0.0))
-    assert np.allclose(eb.path.start, (200.0, 0.0))
+    path = g.edges["e1"].path
+    assert ea.path is path and eb.path is path
+    # each fresh node sits on the path's far end
+    fresh_a, fresh_b = half_a.nodes[ea.b], half_b.nodes[eb.a]
+    assert (fresh_a.x, fresh_a.y) == tuple(path.end.tolist())
+    assert (fresh_b.x, fresh_b.y) == tuple(path.start.tolist())
+    # so each half leaves its real end at the edge's own angle
+    assert half_a.departure_angle(ea.id, "a") == g.departure_angle("e1", "a")
+    assert half_b.departure_angle(eb.id, "b") == g.departure_angle("e1", "b")
     # distinct dangling nodes keep the two sides disconnected
     assert ea.b != eb.a
     half_a.validate()
     half_b.validate()
+
+
+def _cut_family(workload_artifacts):
+    from transitmap.line_graph import load_line_graph
+    for work in workload_artifacts.values():
+        yield load_line_graph(work / "graph.json")
+    for seed in range(40):
+        yield random_line_graph(np.random.default_rng(seed))
+    for seed in range(10):
+        yield bent_grid_line_graph(np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("collapse", [True, False], ids=["I", "S"])
+def test_cut_halves_leave_at_the_core_edge_angles(collapse, workload_artifacts):
+    # the ordering problem reads a half's angle at its real end, which a
+    # detach may since have moved to a fresh node: it must be the core
+    # edge's own, bit for bit
+    ends = 0
+    for g in _cut_family(workload_artifacts):
+        core, rmap = prune(g, WeightPolicy.from_graph(g), collapse_bundles=collapse)
+        comps = split_components(core, rmap)
+        per_edge = {eid: c for c in comps for eid in c.edges}
+        for cut in rmap.actions:
+            if not isinstance(cut, EdgeCut):
+                continue
+            e = core.edges[cut.edge]
+            for half, end in ((cut.half_a, "a"), (cut.half_b, "b")):
+                comp = per_edge[half]
+                got = comp.departure_angle(half, getattr(comp.edges[half], end))
+                assert got == core.departure_angle(cut.edge, getattr(e, end))
+                ends += 1
+    assert ends > 700
 
 
 # ── seven-line fixture, hand traced ─────────────────────────────────
@@ -543,13 +581,13 @@ def test_one_sweep_reductions_match_the_rescan_loops(collapse, monkeypatch):
         assert comps == want_comps
         actions = json.loads(record)["actions"]
         seen.update(a["kind"] for a in actions)
-        # each single-line edge splits into its sub(0, 0.5) and sub(0.5, 1)
+        # each single-line edge's halves keep its path
         halves = {eid: pts for _, paths in comps for eid, pts in paths.items()}
         for a in actions:
             if a["kind"] == "edge_cut":
-                path = core.edges[a["edge"]].path
-                assert halves[a["half_a"]] == path.sub(0.0, 0.5).pts.tobytes()
-                assert halves[a["half_b"]] == path.sub(0.5, 1.0).pts.tobytes()
+                path = core.edges[a["edge"]].path.pts.tobytes()
+                assert halves[a["half_a"]] == path
+                assert halves[a["half_b"]] == path
         merged = set()
         for a in actions:
             if a["kind"] == "chain_contraction":

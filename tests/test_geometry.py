@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from transitmap import geometry
 from transitmap.errors import DegenerateSegment
@@ -90,10 +91,11 @@ def _bits(a) -> bytes:
 
 def _lean_cases(rng):
     """Point arrays: smooth walks, one-segment paths, the two points of
-    n = 2, repeated points and points within _EPS of the one before, and
-    coordinates of very different sizes."""
+    n = 2, repeated points and points within _EPS of the one before (a
+    chain of them too), and coordinates of very different sizes."""
     cases = [np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[-0.0, -0.0], [-1.0, 0.0]]),
-             np.array([[1e6, -2e6], [1e6 + 1e-3, -2e6]])]
+             np.array([[1e6, -2e6], [1e6 + 1e-3, -2e6]]),
+             np.array([[0.0, 0.0], [0.9e-9, 0.0], [-0.2e-9, 0.0], [5.0, 0.0]])]
     for _ in range(40):
         pts = smooth_polyline(rng, n_pts=int(rng.integers(2, 30)),
                               step=float(rng.uniform(1e-3, 50)), max_turn=1.5).pts.copy()
@@ -641,8 +643,9 @@ def test_frame_at_matches_param_point_and_a_tangent_oracle():
 
 
 def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
-    # one pass over many polylines gives frame_at's frames and sub's
-    # points bit for bit, with sub's near-duplicate points dropped; so
+    # one pass over many polylines gives frame_at's frames bit for bit,
+    # the sign of a zero included, and the points sub builds its polyline
+    # from, so that Polyline.many of the cuts is each sub bit for bit; so
     # does cut_many in blocks of at most 100 points
     monkeypatch.setattr(geometry, "_PASS_ROWS", 100)
     rng = np.random.default_rng(919)
@@ -651,21 +654,23 @@ def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
              for _ in range(40)]
     paths += [Polyline([(0, 0), (100, 0), (0, 0)]),
               Polyline([(0, 0), (1e-8, 0), (5, 5)]),
-              Polyline([(0, 0), (3, 4)])]
+              Polyline([(0, 0), (3, 4)]),
+              Polyline([(-0.0, -0.0), (-1.0, -1.0)])]
     stack = geometry.PolylineStack(paths)
     rows, ts = [], []
     for k, p in enumerate(paths):
-        mine = np.concatenate([[0.0, 1.0, 1e-12, 1.0 - 1e-12],
+        mine = np.concatenate([[0.0, -0.0, 1.0, 1e-12, 1.0 - 1e-12],
                                rng.uniform(0, 1, 10), p._cum / p.length])
         rows += [k] * len(mine)
         ts += mine.tolist()
-    x, y, tx, ty = stack.frames(np.array(rows), np.array(ts))
-    for k, (row, t) in enumerate(zip(rows, ts)):
-        assert paths[row].frame_at(t) == (x[k], y[k], tx[k], ty[k])
+    got = np.column_stack(stack.frames(np.array(rows), np.array(ts)))
+    want = [paths[row].frame_at(t) for row, t in zip(rows, ts)]
+    assert _bits(got) == _bits(want)
     arriving = rng.random(len(rows)) < 0.5
-    x, y, tx, ty = stack.frames(np.array(rows), np.array(ts), arriving)
-    for k, (row, t, arr) in enumerate(zip(rows, ts, arriving.tolist())):
-        assert paths[row].frame_at(t, arr) == (x[k], y[k], tx[k], ty[k])
+    got = np.column_stack(stack.frames(np.array(rows), np.array(ts), arriving))
+    want = [paths[row].frame_at(t, arr)
+            for row, t, arr in zip(rows, ts, arriving.tolist())]
+    assert _bits(got) == _bits(want)
     dropped = 0
     for _ in range(20):
         t0 = rng.uniform(0.0, 0.5, len(paths))
@@ -675,18 +680,32 @@ def test_polyline_stack_frames_and_cuts_match_polyline_methods(monkeypatch):
                 # a cut end within _EPS of a vertex: sub drops a point
                 v = float(p._cum[1] / p.length)
                 t0[k], t1[k] = min(v - 1e-13, 0.5), 1.0
+        cuts = stack.cut(t0, t1)
         blocked = geometry.cut_many(paths, t0, t1)
-        for p, cut, other, a, b in zip(paths, stack.cut(t0, t1), blocked,
-                                       t0.tolist(), t1.tolist()):
-            want = p.sub(a, b).pts
-            assert np.array_equal(cut, want)
-            assert np.array_equal(other, want)
+        for p, cut, sub, other, a, b in zip(
+                paths, cuts, Polyline.many(cuts),
+                Polyline.many(blocked), t0.tolist(), t1.tolist()):
+            want = p.sub(a, b)
+            for q in (sub, other):
+                assert _bits(q.pts) == _bits(want.pts)
+                assert _bits(q._cum) == _bits(want._cum)
+            # every point sub builds from: no near-duplicate is dropped
             s0, s1 = a * p.length, b * p.length
-            dropped += len(want) < 2 + int(np.searchsorted(p._cum, s1, "left")
-                                           - np.searchsorted(p._cum, s0, "right"))
+            assert len(cut) == 2 + int(np.searchsorted(p._cum, s1, "left")
+                                       - np.searchsorted(p._cum, s0, "right"))
+            dropped += len(want.pts) < len(cut)
     assert dropped > 20
     with pytest.raises(DegenerateSegment):
         stack.cut(np.full(len(paths), 0.5), np.full(len(paths), 0.5))
+    # a range wider than _EPS whose sub collapses: Polyline.many of the
+    # cut raises sub's error
+    tiny = Polyline([(0, 0), (1e-3, 0)])
+    with pytest.raises(DegenerateSegment) as want_error:
+        tiny.sub(0.5, 0.5 + 2e-9)
+    with pytest.raises(DegenerateSegment) as got_error:
+        Polyline.many(geometry.PolylineStack([tiny]).cut(np.array([0.5]),
+                                                         np.array([0.5 + 2e-9])))
+    assert str(got_error.value) == str(want_error.value)
 
 
 # ── averaging ───────────────────────────────────────────────────────
@@ -852,6 +871,62 @@ def test_polyline_many_equals_polyline_per_run(block_rows, monkeypatch):
         with pytest.raises(DegenerateSegment) as got:
             Polyline.many([runs[0], bad, runs[1]])
         assert str(got.value) == str(want.value)
+
+
+def test_near_duplicates_are_dropped_to_a_fixed_point():
+    # the second point is within _EPS of the first, the third is not
+    # within _EPS of the second but is of the first: a pass that drops
+    # only points near the one before them would keep it
+    p = Polyline([(0, 0), (0.9e-9, 0), (-0.2e-9, 0), (5, 0)])
+    assert p.pts.tolist() == [[0.0, 0.0], [5.0, 0.0]]
+    assert _bits(Polyline(p.pts).pts) == _bits(p.pts)
+    assert p.reversed().end.tolist() == [0.0, 0.0]
+
+
+# steps of a chain of points each within _EPS of the one before
+_SUB_EPS = st.floats(-0.7 * _EPS, 0.7 * _EPS)
+
+
+@st.composite
+def _runs_with_near_chains(draw):
+    """Polyline runs of points on a 1 m lattice, with chains of sub-_EPS
+    steps after some of their points; a run may start where the run
+    before it ends, as edges at one node do."""
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 8))
+        pts = draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                            min_size=n, max_size=n, unique=True))
+        pts = [np.array(q, dtype=float) * 1.25 + 1e4 for q in pts]
+        if runs and draw(st.booleans()):
+            pts.insert(0, runs[-1][-1].copy())
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.integers(0, len(pts) - 1))
+            steps = draw(st.lists(st.tuples(_SUB_EPS, _SUB_EPS),
+                                  min_size=1, max_size=6))
+            pts[i + 1:i + 1] = list(pts[i] + np.cumsum(steps, axis=0))
+        runs.append(np.array(pts))
+    return runs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(runs=_runs_with_near_chains())
+@example(runs=[np.array([(0, 0), (0.9e-9, 0), (-0.2e-9, 0), (5, 0)], dtype=float)])
+def test_polylines_are_canonical(runs):
+    # no segment kept is _EPS or shorter, so rebuilding or reversing a
+    # polyline drops nothing; Polyline.many still equals per-run
+    # construction, also where runs touch
+    from oracles import polyline_arrays_by_norm
+    ps = [Polyline(run) for run in runs]
+    for p, q, run in zip(ps, Polyline.many(runs), runs):
+        assert (geometry._segment_lengths(p.pts) > _EPS).all()
+        want_pts, want_cum = polyline_arrays_by_norm(run)
+        for other in (q, Polyline(p.pts), p.reversed().reversed()):
+            assert _bits(other.pts) == _bits(p.pts)
+            assert _bits(other._cum) == _bits(p._cum)
+        assert _bits(p.pts) == _bits(want_pts) and _bits(p._cum) == _bits(want_cum)
+        assert _bits(p.reversed().end) == _bits(p.start)
+        assert _bits(p.reversed().pts) == _bits(p.pts[::-1])
 
 
 @pytest.mark.parametrize("block_rows", [None, 64])

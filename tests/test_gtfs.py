@@ -341,8 +341,8 @@ def _random_snap_case(rng):
         if rng.random() < 0.5:  # stops halfway between the legs: ties
             on = np.sort(rng.integers(n, size=int(rng.integers(2, 10))))
             return shape, np.stack([xs[on], np.full(len(on), gap / 2)], 1)
-    else:  # repeated points; or, kept after the duplicate drop, points
-        # 0.2e-9 apart, which only the sub path handles
+    else:  # repeated points; or a chain of points each within _EPS of
+        # the one before, which construction drops to a fixed point
         base = smooth_polyline(rng, n_pts=int(rng.integers(3, 40)), step=20.0)
         pts = list(base.pts)
         for _ in range(int(rng.integers(1, 6))):
@@ -380,7 +380,9 @@ def test_snap_matches_per_stop_sub_oracle():
     # (the parameter range is empty), and so does one 7.5e-10 m before
     # the end of a 0.5 m shape (the rest collapses to one point).  A last
     # segment 1.0038e-9 m long 168 km out has its end point rounded back
-    # onto the point before it, which sub then drops.
+    # onto the point before it, which sub then drops.  A hairpin 1.2e-9 m
+    # long lies within _EPS of a stop 0.6e-9 m before its tip, so the rest
+    # past that stop drops both of its points.
     far = np.array([168064.54123322014, 0.0])
     far_end = far + 1.0038323251804027e-09 * np.array(
         [math.cos(5.041402708247953), math.sin(5.041402708247953)])
@@ -389,7 +391,9 @@ def test_snap_matches_per_stop_sub_oracle():
              (Polyline([(0, 0), (0.3, 0), (0.5, 0)]),
               np.array([(0.0, 0.0), (0.5 - 7.5e-10, 0.0), (0.5, 0.0)])),
              (Polyline([(0.0, 0.0), far, far_end]),
-              np.array([(0.0, 0.0), (9e4, 3.0), far, far_end]))]
+              np.array([(0.0, 0.0), (9e4, 3.0), far, far_end])),
+             (Polyline([(0, 0), (10, 0), (10 - 1.2e-9, 0), (10 - 1.2e-9, 5)]),
+              np.array([(10 - 0.6e-9, -1.0), (9.0, 3.0)]))]
     cases += [_random_snap_case(rng) for _ in range(400)]
     errors = 0
     for shape, stops in cases:
