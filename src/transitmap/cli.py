@@ -341,8 +341,8 @@ def _shared_flags() -> argparse.ArgumentParser:
                         "and a solution path")
     shared.add_argument("--time-limit", dest="time_limit", type=float,
                         metavar="SECONDS",
-                        help="seconds each solver call may run before the "
-                        "run fails with exit 6 (default: no limit)")
+                        help="seconds the run's one solver call may run "
+                        "before the run fails with exit 6 (default: no limit)")
     shared.add_argument("--line-width", dest="line_width", type=float,
                         help="rendered line width in meters")
     shared.add_argument("--curve",

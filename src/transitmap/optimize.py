@@ -1,6 +1,7 @@
 """Solving layer: objective evaluation, one compiled objective read by
 two exact searches (exhaustive and a built-in branch-and-bound), and a
-bridge to external MILP solvers.
+bridge to external MILP solvers.  A pipeline run solves its whole core
+in one solver call: one search, or one external solver process.
 
 All solvers share one source of truth for event semantics: the event
 sites compiled by ilp_model and the arrival-indicator convention defined
@@ -17,7 +18,9 @@ import shlex
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import ChainMap
+# unused by the package: perfbench/tracing.py patches it by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -271,41 +274,46 @@ def brute_force(g: LineGraph, w: WeightPolicy, budget: int = 10_000_000,
 def _branch_and_bound(g: LineGraph, sites: EventSites,
                       include_separation: bool,
                       timeout: float | None = None) -> tuple[Ordering, float]:
-    """Depth-first search over the levels of _factors, edges in id order
-    and permutations in lexicographic order.  A pair site is charged at
-    its later edge's level.  A level prices all its permutations in one
-    vector expression; a branch is cut once its cost plus every later
-    level's least split cost comes within _TIE of the best found.  That
-    bound is admissible, so the first optimum found is the
-    lexicographically smallest, as in brute_force.  Past timeout seconds
-    the search fails.
-
-    A level that no priced pair site links to another is priced by its
-    split cost alone, so it is settled up front on its first cheapest
-    permutation and only the linked levels are searched.  The optima
-    are a product of the settled picks and the linked levels' optima,
-    so the lexicographically smallest one is the same."""
+    """Depth-first search over the levels of _factors, one group of
+    levels at a time.  A group is a class of the levels that priced pair
+    sites link, so the optima are a product of the groups' optima, and
+    the lexicographically smallest one is that of each group; a level
+    linked to none is a group of its own.  Within a group, edges go in
+    id order and permutations in lexicographic order.  A pair site is
+    charged at its later edge's level.  A level prices all its
+    permutations in one vector expression; a branch is cut once its
+    cost plus every later level's least split cost in the group comes
+    within _TIE of the best found.  That bound is admissible, so the
+    first optimum found is the lexicographically smallest, as in
+    brute_force.  Past timeout seconds the search fails."""
     cols, split_cost, pairs = _factors(g, sites, include_separation)
     # Per level: weights, the later edge's indicator rows, and per row
     # the earlier edge's level and indicator, so a row fires where it
     # differs from that at the pick.
     charged = [([], [], []) for _ in cols]
+    group = list(range(len(cols)))
+
+    def find(lv: int) -> int:
+        while group[lv] != lv:
+            lv = group[lv]
+        return lv
+
     for weight, first, earlier, last, later in pairs:
         weights, rows, prior = charged[last]
         weights.append(weight)
         rows.append(later)
         prior.append((first, earlier))
+        group[find(last)] = find(first)
     charged = [(np.array(w), np.array(r), e) for w, r, e in charged]
-    linked = {lv for _, first, _, last, _ in pairs for lv in (first, last)}
-    search = sorted(linked)
-    picks = [int(np.argmax(cost <= cost.min() + _TIE)) for cost in split_cost]
+    groups: dict[int, list[int]] = {}
+    for lv in range(len(cols)):
+        groups.setdefault(find(lv), []).append(lv)
     least = [float(cost.min()) for cost in split_cost]
-    settled = sum(c for lv, c in enumerate(least) if lv not in linked)
-    rest = np.cumsum([0.0] + [least[lv] for lv in search[::-1]])[::-1].tolist()
-    best = [np.inf, None]
+    picks = [0] * len(cols)
+    total = 0.0
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def dfs(k: int, cur: float) -> None:
+    def dfs(search, rest, best, k: int, cur: float) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverFailure(f"solver timed out after {timeout} seconds")
         if k == len(search):
@@ -320,10 +328,15 @@ def _branch_and_bound(g: LineGraph, sites: EventSites,
         for i, c in enumerate(cost.tolist()):
             if cur + c + rest[k + 1] < best[0] - _TIE:
                 picks[level] = i
-                dfs(k + 1, cur + c)
+                dfs(search, rest, best, k + 1, cur + c)
 
-    dfs(0, 0.0)
-    return _decode(g, cols, best[1]), float(best[0]) + settled
+    for search in groups.values():
+        rest = np.cumsum([0.0] + [least[lv] for lv in search[::-1]])[::-1].tolist()
+        best = [np.inf, None]
+        dfs(search, rest, best, 0, 0.0)
+        total += best[0]
+        picks[:] = best[1]
+    return _decode(g, cols, picks), total
 
 
 # ── external bridge ─────────────────────────────────────────────────
@@ -335,9 +348,10 @@ def _run_external(model, command: str, timeout: float | None) -> dict[str, float
     started, running past timeout seconds and an unreadable solution are
     solver failures.
 
-    On timeout only the started process is killed, not processes it
-    started in turn: a wrapper script should `exec` its solver, or the
-    solver keeps running after the failure."""
+    A pipeline run makes one such call for its whole core, so it starts
+    at most one solver process.  On timeout only the started process is
+    killed, not processes it started in turn: a wrapper script should
+    `exec` its solver, or the solver keeps running after the failure."""
     with tempfile.TemporaryDirectory(prefix="transitmap-") as tmp:
         lp_path = Path(tmp) / "model.lp"
         out_path = Path(tmp) / "solution.out"
@@ -453,43 +467,37 @@ class PipelineResult:
 def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
                       backend: str = "builtin",
                       timeout: float | None = None) -> PipelineResult:
-    """Reduce g to its core, solve each split component concurrently,
-    and unfold the results into an ordering of g, returned with its
-    breakdown and the core and model sizes.
+    """Reduce g to its core, split it into components, solve their
+    union in one solve call, and unfold the result into an ordering of
+    g, returned with its breakdown and the core and model sizes.
 
     Bundle collapse stays off for the separation-aware variant: a
     collapsed block hides which member line faces an outside neighbor,
     so separation events would be priced wrong.  The unfolded ordering
-    is re-priced on g and must match the summed component objectives."""
+    is re-priced on g and must match the objective solved on the core."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of "
                          f"{', '.join(VARIANTS)}")
     include_separation = variant == "S"
     core, reduction = prune(g, w, collapse_bundles=not include_separation)
     components = split_components(core, reduction)
-    # Each component's sites and model are made once: the models give
-    # the model size, and solve reuses both.
-    sites = [compile_event_sites(comp, w) for comp in components]
-    models = [_BUILDERS[variant](comp, w, s)
-              for comp, s in zip(components, sites)]
-    rows = sum(model_dims(m)[0] for m in models)
-    cols = sum(model_dims(m)[1] for m in models)
-    results: list[tuple[Ordering, ObjectiveBreakdown]] = []
-    if components:
-        with ThreadPoolExecutor(max_workers=min(8, len(components))) as pool:
-            results = list(pool.map(
-                lambda comp, s, m: solve(comp, variant, w, backend=backend,
-                                         timeout=timeout, sites=s, model=m),
-                components, sites, models))
-    ordering = unfold([o for o, _ in results], reduction, g)
-    claimed = sum(b.objective(include_separation=include_separation)
-                  for _, b in results)
+    # The components share no node or edge, so their union's sites and
+    # model are the disjoint unions of theirs, each made once.
+    joined = LineGraph(*(ChainMap(*(getattr(c, table) for c in components))
+                         for table in ("nodes", "edges", "lines", "line_weight")))
+    sites = compile_event_sites(joined, w)
+    model = _BUILDERS[variant](joined, w, sites)
+    rows, cols = model_dims(model)
+    solved, core_breakdown = solve(joined, variant, w, backend=backend,
+                                   timeout=timeout, sites=sites, model=model)
+    ordering = unfold([solved], reduction, g)
+    claimed = core_breakdown.objective(include_separation=include_separation)
     breakdown = evaluate(g, ordering, w)
     achieved = breakdown.objective(include_separation=include_separation)
     if abs(claimed - achieved) > 1e-6:
         raise ObjectiveMismatch(
-            f"unfolded objective {achieved} disagrees with the summed "
-            f"component objectives {claimed}; the reduction lost events")
+            f"unfolded objective {achieved} disagrees with the solved "
+            f"core objective {claimed}; the reduction lost events")
     return PipelineResult(
         ordering=ordering, breakdown=breakdown,
         core_nodes=len(core.nodes), core_edges=len(core.edges),

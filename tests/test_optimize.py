@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from transitmap import optimize
 from transitmap.core_reduce import _pieces, prune, split_components, unfold
 from transitmap.errors import (
     BudgetExceeded,
@@ -19,12 +21,14 @@ from transitmap.errors import (
     ObjectiveMismatch,
     SolverFailure,
 )
+from transitmap.gtfs import build_raw_network, load_feed
 from transitmap.ilp_model import (
     NodeWeights,
     Ordering,
     WeightPolicy,
     compile_event_sites,
 )
+from transitmap.line_graph import construct_line_graph
 from transitmap.optimize import (
     _branch_and_bound,
     _cost_tensor,
@@ -41,12 +45,14 @@ from synth import (
     disjoint_union,
     double_y_graph,
     forced_event_lattices,
+    grid_feed_tables,
     lattice_line_graph,
     make_graph,
     parting_pieces_graph,
     random_line_graph,
     separation_chain_graph,
     seven_line_reduction_graph,
+    write_gtfs,
 )
 
 SCIPY_SOLVER = f"{sys.executable} -m transitmap.lp_solve"
@@ -267,7 +273,7 @@ def test_builtin_solver_matches_brute_force_on_random_instances():
 
 def test_settled_search_matches_brute_force_on_joined_components():
     # split_components joins parting pieces to a coupled one, so a
-    # component mixes levels the search settles up front (split sites
+    # component mixes levels that are groups of their own (split sites
     # only, or none) with levels pair sites link.
     seen = {"joined": 0, "mixed": 0}
     rng = np.random.default_rng(6113)
@@ -317,6 +323,44 @@ def test_settled_search_is_fast_on_forty_free_edges():
     assert claimed == pytest.approx(sum(b.crossing_weight for _, b in alone))
     assert got == Ordering({eid: lines for o, _ in alone
                             for eid, lines in o.to_dict().items()})
+
+
+def test_grouped_search_matches_brute_force_on_disjoint_lattices():
+    # The search takes each group of linked levels alone.  Three
+    # lattices side by side give three to five linked groups beside the
+    # levels linked to none, and one-decimal weights give each group
+    # ties: 1 to 72 optima per union.  Each group must pick its own
+    # lexicographically first optimum for the union to equal
+    # brute_force's.  Every lattice pays a crossing under uniform
+    # weights and has three lines on some edge.
+    seeds = [34, 260, 393, 727, 1681, 1848, 2170, 2218, 2504, 2715, 2796]
+    lattices = [lattice_line_graph(np.random.default_rng(seed), n_lines=4)
+                for seed in seeds]
+    for g in lattices:
+        _, best = brute_force(g, WeightPolicy.from_graph(g),
+                              include_separation=False)
+        assert best.crossing_weight > 0
+        assert max(len(e.lines) for e in g.edges.values()) == 3
+    rng = np.random.default_rng(2717)
+    cases = tied = 0
+    while cases < 20:
+        g = disjoint_union([lattices[k] for k in
+                            rng.choice(len(lattices), size=3, replace=False)])
+        if math.prod(math.factorial(len(e.lines))
+                     for e in g.edges.values()) > 1_000_000:
+            continue  # keeps brute_force's cost tensor small
+        w = one_decimal_weights(g, rng, tenths=3)
+        sites = compile_event_sites(g, w)
+        for include_sep in (False, True):
+            got, claimed = _branch_and_bound(g, sites, include_sep)
+            expect, best = brute_force(
+                g, w, include_separation=include_sep, sites=sites)
+            assert got == expect, (cases, include_sep)
+            assert claimed == pytest.approx(best.objective(include_sep))
+            cost = _cost_tensor(*_factors(g, sites, include_sep)[1:])
+            tied += np.count_nonzero(cost <= cost.min() + 1e-9) > 1
+            cases += 1
+    assert tied >= 16, tied
 
 
 def test_builtin_search_builds_no_table_across_two_edges():
@@ -628,10 +672,10 @@ def test_parting_pieces_share_one_solver_process(monkeypatch):
             == json.dumps(builtin.ordering.to_dict()))
 
 
-def test_two_coupled_pieces_take_one_solver_process_each(monkeypatch):
-    # The benchmark's traced check, solver processes = priced components,
-    # with parting pieces beside two coupled pieces;
-    # test_parting_pieces_share_one_solver_process checks it with one.
+def test_two_coupled_pieces_share_one_solver_process(monkeypatch):
+    # Two priced components, each with a coupled piece and one with
+    # parting pieces beside it, go to the solver as one graph: one
+    # solver process for the run.
     g = disjoint_union([parting_pieces_graph(),
                         crossing_separation_trade_graph()])
     w = WeightPolicy.from_graph(g)
@@ -646,5 +690,50 @@ def test_two_coupled_pieces_take_one_solver_process_each(monkeypatch):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", counting_run)
-    optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
-    assert len(calls) == 2
+    external = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
+    assert len(calls) == 1
+    _, best = brute_force(g, w, include_separation=False)
+    assert external.breakdown.crossing_weight == pytest.approx(
+        best.crossing_weight)
+
+
+def test_pipeline_starts_no_thread(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the pipeline started a thread pool")
+
+    def no_thread(self):
+        raise AssertionError("the pipeline started a thread")
+
+    g = disjoint_union([parting_pieces_graph(),
+                        crossing_separation_trade_graph()])
+    w = WeightPolicy.from_graph(g)
+    monkeypatch.setattr(optimize, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for backend in ("builtin", SCIPY_SOLVER):
+        result = optimize_pipeline(g, "I", w, backend=backend)
+        assert result.components >= 2
+
+
+def test_twice_scale_grid_takes_one_solver_process(tmp_path, monkeypatch):
+    # The 2x scale probe of the acceptance grid splits into 65
+    # components, 9 of them priced; the run still starts one solver
+    # process, and reaches the exhaustive optimum that HiGHS gives.
+    rng = np.random.default_rng(7015)
+    tables = grid_feed_tables(rng, cols=28, rows=22, n_routes=26,
+                              walk_hops=(26, 40))
+    feed = load_feed(write_gtfs(tmp_path / "feed", **tables))
+    g = construct_line_graph(build_raw_network(feed))
+    w = WeightPolicy.from_graph(g)
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    result = optimize_pipeline(g, "I", w, backend=SCIPY_SOLVER)
+    assert result.components == 65
+    assert len(calls) == 1
+    assert result.breakdown.crossing_weight == 1008
