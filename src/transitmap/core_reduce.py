@@ -1,7 +1,7 @@
 """Instance reduction for the line-ordering problem.
 
-Shrinks a line graph without changing the optimal objective, then breaks
-the result into independently solvable components:
+prune() shrinks a line graph to its core without changing the optimal
+objective:
 
 * chain contraction: a degree-2 node whose two incident edges carry the
   same line set hosts no unavoidable events, so the node is dropped and
@@ -11,18 +11,16 @@ the result into independently solvable components:
   group becomes a single line weighted by its member count.
 * terminus edge removal: an edge whose lines all end at both endpoints
   cannot influence any event, so its ordering is arbitrary.
-* edge cut: a single-line edge transmits no ordering information between
-  its endpoints and is cut into two dangling halves, each with the
-  edge's own path, so each leaves its real end at the edge's angle.
-* terminus detach: an edge whose lines all end at one endpoint transmits
-  no ordering information through that endpoint and is re-pointed to a
-  fresh dangling node there.
 
 Every change is recorded as a reversible action in a ReductionMap, and
-unfold() replays the record backwards to translate per-component
-orderings into an ordering of the original graph.  Chain contraction is
-only sound when events moved off the deleted node cannot get more
-expensive elsewhere; nodes whose weights violate that are left alone.
+unfold() replays the record backwards to translate an ordering of the
+core into an ordering of the original graph.  Chain contraction is only
+sound when events moved off the deleted node cannot get more expensive
+elsewhere; nodes whose weights violate that are left alone.
+
+split_components() counts the core's independently solvable components
+by cutting single-line edges and detaching termini; the core is solved
+whole, so nothing of the split is recorded or unfolded.
 """
 
 from __future__ import annotations
@@ -41,9 +39,7 @@ from .line_graph import LGEdge, LGNode, LineGraph
 __all__ = [
     "BundleCollapse",
     "ChainContraction",
-    "EdgeCut",
     "ReductionMap",
-    "TerminusDetach",
     "TerminusEdgeRemoval",
     "prune",
     "split_components",
@@ -96,41 +92,7 @@ class TerminusEdgeRemoval:
     lines: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EdgeCut:
-    """A single-line edge was cut into two dangling halves.
-
-    half_a keeps the original a endpoint, half_b the original b
-    endpoint, both the edge's path; each ends at its own fresh node on
-    the path's other end."""
-
-    kind: ClassVar[str] = "edge_cut"
-    edge: str
-    line: str
-    half_a: str
-    half_b: str
-
-
-@dataclass(frozen=True)
-class TerminusDetach:
-    """An edge was re-pointed from node to a fresh dangling node.
-
-    The edge keeps its id, lines, and path, so solved orderings carry
-    over without translation."""
-
-    kind: ClassVar[str] = "terminus_detach"
-    edge: str
-    node: str
-    fresh_node: str
-
-
-_Action = (
-    ChainContraction
-    | BundleCollapse
-    | TerminusEdgeRemoval
-    | EdgeCut
-    | TerminusDetach
-)
+_Action = ChainContraction | BundleCollapse | TerminusEdgeRemoval
 
 
 @dataclass
@@ -464,7 +426,6 @@ def _detach_termini(
     edges: dict[str, LGEdge],
     lines: dict[str, TransitLine],
     new_node_id: _IdMaker,
-    actions: list[_Action],
 ) -> None:
     """Re-point every edge whose lines all terminate at an endpoint of
     degree above one to a fresh dangling node there.
@@ -488,7 +449,6 @@ def _detach_termini(
             nodes[fresh] = LGNode(id=fresh, kind="aux", x=nodes[v].x, y=nodes[v].y)
             e = edges[eid] = replace(e, a=fresh) if v == e.a else replace(e, b=fresh)
             degree[v] -= 1
-            actions.append(TerminusDetach(edge=eid, node=v, fresh_node=fresh))
 
 
 def split_components(
@@ -496,11 +456,13 @@ def split_components(
 ) -> list[LineGraph]:
     """Split a pruned graph into independently solvable components.
 
-    Single-line edges are cut into two dangling halves (see EdgeCut),
-    and edges whose lines all terminate at a node of degree above one
-    are re-pointed to a fresh dangling node there.  Cut and detach
-    actions are appended to reduction when given; unfold() needs them
-    to reassemble a full ordering.
+    Single-line edges are cut into two dangling halves, each with the
+    edge's own path, and edges whose lines all terminate at a node of
+    degree above one are re-pointed to a fresh dangling node there.
+    Neither moves an event site, so the pipeline solves the core whole
+    and calls this only for the component count, which the benchmark
+    checks against its solver processes.  reduction is ignored; the
+    benchmark's instance description still passes it.
 
     Each connected piece is one component, except that every piece
     whose lines only part (split sites but no continuation sites, see
@@ -509,13 +471,10 @@ def split_components(
     their own; either is possibly disconnected.  A parting piece prices
     each edge's order on its own, so solving it together with other
     pieces gives each edge the same lexicographically first optimum as
-    solving it apart.  All components are solved in one call, so this
-    sets only the component count, which the benchmark checks against
-    its solver processes.  Components come back sorted by their smallest
+    solving it apart.  Components come back sorted by their smallest
     edge id, with node and line tables restricted to what each touches."""
     nodes = dict(core.nodes)
     edges = dict(core.edges)
-    actions: list[_Action] = []
     new_edge_id = _IdMaker("c", set(edges))
     new_node_id = _IdMaker("q", set(nodes))
 
@@ -526,9 +485,8 @@ def split_components(
         nodes[nb] = LGNode(id=nb, kind="aux", x=xb, y=yb)
         del edges[e.id]
         edges[ha], edges[hb] = replace(e, id=ha, b=na), replace(e, id=hb, a=nb)
-        actions.append(EdgeCut(edge=e.id, line=e.lines[0], half_a=ha, half_b=hb))
 
-    _detach_termini(nodes, edges, core.lines, new_node_id, actions)
+    _detach_termini(nodes, edges, core.lines, new_node_id)
 
     fin = LineGraph(nodes, edges, core.lines, core.line_weight)
     comps: list[LineGraph] = []
@@ -547,49 +505,25 @@ def split_components(
         parting = [_subgraph(fin, [eid for p in parting for eid in p.edges])]
     comps += parting
     comps.sort(key=lambda c: min(c.edges))
-    if reduction is not None:
-        for action in actions:
-            reduction.record(action)
     return comps
 
 
 # ── unfolding ────────────────────────────────────────────────────────
 
 
-def unfold(
-    component_orderings: list[Ordering], reduction: ReductionMap, g: LineGraph
-) -> Ordering:
-    """Translate per-component orderings back to the original graph.
+def unfold(ordering: Ordering, reduction: ReductionMap, g: LineGraph) -> Ordering:
+    """Translate an ordering of the pruned core back to the original graph.
 
-    Replays the recorded actions newest first: cut halves recombine,
-    detached edges keep their solved ordering, removed edges get their
+    Replays the recorded actions newest first: removed edges get their
     lines in lexicographic order, collapsed lines expand in the recorded
     member order (reversed where the carrier runs counter to the
     propagation seed), and merged chain edges hand their sequence to
     both original edges with the recorded direction fixups.  Raises
     IncompleteSolution when an edge of g ends up without an ordering."""
-    merged: dict[str, tuple[str, ...]] = {}
-    for ordering in component_orderings:
-        for eid in ordering.edges():
-            if eid in merged:
-                raise MalformedOrdering(f"edge {eid!r} is ordered by two components")
-            merged[eid] = ordering.lines_at(eid)
+    merged = {eid: ordering.lines_at(eid) for eid in ordering.edges()}
 
     for action in reversed(reduction.actions):
-        if isinstance(action, EdgeCut):
-            for half in (action.half_a, action.half_b):
-                if half not in merged:
-                    raise IncompleteSolution(
-                        f"no ordering for cut half {half!r} of edge {action.edge!r}"
-                    )
-                merged.pop(half)
-            merged[action.edge] = (action.line,)
-        elif isinstance(action, TerminusDetach):
-            if action.edge not in merged:
-                raise IncompleteSolution(
-                    f"no ordering for detached edge {action.edge!r}"
-                )
-        elif isinstance(action, TerminusEdgeRemoval):
+        if isinstance(action, TerminusEdgeRemoval):
             merged[action.edge] = tuple(sorted(action.lines))
         elif isinstance(action, BundleCollapse):
             for eid, flipped in action.reversal:

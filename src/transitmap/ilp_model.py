@@ -65,6 +65,10 @@ class Ordering:
     def position(self, edge_id: str, line: str) -> int:
         return self._pos[edge_id][line]
 
+    def positions(self) -> dict[str, dict[str, int]]:
+        """Per edge, each line's position; the table is not a copy."""
+        return self._pos
+
     def to_dict(self) -> dict[str, list[str]]:
         return {eid: list(self._seq[eid]) for eid in sorted(self._seq)}
 

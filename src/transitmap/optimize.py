@@ -18,7 +18,6 @@ import shlex
 import subprocess
 import tempfile
 import time
-from collections import ChainMap
 # unused by the package: perfbench/tracing.py patches it by name
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -142,18 +141,13 @@ def _fires_split(g: LineGraph, s: SplitSite, pos):
     return _arrival(g, s, s.edge, pos[s.edge]) != s.a_clockwise_first
 
 
-def _positions(o: Ordering, edge_ids) -> dict[str, dict[str, int]]:
-    return {eid: {line: i + 1 for i, line in enumerate(o.lines_at(eid))}
-            for eid in edge_ids}
-
-
 def evaluate(g: LineGraph, o: Ordering, w: WeightPolicy,
              sites: EventSites | None = None) -> ObjectiveBreakdown:
     """Count and price every event realized by the ordering."""
     o.validate_for(g)
     if sites is None:
         sites = compile_event_sites(g, w)
-    pos = _positions(o, g.edges)
+    pos = o.positions()
     return ObjectiveBreakdown(
         same_cont=tuple(s for s in sites.same_cont
                         if _fires_pair(g, s, pos, *_CONTINUATION)),
@@ -452,8 +446,8 @@ def solve(g: LineGraph, variant: str, w: WeightPolicy,
 @dataclass(frozen=True)
 class PipelineResult:
     """An optimized ordering of the whole graph with the evaluator's
-    breakdown of it, the size of the reduced core, and the variant's
-    model size summed over the core's components."""
+    breakdown of it, the size of the reduced core, its component count,
+    and the size of the variant's model of the core."""
 
     ordering: Ordering
     breakdown: ObjectiveBreakdown
@@ -467,9 +461,10 @@ class PipelineResult:
 def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
                       backend: str = "builtin",
                       timeout: float | None = None) -> PipelineResult:
-    """Reduce g to its core, split it into components, solve their
-    union in one solve call, and unfold the result into an ordering of
-    g, returned with its breakdown and the core and model sizes.
+    """Reduce g to its core, solve the core in one solve call, and
+    unfold the result into an ordering of g, returned with its breakdown
+    and the core and model sizes.  The core is split into components
+    only to count them.
 
     Bundle collapse stays off for the separation-aware variant: a
     collapsed block hides which member line faces an outside neighbor,
@@ -480,17 +475,12 @@ def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
                          f"{', '.join(VARIANTS)}")
     include_separation = variant == "S"
     core, reduction = prune(g, w, collapse_bundles=not include_separation)
-    components = split_components(core, reduction)
-    # The components share no node or edge, so their union's sites and
-    # model are the disjoint unions of theirs, each made once.
-    joined = LineGraph(*(ChainMap(*(getattr(c, table) for c in components))
-                         for table in ("nodes", "edges", "lines", "line_weight")))
-    sites = compile_event_sites(joined, w)
-    model = _BUILDERS[variant](joined, w, sites)
+    sites = compile_event_sites(core, w)
+    model = _BUILDERS[variant](core, w, sites)
     rows, cols = model_dims(model)
-    solved, core_breakdown = solve(joined, variant, w, backend=backend,
+    solved, core_breakdown = solve(core, variant, w, backend=backend,
                                    timeout=timeout, sites=sites, model=model)
-    ordering = unfold([solved], reduction, g)
+    ordering = unfold(solved, reduction, g)
     claimed = core_breakdown.objective(include_separation=include_separation)
     breakdown = evaluate(g, ordering, w)
     achieved = breakdown.objective(include_separation=include_separation)
@@ -501,4 +491,5 @@ def optimize_pipeline(g: LineGraph, variant: str, w: WeightPolicy,
     return PipelineResult(
         ordering=ordering, breakdown=breakdown,
         core_nodes=len(core.nodes), core_edges=len(core.edges),
-        components=len(components), model_rows=rows, model_cols=cols)
+        components=len(split_components(core)), model_rows=rows,
+        model_cols=cols)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from transitmap.core_reduce import ChainContraction, TerminusDetach, _terminates
+from transitmap.core_reduce import ChainContraction, _terminates
 from transitmap.errors import DegenerateSegment, MalformedRow
 from transitmap.geometry import (
     _BOX_SLACK,
@@ -247,7 +247,7 @@ def contract_chains_by_rescan(nodes, edges, weights, new_edge_id, rmap) -> bool:
         did = True
 
 
-def detach_termini_by_rescan(nodes, edges, lines, new_node_id, actions) -> None:
+def detach_termini_by_rescan(nodes, edges, lines, new_node_id) -> None:
     """core_reduce._detach_termini as a loop that rebuilds the graph and
     rescans from the first edge after each detach."""
     changed = True
@@ -270,7 +270,6 @@ def detach_termini_by_rescan(nodes, edges, lines, new_node_id, actions) -> None:
                 else:
                     edges[eid] = LGEdge(
                         id=eid, a=e.a, b=fresh, lines=e.lines, path=e.path)
-                actions.append(TerminusDetach(edge=eid, node=v, fresh_node=fresh))
                 changed = True
                 break
             if changed:

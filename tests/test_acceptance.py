@@ -149,7 +149,7 @@ def test_02_baseline_and_improved_models_agree_without_separation(tmp_path):
 
 
 def test_03_reduction_pipeline_preserves_the_optimum():
-    # Prune, split, solve per component, and unfold; the re-priced
+    # Prune, solve the core in one call, and unfold; the re-priced
     # whole-graph ordering must reach the exhaustive optimum.  The
     # seven-line fixture additionally pins the parallel-pair collapse:
     # its two same-carrier lines merge into one core line.

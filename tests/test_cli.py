@@ -165,6 +165,14 @@ def test_optimize_writes_ordering_and_summary(tmp_path, capsys):
      ["core: 6 nodes, 5 edges, 3 components",
       "model: 28 rows x 23 cols (variant S)",
       "crossings: 2, separations: 0"]),
+    (seven_line_reduction_graph, "B",
+     ["core: 9 nodes, 7 edges, 6 components",
+      "model: 21 rows x 17 cols (variant B)",
+      "crossings: 0, separations: 0"]),
+    (separation_chain_graph, "B",
+     ["core: 6 nodes, 5 edges, 5 components",
+      "model: 14 rows x 10 cols (variant B)",
+      "crossings: 2, separations: 0"]),
 ])
 def test_optimize_summary_lines_are_pinned(make_graph, variant, summary,
                                            tmp_path, capsys):

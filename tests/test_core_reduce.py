@@ -13,9 +13,7 @@ from transitmap import core_reduce
 from transitmap.core_reduce import (
     BundleCollapse,
     ChainContraction,
-    EdgeCut,
     ReductionMap,
-    TerminusDetach,
     TerminusEdgeRemoval,
     _events,
     _pieces,
@@ -47,6 +45,19 @@ from synth import (
 
 def kinds(rmap):
     return [a["kind"] for a in rmap.to_dict()["actions"]]
+
+
+def cut_halves(core, comps):
+    """Per single-line edge of core, the two halves split_components cut
+    it into: the component edges that are not core edges and share its
+    path."""
+    halves = {}
+    for comp in comps:
+        for eid, e in comp.edges.items():
+            if eid not in core.edges:
+                halves.setdefault(id(e.path), []).append((comp, e))
+    return {eid: halves.pop(id(e.path)) for eid, e in core.edges.items()
+            if len(e.lines) == 1}
 
 
 # ── chain contraction ───────────────────────────────────────────────
@@ -213,18 +224,18 @@ def test_single_line_chain_splits_into_one_edge_components():
         nodes={"a": (0.0, 0.0), "m": (200.0, 0.0), "b": (400.0, 0.0)},
         edges=[("e1", "a", "m", ("l1",)), ("e2", "m", "b", ("l2",))],
     )
-    rmap = ReductionMap()
-    comps = split_components(g, rmap)
+    comps = split_components(g)
     assert len(comps) == 4
     assert all(len(c.edges) == 1 for c in comps)
     assert all(c.max_lines_per_edge == 1 for c in comps)
-    assert kinds(rmap) == ["edge_cut", "edge_cut", "terminus_detach"]
-
-    orderings = [Ordering({eid: c.edges[eid].lines for eid in c.edges})
-                 for c in comps]
-    out = unfold(orderings, rmap, g)
-    assert out.lines_at("e1") == ("l1",)
-    assert out.lines_at("e2") == ("l2",)
+    # two cuts give four halves on four fresh nodes; l1 ends at m, so
+    # its half there moves to a fifth, and m keeps only e2's half
+    assert not set(g.edges) & {eid for c in comps for eid in c.edges}
+    kept = [nid for c in comps for nid in c.nodes if nid in g.nodes]
+    assert sorted(kept) == ["a", "b", "m"]
+    assert sum(len(c.nodes) for c in comps) == 8
+    (half,) = [e for c in comps for e in c.edges.values() if "m" in (e.a, e.b)]
+    assert half.lines == ("l2",)
 
 
 def test_cut_halves_keep_the_edge_path():
@@ -232,14 +243,11 @@ def test_cut_halves_keep_the_edge_path():
         nodes={"a": (0.0, 0.0), "b": (400.0, 0.0), "c": (700.0, 0.0)},
         edges=[("e1", "a", "b", ("l1",)), ("e2", "b", "c", ("l1", "l2"))],
     )
-    rmap = ReductionMap()
-    comps = split_components(g, rmap)
-    cut = rmap.actions[0]
-    assert cut.edge == "e1"
-    per_edge = {eid: c for c in comps for eid in c.edges}
-    half_a, half_b = per_edge[cut.half_a], per_edge[cut.half_b]
-    ea, eb = half_a.edges[cut.half_a], half_b.edges[cut.half_b]
-    assert ea.a == "a" and eb.b == "b"
+    comps = split_components(g)
+    halves = cut_halves(g, comps)
+    assert list(halves) == ["e1"]
+    (half_a, ea), = [(c, e) for c, e in halves["e1"] if e.a == "a"]
+    (half_b, eb), = [(c, e) for c, e in halves["e1"] if e.b == "b"]
     path = g.edges["e1"].path
     assert ea.path is path and eb.path is path
     # each fresh node sits on the path's far end
@@ -267,24 +275,21 @@ def _cut_family(workload_artifacts):
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["I", "S"])
 def test_cut_halves_leave_at_the_core_edge_angles(collapse, workload_artifacts):
-    # the ordering problem reads a half's angle at its real end, which a
-    # detach may since have moved to a fresh node: it must be the core
-    # edge's own, bit for bit
-    ends = 0
+    # a half leaves its real end, which a detach may since have moved to
+    # a fresh node, at the core edge's own angle, bit for bit; so does
+    # its fresh end, on the same path
+    checked = 0
     for g in _cut_family(workload_artifacts):
-        core, rmap = prune(g, WeightPolicy.from_graph(g), collapse_bundles=collapse)
-        comps = split_components(core, rmap)
-        per_edge = {eid: c for c in comps for eid in c.edges}
-        for cut in rmap.actions:
-            if not isinstance(cut, EdgeCut):
-                continue
-            e = core.edges[cut.edge]
-            for half, end in ((cut.half_a, "a"), (cut.half_b, "b")):
-                comp = per_edge[half]
-                got = comp.departure_angle(half, getattr(comp.edges[half], end))
-                assert got == core.departure_angle(cut.edge, getattr(e, end))
-                ends += 1
-    assert ends > 700
+        core, _ = prune(g, WeightPolicy.from_graph(g), collapse_bundles=collapse)
+        for eid, halves in cut_halves(core, split_components(core)).items():
+            e = core.edges[eid]
+            assert len(halves) == 2
+            for comp, half in halves:
+                for end in ("a", "b"):
+                    got = comp.departure_angle(half.id, getattr(half, end))
+                    assert got == core.departure_angle(eid, getattr(e, end))
+                checked += 1
+    assert checked > 700
 
 
 # ── seven-line fixture, hand traced ─────────────────────────────────
@@ -312,8 +317,8 @@ def test_seven_line_fixture_prunes_to_core():
 def test_seven_line_fixture_splits_into_six_components():
     g = seven_line_reduction_graph()
     w = WeightPolicy.from_graph(g)
-    core, rmap = prune(g, w)
-    comps = split_components(core, rmap)
+    core, _ = prune(g, w)
+    comps = split_components(core)
     assert sorted(len(c.edges) for c in comps) == [1, 1, 1, 2, 3, 3]
     all_edges = [eid for c in comps for eid in c.edges]
     assert len(all_edges) == len(set(all_edges))
@@ -329,13 +334,12 @@ def test_seven_line_fixture_solves_and_unfolds():
     g = seven_line_reduction_graph()
     w = WeightPolicy.from_graph(g)
     core, rmap = prune(g, w)
-    comps = split_components(core, rmap)
-    results = [solve(c, "I", w) for c in comps]
-    out = unfold([ordering for ordering, _ in results], rmap, g)
+    solved, core_breakdown = solve(core, "I", w)
+    out = unfold(solved, rmap, g)
     out.validate_for(g)
     breakdown = evaluate(g, out, w)
-    assert breakdown.crossing_weight == sum(
-        b.crossing_weight for _, b in results)
+    assert breakdown.crossing_weight == core_breakdown.crossing_weight == sum(
+        solve(c, "I", w)[1].crossing_weight for c in split_components(core))
     assert breakdown.crossing_weight == 0.0
     # bundle members come back adjacent on every carrier edge
     for eid in ("e0", "e1", "e2", "e3"):
@@ -406,7 +410,7 @@ def test_unfold_identity_map_returns_input():
         edges=[("e1", "a", "v", ("l1", "l2")), ("e2", "v", "b", ("l1", "l2"))],
     )
     o = Ordering({"e1": ("l2", "l1"), "e2": ("l1", "l2")})
-    assert unfold([o], ReductionMap(), g) == o
+    assert unfold(o, ReductionMap(), g) == o
 
 
 def test_bundle_expansion_positions():
@@ -417,14 +421,14 @@ def test_bundle_expansion_positions():
     solved = Ordering({"e1": ("lc", "X", "ld")})
     forward = ReductionMap([BundleCollapse(
         members=("la", "lb"), collapsed="X", reversal=(("e1", False),))])
-    out = unfold([solved], forward, g)
+    out = unfold(solved, forward, g)
     assert out.lines_at("e1") == ("lc", "la", "lb", "ld")
     assert out.position("e1", "la") == 2
     assert out.position("e1", "lb") == 3
 
     flipped = ReductionMap([BundleCollapse(
         members=("la", "lb"), collapsed="X", reversal=(("e1", True),))])
-    out2 = unfold([solved], flipped, g)
+    out2 = unfold(solved, flipped, g)
     assert out2.lines_at("e1") == ("lc", "lb", "la", "ld")
 
 
@@ -443,7 +447,7 @@ def test_chain_unfold_direction_fixups(flip_first, flip_second):
     core, rmap = prune(g, w)
     assert set(core.edges) == {"m0", "e3"}
     for perm in (("l1", "l2"), ("l2", "l1")):
-        out = unfold([Ordering({"m0": perm, "e3": ("l1",)})], rmap, g)
+        out = unfold(Ordering({"m0": perm, "e3": ("l1",)}), rmap, g)
         out.validate_for(g)
         # a wrong direction fixup would make the strands swap sides at
         # the contracted node, which evaluate prices as a crossing
@@ -456,26 +460,28 @@ def test_unfold_incomplete_raises():
         edges=[("e1", "a", "b", ("l1", "l2"))],
     )
     with pytest.raises(IncompleteSolution):
-        unfold([], ReductionMap(), g)
+        unfold(Ordering({}), ReductionMap(), g)
 
     fixture = seven_line_reduction_graph()
     w = WeightPolicy.from_graph(fixture)
     core, rmap = prune(fixture, w)
-    comps = split_components(core, rmap)
-    orderings = [solve(c, "I", w)[0] for c in comps]
-    with pytest.raises(IncompleteSolution):
-        unfold(orderings[:-1], rmap, fixture)
-    with pytest.raises(MalformedOrdering):
-        unfold(orderings + [orderings[0]], rmap, fixture)
+    solved = solve(core, "I", w)[0].to_dict()
+    for eid in sorted(solved):
+        short = Ordering({k: v for k, v in solved.items() if k != eid})
+        with pytest.raises(IncompleteSolution):
+            unfold(short, rmap, fixture)
+    # a carrier that lost its collapsed line, and an edge ordering lines
+    # it does not carry
+    for eid, lines in (("e3", ["ld"]), ("e8", ["lx"])):
+        with pytest.raises(MalformedOrdering):
+            unfold(Ordering({**solved, eid: lines}), rmap, fixture)
 
 
 def test_reduction_map_round_trips_to_json():
     g = seven_line_reduction_graph()
     core, rmap = prune(g, WeightPolicy.from_graph(g))
-    split_components(core, rmap)
     assert kinds(rmap) == [
-        "chain_contraction", "bundle_collapse", "terminus_edge_removal",
-        "edge_cut", "edge_cut", "edge_cut", "edge_cut", "terminus_detach"]
+        "chain_contraction", "bundle_collapse", "terminus_edge_removal"]
     text = json.dumps(rmap.to_dict(), sort_keys=True)
     assert json.loads(text) == rmap.to_dict()
     assert json.loads(text)["actions"][1]["members"] == ["la", "lb"]
@@ -488,8 +494,6 @@ def test_reduction_map_to_dict_lists_each_action_field():
         BundleCollapse(members=("la", "lb"), collapsed="la+lb",
                        reversal=(("e1", False), ("m0", True))),
         TerminusEdgeRemoval(edge="e3", lines=("l1", "l2")),
-        EdgeCut(edge="e4", line="l1", half_a="c0", half_b="c1"),
-        TerminusDetach(edge="e5", node="n1", fresh_node="q0"),
     ])
     assert rmap.to_dict() == {"actions": [
         {"kind": "chain_contraction", "node": "v", "edge_a": "e1",
@@ -499,10 +503,6 @@ def test_reduction_map_to_dict_lists_each_action_field():
          "collapsed": "la+lb", "reversal": {"e1": False, "m0": True}},
         {"kind": "terminus_edge_removal", "edge": "e3",
          "lines": ["l1", "l2"]},
-        {"kind": "edge_cut", "edge": "e4", "line": "l1", "half_a": "c0",
-         "half_b": "c1"},
-        {"kind": "terminus_detach", "edge": "e5", "node": "n1",
-         "fresh_node": "q0"},
     ]}
 
 
@@ -557,19 +557,21 @@ def _sweep_family():
 
 def _reduce(g, w, collapse):
     """The core, the reduction record and, per component, its node ids
-    and the points of each edge's path."""
+    and each edge's ends and path points."""
     core, rmap = prune(g, w, collapse_bundles=collapse)
-    comps = split_components(core, rmap)
+    comps = split_components(core)
     return (core, json.dumps(rmap.to_dict(), sort_keys=True),
-            [(sorted(c.nodes), {eid: e.path.pts.tobytes() for eid, e in c.edges.items()})
+            [(sorted(c.nodes), {eid: (e.a, e.b, e.path.pts.tobytes())
+                                for eid, e in c.edges.items()})
              for c in comps])
 
 
 @pytest.mark.parametrize("collapse", [True, False], ids=["I", "S"])
 def test_one_sweep_reductions_match_the_rescan_loops(collapse, monkeypatch):
-    # Contraction and detach each find their actions in one sweep; the
+    # Contraction and detach each find their changes in one sweep; the
     # loops that rebuild the graph and rescan after every change must
-    # record the same actions and give the same components.
+    # record the same contractions and give the same components, node
+    # for node and edge for edge.
     seen = Counter()
     for g, w in _sweep_family():
         core, record, comps = _reduce(g, w, collapse)
@@ -581,13 +583,16 @@ def test_one_sweep_reductions_match_the_rescan_loops(collapse, monkeypatch):
         assert comps == want_comps
         actions = json.loads(record)["actions"]
         seen.update(a["kind"] for a in actions)
-        # each single-line edge's halves keep its path
-        halves = {eid: pts for _, paths in comps for eid, pts in paths.items()}
-        for a in actions:
-            if a["kind"] == "edge_cut":
-                path = core.edges[a["edge"]].path.pts.tobytes()
-                assert halves[a["half_a"]] == path
-                assert halves[a["half_b"]] == path
+        # each single-line edge is cut into two halves with its path, on
+        # two fresh nodes; every further fresh node is a detach
+        cut = [e.path.pts.tobytes() for e in core.edges.values()
+               if len(e.lines) == 1]
+        halves = [pts for _, ends in comps for eid, (_, _, pts) in ends.items()
+                  if eid not in core.edges]
+        assert Counter(halves) == Counter(cut * 2)
+        fresh = sum(nid not in core.nodes for nids, _ in comps for nid in nids)
+        seen["edge_cut"] += len(cut)
+        seen["terminus_detach"] += fresh - 2 * len(cut)
         merged = set()
         for a in actions:
             if a["kind"] == "chain_contraction":
@@ -620,12 +625,9 @@ def test_pipeline_preserves_crossing_optimum():
         w = WeightPolicy.from_graph(g)
         _, whole = brute_force(g, w, include_separation=False)
         core, rmap = prune(g, w, collapse_bundles=True)
-        comps = split_components(core, rmap)
-        results = [brute_force(c, w, include_separation=False)
-                   for c in comps]
-        total = sum(b.crossing_weight for _, b in results)
-        assert total == pytest.approx(whole.crossing_weight)
-        out = unfold([o for o, _ in results], rmap, g)
+        solved, best = brute_force(core, w, include_separation=False)
+        assert best.crossing_weight == pytest.approx(whole.crossing_weight)
+        out = unfold(solved, rmap, g)
         assert evaluate(g, out, w).crossing_weight == pytest.approx(
             whole.crossing_weight)
 
@@ -637,10 +639,9 @@ def test_pipeline_preserves_full_objective_without_collapse():
         w = WeightPolicy.from_graph(g)
         _, whole = brute_force(g, w, include_separation=True)
         core, rmap = prune(g, w, collapse_bundles=False)
-        comps = split_components(core, rmap)
-        results = [brute_force(c, w, include_separation=True) for c in comps]
-        total = sum(b.weighted_objective for _, b in results)
-        assert total == pytest.approx(whole.weighted_objective)
-        out = unfold([o for o, _ in results], rmap, g)
+        solved, best = brute_force(core, w, include_separation=True)
+        assert best.weighted_objective == pytest.approx(
+            whole.weighted_objective)
+        out = unfold(solved, rmap, g)
         assert evaluate(g, out, w).weighted_objective == pytest.approx(
             whole.weighted_objective)

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import ChainMap
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ from transitmap.ilp_model import (
     Ordering,
     WeightPolicy,
     compile_event_sites,
+    write_lp,
 )
-from transitmap.line_graph import construct_line_graph
+from transitmap.line_graph import LineGraph, construct_line_graph, load_line_graph
 from transitmap.optimize import (
+    _BUILDERS,
+    VARIANTS,
     _branch_and_bound,
     _cost_tensor,
     _decode,
@@ -41,6 +45,7 @@ from transitmap.optimize import (
     solve,
 )
 from synth import (
+    bent_grid_line_graph,
     crossing_separation_trade_graph,
     disjoint_union,
     double_y_graph,
@@ -310,8 +315,8 @@ def test_settled_search_is_fast_on_forty_free_edges():
     # 39 levels with split sites only around three linked ones.
     g = parting_pieces_graph(hubs=13)
     w = WeightPolicy.from_graph(g)
-    core, rmap = prune(g, w)
-    comps = split_components(core, rmap)
+    core, _ = prune(g, w)
+    comps = split_components(core)
     comp = max(comps, key=lambda c: len(c.edges))
     assert len(_pieces(comp)) == 14
     sites = compile_event_sites(comp, w)
@@ -645,7 +650,7 @@ def test_parting_pieces_share_one_solver_process(monkeypatch):
     g = parting_pieces_graph()
     w = WeightPolicy.from_graph(g)
     core, rmap = prune(g, w)
-    comps = split_components(core, rmap)
+    comps = split_components(core)
     sites = [compile_event_sites(c, w) for c in comps]
     priced = [s for s in sites if s.same_cont or s.split]
     calls = []
@@ -664,11 +669,14 @@ def test_parting_pieces_share_one_solver_process(monkeypatch):
         best.crossing_weight)
     assert builtin.breakdown.crossing_weight == pytest.approx(
         best.crossing_weight)
-    # The parting pieces, joined to the coupled one, give each edge the
-    # order a solve of its own piece gives it.
+    # Solving the core whole gives each edge the order a solve of its
+    # own piece gives it; single-line edges keep their line.
     alone = [solve(p, "I", w)[0] for c in comps for p in _pieces(c)]
     assert len(alone) == len(comps) + 2
-    assert (json.dumps(unfold(alone, rmap, g).to_dict())
+    picked = {eid: lines for o in alone for eid, lines in o.to_dict().items()}
+    pieces = Ordering({eid: picked.get(eid, e.lines)
+                       for eid, e in core.edges.items()})
+    assert (json.dumps(unfold(pieces, rmap, g).to_dict())
             == json.dumps(builtin.ordering.to_dict()))
 
 
@@ -737,3 +745,81 @@ def test_twice_scale_grid_takes_one_solver_process(tmp_path, monkeypatch):
     assert result.components == 65
     assert len(calls) == 1
     assert result.breakdown.crossing_weight == 1008
+
+
+def _joined_components(core):
+    """split_components(core) joined back into one graph: the components
+    share no node or edge."""
+    comps = split_components(core)
+    return LineGraph(*(ChainMap(*(getattr(c, table) for c in comps))
+                       for table in ("nodes", "edges", "lines", "line_weight")))
+
+
+def _plain_factors(g, sites, include_separation):
+    cols, split_cost, pairs = _factors(g, sites, include_separation)
+    return ({eid: list(col) for eid, col in cols.items()},
+            [vec.tolist() for vec in split_cost],
+            [(weight, first, earlier.tolist(), last, later.tolist())
+             for weight, first, earlier, last, later in pairs])
+
+
+def test_core_solves_like_its_joined_components(workload_artifacts, tmp_path):
+    # Cutting a single-line edge or detaching a terminus moves no event
+    # site, so the pipeline solves the core itself: it compiles the same
+    # sites and search factors as the union of its components, writes
+    # the same I and S programs, and unfolds to the same ordering.  Only
+    # B's program, with one position column per cut half, differs.  The
+    # builtin search does not finish on the grid or on every bent grid,
+    # so orderings are compared on the others and, through HiGHS, on
+    # the grid under I and S.
+    graphs = [(name, load_line_graph(work / "graph.json"))
+              for name, work in workload_artifacts.items()]
+    graphs += [(f"random {seed}", random_line_graph(np.random.default_rng(seed)))
+               for seed in range(40)]
+    graphs += [(f"bent grid {seed}",
+                bent_grid_line_graph(np.random.default_rng(seed)))
+               for seed in range(30)]
+    graphs += [(f"lattice {i}", g) for i, g in enumerate(forced_event_lattices())]
+    core_lp, joined_lp = tmp_path / "core.lp", tmp_path / "joined.lp"
+    cut = 0
+    for name, g in graphs:
+        w = WeightPolicy.from_graph(g)
+        for variant in VARIANTS:
+            core, rmap = prune(g, w, collapse_bundles=variant != "S")
+            joined = _joined_components(core)
+            cut += sum(len(e.lines) == 1 for e in core.edges.values())
+            sites = compile_event_sites(core, w)
+            assert compile_event_sites(joined, w) == sites, (name, variant)
+            assert (_plain_factors(joined, sites, variant == "S")
+                    == _plain_factors(core, sites, variant == "S"))
+            if variant != "B":
+                write_lp(_BUILDERS[variant](core, w, sites), core_lp)
+                write_lp(_BUILDERS[variant](joined, w, sites), joined_lp)
+                assert core_lp.read_bytes() == joined_lp.read_bytes(), (
+                    name, variant)
+            grid = name.startswith("grid")
+            if name.startswith("bent") or (grid and variant == "B"):
+                continue
+            backend = SCIPY_SOLVER if grid else "builtin"
+            solved = solve(core, variant, w, backend, sites=sites)[0]
+            halves = solve(joined, variant, w, backend, sites=sites)[0]
+            # each cut edge's halves carry its one line
+            rejoined = Ordering({eid: halves.to_dict().get(eid, e.lines)
+                                 for eid, e in core.edges.items()})
+            assert unfold(solved, rmap, g) == unfold(rejoined, rmap, g), (
+                name, variant)
+    assert cut > 1500
+
+
+def test_acceptance_grid_under_s_is_pinned(workload_artifacts):
+    # The benchmark runs the acceptance grid under I only; under S the
+    # bundled solver must still reach the pinned optimum of the core's
+    # one program.
+    g = load_line_graph(workload_artifacts["grid-full-I"] / "graph.json")
+    result = optimize_pipeline(g, "S", WeightPolicy.from_graph(g),
+                               backend=SCIPY_SOLVER)
+    b = result.breakdown
+    assert (b.weighted_objective, b.crossing_count, b.separation_count) == (
+        603, 55, 5)
+    assert (result.model_rows, result.model_cols) == (1909, 1012)
+    assert result.components == 31
